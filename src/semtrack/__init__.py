@@ -8,8 +8,7 @@ pipeline without images.
 """
 
 from .geometry import (Box3D, ObjectState, Pose, StereoRig, box_vertices,
-                       point_to_box_face_distance, project, transform,
-                       inverse_transform)
+                       point_to_box_face_distance, project)
 from .boxinfer import (BBox2D, DEFAULT_PRIORS, DimensionPrior, SelectionSet,
                        Viewpoint, classify_viewpoint, classify_viewpoint_world,
                        infer_pose, infer_pose_candidates, selection_set,
@@ -19,16 +18,16 @@ from .simulate import (FrameMeasurements, NoiseSpec, Scenario,
                        synthesize_all, synthesize_frame, write_measurements)
 from .associate import (associate_objects, box_similarity, match_stereo,
                         reject_outliers)
-from .estimator import (EstimatorConfig, ObjectTrack, TrackProblem,
-                        WindowTracker, align_point_cloud, solve_ego,
-                        solve_object)
+from .estimator import (EstimatorConfig, FeatureRows, ObjectTrack,
+                        SemanticRows, WindowTracker, align_point_cloud,
+                        feature_rows, semantic_rows, solve_ego, solve_object)
 from .metrics import (DetectionRecord, Trajectory, ap_and_error_curves,
                       ate_rmse, iou_3d, iou_bev, rpe)
 from .pipeline import run_pipeline
 
 __all__ = [
     "Box3D", "ObjectState", "Pose", "StereoRig", "box_vertices",
-    "point_to_box_face_distance", "project", "transform", "inverse_transform",
+    "point_to_box_face_distance", "project",
     "BBox2D", "DEFAULT_PRIORS", "DimensionPrior", "SelectionSet", "Viewpoint",
     "classify_viewpoint", "classify_viewpoint_world", "infer_pose",
     "infer_pose_candidates", "selection_set", "tight_bbox",
@@ -36,8 +35,9 @@ __all__ = [
     "propagate_object", "read_measurements", "synthesize_all",
     "synthesize_frame", "write_measurements",
     "associate_objects", "box_similarity", "match_stereo", "reject_outliers",
-    "EstimatorConfig", "ObjectTrack", "TrackProblem", "WindowTracker",
-    "align_point_cloud", "solve_ego", "solve_object",
+    "EstimatorConfig", "FeatureRows", "ObjectTrack", "SemanticRows",
+    "WindowTracker", "align_point_cloud", "feature_rows", "semantic_rows",
+    "solve_ego", "solve_object",
     "DetectionRecord", "Trajectory", "ap_and_error_curves", "ate_rmse",
     "iou_3d", "iou_bev", "rpe",
     "run_pipeline",

@@ -169,7 +169,9 @@ def _eight_point(prev, cur, weights=None):
     ])
     if weights is not None:
         a_mat = a_mat * weights[:, None]
-    _, s, vt = np.linalg.svd(a_mat)
+    # the thin SVD of fewer than 9 rows drops the null vector; for more
+    # rows it gives the same vt[-1] without building the n x n U
+    _, s, vt = np.linalg.svd(a_mat, full_matrices=len(a_mat) < 9)
     if s[-2] < 1e-12 * max(s[0], 1e-12):
         return None
     f_mat = vt[-1].reshape(3, 3)

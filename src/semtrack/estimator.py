@@ -6,13 +6,16 @@ background landmarks from static feature observations, then
 camera poses held fixed, fusing feature, semantic box, motion-model and
 dimension-prior residuals.  :func:`align_point_cloud` snaps a box pose to
 its anchored landmark cloud as a post-step.  :class:`WindowTracker`
-chains the stages over a measurement stream.
+chains the stages over a measurement stream, handing each solver the
+window's observations as arrays (:class:`FeatureRows`,
+:class:`SemanticRows`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,11 +23,12 @@ from . import residuals as res
 from .associate import associate_objects, reject_outliers
 from .boxinfer import (DEFAULT_PRIORS, BBox2D, DimensionPrior, infer_pose,
                        selection_set)
-from .errors import BehindCamera, DegenerateGroup, NoConvergence
-from .geometry import (ObjectState, Pose, StereoRig, project_rotation, rot_y,
-                       so3_exp, wrap_angle)
-from .nls import DenseNormalEquations, SchurNormalEquations, SolveReport, \
-    solve_nls
+from .errors import DegenerateGroup, NoConvergence
+from .geometry import (FACES, Box3D, ObjectState, Pose, StereoRig,
+                       nearest_face, project_rotation, rot_y, so3_exp,
+                       wrap_angle)
+from .nls import (DenseNormalEquations, RowBatch, SchurNormalEquations,
+                  SolveReport, batch_cost, solve_nls)
 
 MIN_PARALLAX_DEG = 0.5
 
@@ -46,52 +50,65 @@ class EstimatorConfig:
     dt: float = 0.1
 
 
-@dataclass(frozen=True)
-class ResidualBlock:
-    """One measurement term of a tracking problem.
+class FeatureRows(NamedTuple):
+    """Stereo feature observations of a window, one row each, sorted by
+    local frame and then landmark id (see :func:`feature_rows`)."""
 
-    ``kind`` is one of "feature", "semantic", "motion", "prior".  The
-    payload fields that apply depend on the kind; ``covariance`` is the
-    full covariance of the residual and ``robust`` requests a Huber loss.
-    """
+    frame: np.ndarray  # (n,) local window frame
+    landmark: np.ndarray  # (n,) landmark id
+    left: np.ndarray  # (n, 2) normalized left-image point
+    right: np.ndarray  # (n, 2) normalized right-image point
 
-    kind: str
-    frame: int
-    object_id: int | None = None
-    landmark_id: int | None = None
-    payload: dict = field(default_factory=dict)
-    covariance: np.ndarray | None = None
-    robust: bool = False
+
+class SemanticRows(NamedTuple):
+    """Box detections of one object over a window, one row each."""
+
+    frame: np.ndarray  # (n,) local window frame
+    edges: np.ndarray  # (n, 4) BBox2D edges (u_min, v_min, u_max, v_max)
+    valid: np.ndarray  # (n, 4) edge validity, same order
+    signs: np.ndarray  # (n, 4, 3) selection-set vertex signs
+
+
+def feature_rows(obs):
+    """:class:`FeatureRows` from (frame, landmark id, left, right) tuples."""
+    obs = list(obs)
+    frame, landmark, left, right = zip(*obs) if obs else ((),) * 4
+    frame = np.array(frame, dtype=int)
+    landmark = np.array(landmark, dtype=int)
+    order = np.lexsort((landmark, frame))
+    return FeatureRows(frame[order], landmark[order],
+                       np.array(left, dtype=float).reshape(-1, 2)[order],
+                       np.array(right, dtype=float).reshape(-1, 2)[order])
+
+
+def semantic_rows(obs):
+    """:class:`SemanticRows` from (frame, edges, valid, viewpoint) tuples."""
+    obs = list(obs)
+    frame, edges, valid, viewpoint = zip(*obs) if obs else ((),) * 4
+    return SemanticRows(
+        np.array(frame, dtype=int),
+        np.array(edges, dtype=float).reshape(-1, 4),
+        np.array(valid, dtype=bool).reshape(-1, 4),
+        np.array([selection_set(vp).signs for vp in viewpoint]
+                 ).reshape(-1, 4, 3))
 
 
 @dataclass
 class ObjectTrack:
-    """Window data of one tracked object."""
+    """Window data of one tracked object.
+
+    ``frames`` are the local window frames of ``states``, ascending; the
+    rows' frames index the camera poses of the window and must be among
+    them.  Motion terms join consecutive frames.
+    """
 
     label: str
     frames: list
     states: list
     landmarks: dict
     prior: DimensionPrior
-
-
-@dataclass
-class TrackProblem:
-    """Window of camera poses, object tracks, landmarks and residuals."""
-
-    camera_poses: list
-    landmarks: dict
-    objects: dict
-    blocks: list
-    gauge_index: int = 0
-
-    def __post_init__(self):
-        n = len(self.camera_poses)
-        if not 0 <= self.gauge_index < n:
-            raise ValueError("gauge index out of range")
-        for block in self.blocks:
-            if not 0 <= block.frame < n:
-                raise ValueError("residual block references a missing frame")
+    features: FeatureRows
+    semantic: SemanticRows
 
 
 @dataclass(frozen=True)
@@ -111,42 +128,13 @@ class ObjectResult:
     under_constrained: bool
 
 
-def _sqrt_info(cov, dim, default_sigma):
-    if cov is None:
-        return 1.0 / default_sigma
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim == 1:
-        return 1.0 / np.sqrt(cov)
-    if np.allclose(cov, np.diag(np.diag(cov))):
-        return 1.0 / np.sqrt(np.diag(cov))
-    return np.linalg.cholesky(np.linalg.inv(cov)).T
-
-
-def feature_block(frame, landmark_id, left, right, sigma, object_id=None):
-    cov = sigma ** 2 * np.ones(4)
-    return ResidualBlock("feature", frame, object_id, landmark_id,
-                         {"left": np.asarray(left, dtype=float),
-                          "right": np.asarray(right, dtype=float)},
-                         cov, robust=True)
-
-
-def semantic_block(frame, object_id, edges, valid, viewpoint, sigma):
-    cov = sigma ** 2 * np.ones(4)
-    return ResidualBlock("semantic", frame, object_id, None,
-                         {"edges": np.asarray(edges, dtype=float),
-                          "valid": tuple(valid), "viewpoint": viewpoint},
-                         cov)
-
-
-def motion_block(frame, prev_frame, object_id, dt, sigmas):
-    cov = np.asarray(sigmas, dtype=float) ** 2 * dt
-    return ResidualBlock("motion", frame, object_id, None,
-                         {"prev_frame": prev_frame, "dt": dt}, cov)
-
-
-def prior_block(frame, object_id, prior):
-    return ResidualBlock("prior", frame, object_id, None, {"prior": prior},
-                         np.asarray(prior.sigma, dtype=float) ** 2)
+def _frame_batches(frame, lm_slot, left, right):
+    """Split frame-sorted feature rows into per-frame (frame, landmark
+    slot, left, right) batches."""
+    bounds = np.flatnonzero(np.diff(frame)) + 1
+    return [(int(frame[i]), lm_slot[i:j], left[i:j], right[i:j])
+            for i, j in zip(np.r_[0, bounds], np.r_[bounds, len(frame)])
+            if j > i]
 
 
 # ---------------------------------------------------------------------------
@@ -156,89 +144,72 @@ def prior_block(frame, object_id, prior):
 class _EgoProblem:
     """Adapter exposing the ego window to the NLS engine.
 
-    State is (poses, landmark array); the gauge pose is constant.  Only
-    landmarks observed in at least two frames are optimized; blocks of
-    other landmarks carry no information about the relative poses beyond
-    a stereo depth and are dropped.
+    State is (poses, landmark array); the oldest pose is the gauge and
+    stays constant.  Only landmarks observed in at least two frames are
+    optimized; rows of other landmarks carry no information about the
+    relative poses beyond a stereo depth and are dropped.
     """
 
-    def __init__(self, poses, landmarks, blocks, rig, config, gauge_index):
+    def __init__(self, poses, landmarks, rows, rig, config):
         self.rig = rig
         self.config = config
-        self.gauge_index = gauge_index
         self.n_poses = len(poses)
-        by_lm = {}
-        for block in blocks:
-            if block.kind != "feature" or block.object_id is not None:
-                continue
-            by_lm.setdefault(block.landmark_id, []).append(block)
-        self.lm_ids = sorted(lm for lm, obs in by_lm.items()
-                             if len({b.frame for b in obs}) >= 2
-                             and lm in landmarks)
-        self.lm_slot = {lm: i for i, lm in enumerate(self.lm_ids)}
-        self.obs = [b for lm in self.lm_ids for b in by_lm[lm]]
-        # batch the observations per frame for vectorized evaluation
-        per_frame = {}
-        for b in self.obs:
-            per_frame.setdefault(b.frame, []).append(b)
-        self.batches = []
-        for frame in sorted(per_frame):
-            bs = per_frame[frame]
-            self.batches.append((
-                frame,
-                np.array([self.lm_slot[b.landmark_id] for b in bs]),
-                np.array([b.payload["left"] for b in bs]),
-                np.array([b.payload["right"] for b in bs])))
-        self.initial = (list(poses),
-                        np.array([landmarks[lm] for lm in self.lm_ids])
-                        .reshape(len(self.lm_ids), 3))
+        ids, counts = np.unique(rows.landmark, return_counts=True)
+        self.lm_ids = np.array([lm for lm, n in zip(ids, counts)
+                                if n >= 2 and lm in landmarks], dtype=int)
+        keep = np.isin(rows.landmark, self.lm_ids)
+        frame = rows.frame[keep]
+        slot = np.searchsorted(self.lm_ids, rows.landmark[keep])
+        self.batches = _frame_batches(frame, slot, rows.left[keep],
+                                      rows.right[keep])
+        lms = np.array([landmarks[lm] for lm in self.lm_ids]).reshape(-1, 3)
+        self.initial = (list(poses), lms)
+        # parallax: mean ray angle between the first and last observation
+        # of each optimized landmark
+        first = np.full(len(lms), self.n_poses)
+        last = np.full(len(lms), -1)
+        np.minimum.at(first, slot, frame)
+        np.maximum.at(last, slot, frame)
+        centers = np.array([p.translation for p in poses])
+        ray_a, ray_b = lms - centers[first], lms - centers[last]
+        denom = np.linalg.norm(ray_a, axis=1) * np.linalg.norm(ray_b, axis=1)
+        ok = denom >= 1e-12
+        cos = np.einsum("ni,ni->n", ray_a[ok], ray_b[ok]) / denom[ok]
+        self.parallax = float(np.mean(np.arccos(np.clip(cos, -1.0, 1.0)))) \
+            if ok.any() else 0.0
 
-    def _offset(self, frame):
-        if frame == self.gauge_index:
-            return None
-        return 6 * (frame - 1 if frame > self.gauge_index else frame)
-
-    def _evaluate(self, state, eq):
+    def _batches(self, state, jacobians):
         poses, lms = state
-        with_jac = isinstance(eq, SchurNormalEquations)
         info = 1.0 / self.config.feature_sigma
-        delta = self.config.huber_scale
         for frame, lm_idx, left, right in self.batches:
             r, jac, valid = res.feature_residuals_batch(
                 left, right, poses[frame], None, lms[lm_idx], self.rig,
-                jacobians=with_jac)
+                jacobians=jacobians)
             if len(r) == 0:
                 continue
-            if with_jac:
-                offset = self._offset(frame)
-                jac_cam = jac["camera"]
-                if offset is None:
-                    # the gauge frame contributes no dense columns
-                    offset, jac_cam = 0, jac_cam[:, :, :0]
-                eq.add_batch(offset, jac_cam, r, lm_idx[valid],
-                             jac["landmark"], sqrt_info=info,
-                             huber_delta=delta, tag="feature")
-            else:
-                eq.add_batch(0, None, r, sqrt_info=info, huber_delta=delta,
-                             tag="feature")
-        return eq
+            if not jacobians:
+                yield RowBatch(r * info, huber_delta=self.config.huber_scale)
+                continue
+            # the gauge frame contributes no dense columns
+            jac_cam = jac["camera"] if frame else jac["camera"][:, :, :0]
+            yield RowBatch(r * info, jac_cam * info, 6 * max(frame - 1, 0),
+                           self.config.huber_scale, "feature",
+                           lm_idx[valid], jac["landmark"] * info)
 
     def linearize(self, state):
         eq = SchurNormalEquations(6 * (self.n_poses - 1), len(self.lm_ids))
-        return self._evaluate(state, eq)
+        for batch in self._batches(state, True):
+            eq.add_batch(batch)
+        return eq
 
     def cost(self, state):
-        return self._evaluate(state, DenseNormalEquations(0)).cost
+        return batch_cost(self._batches(state, False))
 
     def retract(self, state, step):
         poses, lms = state
-        new_poses = []
-        for f, pose in enumerate(poses):
-            offset = self._offset(f)
-            if offset is None:
-                new_poses.append(pose)
-                continue
-            d = step[offset:offset + 6]
+        new_poses = [poses[0]]
+        for f, pose in enumerate(poses[1:]):
+            d = step[6 * f:6 * f + 6]
             rot = project_rotation(pose.rotation @ so3_exp(d[3:]))
             new_poses.append(Pose(rot, pose.translation + d[:3]))
         n_dense = 6 * (self.n_poses - 1)
@@ -246,56 +217,30 @@ class _EgoProblem:
         return new_poses, new_lms
 
 
-def mean_triangulation_angle(poses, landmarks, blocks, lm_ids=None):
-    """Mean ray angle (radians) between the first and last observation of
-    each landmark; the parallax available to the window."""
-    frames_by_lm = {}
-    for block in blocks:
-        if block.kind == "feature" and block.object_id is None:
-            frames_by_lm.setdefault(block.landmark_id, set()).add(block.frame)
-    angles = []
-    for lm, frames in frames_by_lm.items():
-        if lm_ids is not None and lm not in lm_ids:
-            continue
-        if len(frames) < 2 or lm not in landmarks:
-            continue
-        first, last = min(frames), max(frames)
-        ray_a = landmarks[lm] - poses[first].translation
-        ray_b = landmarks[lm] - poses[last].translation
-        denom = np.linalg.norm(ray_a) * np.linalg.norm(ray_b)
-        if denom < 1e-12:
-            continue
-        cos = np.clip(ray_a @ ray_b / denom, -1.0, 1.0)
-        angles.append(math.acos(cos))
-    return float(np.mean(angles)) if angles else 0.0
-
-
-def solve_ego(problem: TrackProblem, rig: StereoRig,
+def solve_ego(poses, landmarks, rows: FeatureRows, rig: StereoRig,
               config: EstimatorConfig = EstimatorConfig()):
     """Refine the camera window and background landmarks.
 
-    Only background feature blocks participate; the gauge pose stays
-    fixed.  Returns an :class:`EgoResult`; the ``insufficient_parallax``
-    flag is set when the mean triangulation angle over the optimized
-    landmarks is below half a degree (the solve still runs).
+    ``poses`` is the window, oldest first; the oldest stays fixed as the
+    gauge.  ``landmarks`` maps landmark id to world position and ``rows``
+    are the background feature observations, framed by window index.
+    Returns an :class:`EgoResult` with the optimized landmarks; the
+    ``insufficient_parallax`` flag is set when the mean triangulation
+    angle over them is below half a degree (the solve still runs).
     """
-    if len(problem.camera_poses) < 2:
+    if len(poses) < 2:
         raise ValueError("ego window needs at least two camera poses")
-    ego = _EgoProblem(problem.camera_poses, problem.landmarks, problem.blocks,
-                      rig, config, problem.gauge_index)
-    parallax = mean_triangulation_angle(problem.camera_poses,
-                                        problem.landmarks, problem.blocks,
-                                        set(ego.lm_ids))
-    flag = parallax < math.radians(MIN_PARALLAX_DEG)
+    if np.any(rows.frame >= len(poses)):
+        raise ValueError("feature row references a missing frame")
+    ego = _EgoProblem(poses, landmarks, rows, rig, config)
+    flag = ego.parallax < math.radians(MIN_PARALLAX_DEG)
     state, report = solve_nls(ego, ego.initial,
                               max_iterations=config.max_iterations)
     if not report.converged:
         raise NoConvergence("ego window failed to converge; state unchanged")
     poses, lms = state
-    landmarks = dict(problem.landmarks)
-    for lm_id, value in zip(ego.lm_ids, lms):
-        landmarks[lm_id] = value
-    return EgoResult(poses, landmarks, report, flag)
+    return EgoResult(poses, dict(zip(ego.lm_ids.tolist(), lms)), report,
+                     flag)
 
 
 # ---------------------------------------------------------------------------
@@ -308,35 +253,36 @@ class _ObjectProblem:
     State is (object states, dims, landmark array); camera poses are
     constants.  Dims can be locked (under-constrained tracks).  The dense
     parameter layout is one 6-slot per window state (position, yaw,
-    steer, speed) followed by dims when free.
+    steer, speed) followed by dims when free.  Semantic, motion and prior
+    rows enter as full-width dense Jacobians.
     """
 
-    def __init__(self, track, blocks, camera_poses, rig, config,
-                 lock_dims=False):
+    def __init__(self, track, camera_poses, rig, config, lock_dims=False):
         self.track = track
         self.camera_poses = camera_poses
         self.rig = rig
         self.config = config
         self.lock_dims = lock_dims
-        self.frame_slot = {f: i for i, f in enumerate(track.frames)}
-        self.lm_ids = sorted(track.landmarks)
-        self.lm_slot = {lm: i for i, lm in enumerate(self.lm_ids)}
-        self.blocks = [b for b in blocks if b.kind != "feature"]
-        per_frame = {}
-        for b in blocks:
-            if b.kind == "feature":
-                per_frame.setdefault(b.frame, []).append(b)
-        self.feature_batches = []
-        for frame in sorted(per_frame):
-            bs = [b for b in per_frame[frame]
-                  if b.landmark_id in self.lm_slot]
-            if not bs:
-                continue
-            self.feature_batches.append((
-                frame,
-                np.array([self.lm_slot[b.landmark_id] for b in bs]),
-                np.array([b.payload["left"] for b in bs]),
-                np.array([b.payload["right"] for b in bs])))
+        frames = np.asarray(track.frames)
+        self.lm_ids = np.array(sorted(track.landmarks), dtype=int)
+        rows = track.features
+        keep = np.isin(rows.landmark, self.lm_ids)
+        self.feature_batches = [
+            (frame, int(np.searchsorted(frames, frame)), lm_idx, left, right)
+            for frame, lm_idx, left, right in _frame_batches(
+                rows.frame[keep],
+                np.searchsorted(self.lm_ids, rows.landmark[keep]),
+                rows.left[keep], rows.right[keep])]
+        sem = track.semantic
+        self.sem_slot = np.searchsorted(frames, sem.frame)
+        self.sem_cam = (
+            np.array([camera_poses[f].rotation for f in sem.frame]
+                     ).reshape(-1, 3, 3),
+            np.array([camera_poses[f].translation for f in sem.frame]
+                     ).reshape(-1, 3))
+        self.motion_dt = np.diff(frames) * config.dt
+        self.motion_info = 1.0 / (np.asarray(config.motion_sigmas)
+                                  * np.sqrt(self.motion_dt)[:, None])
         self.n_states = len(track.frames)
         self.dims_offset = 6 * self.n_states
         self.dense_size = self.dims_offset + (0 if lock_dims else 3)
@@ -345,98 +291,84 @@ class _ObjectProblem:
                         np.asarray(track.states[0].dims, dtype=float),
                         lms.reshape(len(self.lm_ids), 3))
 
-    def _with_dims(self, states, dims):
-        return [s.replace(dims=dims) for s in states]
-
-    def _pad(self, jac):
-        """Embed a (k, 4) position+yaw Jacobian into the 6-wide slot."""
-        out = np.zeros((jac.shape[0], 6))
-        out[:, :4] = jac
+    def _dense(self, n_rows, k, slot_jacs, dims_jac):
+        """Full-width (n_rows, k, dense_size) Jacobian from per-row
+        (slot, jacobian (n_rows, k, w)) pairs and a dims Jacobian."""
+        out = np.zeros((n_rows, k, self.dense_size))
+        rows = np.arange(n_rows)[:, None, None]
+        comps = np.arange(k)[None, :, None]
+        for slot, jac in slot_jacs:
+            cols = 6 * slot[:, None, None] + np.arange(jac.shape[2])
+            out[rows, comps, cols] = jac
+        if not self.lock_dims:
+            out[:, :, self.dims_offset:] = dims_jac
         return out
 
-    def _evaluate(self, state, eq):
+    def _batches(self, state, jacobians):
         states, dims, lms = state
-        states = self._with_dims(states, dims)
-        with_jac = isinstance(eq, SchurNormalEquations)
         cfg = self.config
-        info_feat = 1.0 / cfg.feature_sigma
-        for frame, lm_idx, left, right in self.feature_batches:
-            slot = self.frame_slot[frame]
+        info = 1.0 / cfg.feature_sigma
+        for frame, slot, lm_idx, left, right in self.feature_batches:
             r, jac, valid = res.feature_residuals_batch(
                 left, right, self.camera_poses[frame], states[slot],
-                lms[lm_idx], self.rig, jacobians=with_jac)
+                lms[lm_idx], self.rig, jacobians=jacobians)
             if len(r) == 0:
                 continue
-            if with_jac:
-                jac_obj = np.zeros((len(r), 4, 6))
-                jac_obj[:, :, :4] = jac["object"]
-                eq.add_batch(6 * slot, jac_obj, r, lm_idx[valid],
-                             jac["landmark"], sqrt_info=info_feat,
-                             huber_delta=cfg.huber_scale, tag="feature")
-            else:
-                eq.add_batch(0, None, r, sqrt_info=info_feat,
-                             huber_delta=cfg.huber_scale, tag="feature")
-        for block in self.blocks:
-            slot = self.frame_slot[block.frame]
-            obj = states[slot]
-            if block.kind == "semantic":
-                sel = selection_set(block.payload["viewpoint"])
-                try:
-                    r, jac, mask = res.semantic_residual(
-                        block.payload["edges"], block.payload["valid"], sel,
-                        self.camera_poses[block.frame], obj,
-                        jacobians=with_jac)
-                except BehindCamera:
-                    continue
-                if len(r) == 0:
-                    continue
-                info = _sqrt_info(block.covariance, 4, cfg.box_sigma)
-                if not np.isscalar(info):
-                    info = np.asarray(info)[mask]
-                if with_jac:
-                    mats = [(6 * slot, self._pad(jac["object"]))]
-                    if not self.lock_dims:
-                        mats.append((self.dims_offset, jac["dims"]))
-                    eq.add(mats, r, sqrt_info=info, tag="semantic")
-                else:
-                    eq.add([], r, sqrt_info=info, tag="semantic")
-            elif block.kind == "motion":
-                prev_slot = self.frame_slot[block.payload["prev_frame"]]
-                dt = block.payload["dt"]
-                r, jac = res.motion_residual(obj, states[prev_slot], dt,
-                                             self.track.label,
-                                             jacobians=with_jac)
-                info = _sqrt_info(block.covariance, 6,
-                                  cfg.motion_sigmas[0] * math.sqrt(dt))
-                if with_jac:
-                    mats = [(6 * slot, jac["cur"]),
-                            (6 * prev_slot, jac["prev"])]
-                    if not self.lock_dims:
-                        mats.append((self.dims_offset, jac["dims"]))
-                    eq.add(mats, r, sqrt_info=info, tag="motion")
-                else:
-                    eq.add([], r, sqrt_info=info, tag="motion")
-            elif block.kind == "prior":
-                if self.lock_dims:
-                    continue
-                prior = block.payload["prior"]
-                r, jac = res.prior_residual(dims, prior, jacobians=with_jac)
-                info = _sqrt_info(block.covariance, 3, prior.sigma[0])
-                if with_jac:
-                    eq.add([(self.dims_offset, jac["dims"])], r,
-                           sqrt_info=info, tag="prior")
-                else:
-                    eq.add([], r, sqrt_info=info, tag="prior")
-            else:
-                raise ValueError(f"unknown residual kind {block.kind!r}")
-        return eq
+            if not jacobians:
+                yield RowBatch(r * info, huber_delta=cfg.huber_scale)
+                continue
+            # position and yaw: the first 4 columns of the state's slot
+            yield RowBatch(r * info, jac["object"] * info, 6 * slot,
+                           cfg.huber_scale, "feature", lm_idx[valid],
+                           jac["landmark"] * info)
+        motion = np.array([[*s.position, s.yaw, s.steer, s.speed]
+                           for s in states])
+        sem = self.track.semantic
+        if len(sem.frame):
+            slot = self.sem_slot
+            r, jac, mask = res.semantic_residual(
+                sem.edges, sem.valid, sem.signs, *self.sem_cam,
+                motion[slot, :3], motion[slot, 3], dims, jacobians)
+            if len(r):
+                r_w = r[:, None] / cfg.box_sigma
+                jac_w = None
+                if jacobians:
+                    row_slot = np.nonzero(mask)[0]
+                    jac_w = self._dense(
+                        len(r), 1, [(slot[row_slot], jac["object"][:, None])],
+                        jac["dims"][:, None]) / cfg.box_sigma
+                yield RowBatch(r_w, jac_w, tag="semantic")
+        if self.n_states > 1:
+            r, jac = res.motion_residual(motion[1:], motion[:-1],
+                                         self.motion_dt, dims,
+                                         self.track.label, jacobians)
+            info_m = self.motion_info
+            jac_w = None
+            if jacobians:
+                slots = np.arange(self.n_states)
+                jac_w = self._dense(
+                    len(r), 6, [(slots[1:], jac["cur"]),
+                                (slots[:-1], jac["prev"])],
+                    jac["dims"]) * info_m[:, :, None]
+            yield RowBatch(r * info_m, jac_w, tag="motion")
+        if not self.lock_dims:
+            prior = self.track.prior
+            r, _ = res.prior_residual(dims, prior, jacobians=False)
+            info_p = 1.0 / np.asarray(prior.sigma, dtype=float)
+            jac_w = None
+            if jacobians:
+                jac_w = np.zeros((1, 3, self.dense_size))
+                jac_w[0, :, self.dims_offset:] = np.diag(info_p)
+            yield RowBatch((r * info_p)[None], jac_w, tag="prior")
 
     def linearize(self, state):
         eq = SchurNormalEquations(self.dense_size, len(self.lm_ids))
-        return self._evaluate(state, eq)
+        for batch in self._batches(state, True):
+            eq.add_batch(batch)
+        return eq
 
     def cost(self, state):
-        return self._evaluate(state, DenseNormalEquations(0)).cost
+        return batch_cost(self._batches(state, False))
 
     def retract(self, state, step):
         states, dims, lms = state
@@ -456,35 +388,37 @@ class _ObjectProblem:
         return new_states, new_dims, new_lms
 
 
-def solve_object(problem: TrackProblem, object_id, rig: StereoRig,
+def solve_object(track: ObjectTrack, camera_poses, rig: StereoRig,
                  config: EstimatorConfig = EstimatorConfig()):
     """Refine one object track with the camera poses held fixed.
 
-    Fuses the track's feature, semantic, motion and prior blocks.  When
-    the track covers a single frame with semantic measurements only, the
-    problem cannot constrain dims: they are locked to the prior mean and
-    the ``under_constrained`` flag is set.
+    Fuses the track's feature and semantic rows, the motion model between
+    its consecutive frames and its dimension prior.  When the track
+    covers a single frame with semantic measurements only, the problem
+    cannot constrain dims: they are locked to the prior mean and the
+    ``under_constrained`` flag is set.
     """
-    track = problem.objects[object_id]
     if not track.frames:
         raise ValueError("object track has no frames")
-    blocks = [b for b in problem.blocks if b.object_id == object_id]
-    has_features = any(b.kind == "feature" for b in blocks)
-    under = len(track.frames) == 1 and not has_features
+    for rows in (track.features, track.semantic):
+        if not np.isin(rows.frame, track.frames).all():
+            raise ValueError("row references a frame outside the track")
+    if max(track.frames) >= len(camera_poses):
+        raise ValueError("track references a missing camera pose")
+    under = len(track.frames) == 1 and not len(track.features.frame)
     if under:
         track = replace(
             track,
             states=[s.replace(dims=track.prior.mean) for s in track.states])
-    obj = _ObjectProblem(track, blocks, problem.camera_poses, rig, config,
-                         lock_dims=under)
+    obj = _ObjectProblem(track, camera_poses, rig, config, lock_dims=under)
     state, report = solve_nls(obj, obj.initial,
                               max_iterations=config.max_iterations)
     if not report.converged:
-        raise NoConvergence(
-            f"object {object_id} window failed to converge; state unchanged")
+        raise NoConvergence("object window failed to converge; "
+                            "state unchanged")
     states, dims, lms = state
     states = [s.replace(dims=dims) for s in states]
-    landmarks = {lm: value for lm, value in zip(obj.lm_ids, lms)}
+    landmarks = dict(zip(obj.lm_ids.tolist(), lms))
     return ObjectResult(states, dims, landmarks, report, under)
 
 
@@ -493,33 +427,29 @@ def solve_object(problem: TrackProblem, object_id, rig: StereoRig,
 
 
 class _AlignProblem:
-    def __init__(self, world_points, faces, template, config, position_only):
+    def __init__(self, world_points, faces, config, position_only):
         self.points = world_points
         self.faces = faces
-        self.template = template
         self.config = config
         self.dim = 3 if position_only else 4
 
-    def _evaluate(self, state, eq):
-        with_jac = eq.size > 0
+    def _batch(self, state, jacobians):
         info = 1.0 / self.config.surface_sigma
-        delta = self.config.huber_scale
-        for point, face in zip(self.points, self.faces):
-            r, jac = res.point_surface_residual(point, state, face,
-                                                jacobians=with_jac)
-            if with_jac:
-                eq.add([(0, jac["object"][:, :self.dim])], r, sqrt_info=info,
-                       huber_delta=delta, tag="point_surface")
-            else:
-                eq.add([], r, sqrt_info=info, huber_delta=delta,
-                       tag="point_surface")
-        return eq
+        r, jac = res.point_surface_residual(self.points, state, self.faces,
+                                            jacobians=jacobians)
+        jac_w = jac["object"][:, None, :self.dim] * info if jacobians \
+            else None
+        return RowBatch(r[:, None] * info, jac_w,
+                        huber_delta=self.config.huber_scale,
+                        tag="point_surface")
 
     def linearize(self, state):
-        return self._evaluate(state, DenseNormalEquations(self.dim))
+        eq = DenseNormalEquations(self.dim)
+        eq.add_batch(self._batch(state, True))
+        return eq
 
     def cost(self, state):
-        return self._evaluate(state, DenseNormalEquations(0)).cost
+        return batch_cost([self._batch(state, False)])
 
     def retract(self, state, step):
         yaw = state.yaw if self.dim == 3 else wrap_angle(state.yaw + step[3])
@@ -538,19 +468,19 @@ def align_point_cloud(state: ObjectState, local_points,
     points on a single face, leave the pose unobservable: the input state
     is returned with the flag False.  Returns (state, applied).
     """
-    from .geometry import Box3D, nearest_face
     local_points = np.atleast_2d(np.asarray(local_points, dtype=float))
     if len(local_points) < 3:
         return state, False
     box = Box3D(np.zeros(3), 0.0, state.dims)
-    faces = [nearest_face(box, p) for p in local_points]
+    faces = np.array([FACES.index(nearest_face(box, p))
+                      for p in local_points])
     if len(set(faces)) < 2:
         return state, False
     if position_only is None:
         position_only = config.align_position_only
     pose = state.pose
     world_points = np.array([pose.apply(p) for p in local_points])
-    problem = _AlignProblem(world_points, faces, state, config, position_only)
+    problem = _AlignProblem(world_points, faces, config, position_only)
     new_state, report = solve_nls(problem, state,
                                   max_iterations=config.max_iterations)
     if not report.converged:
@@ -693,20 +623,18 @@ class WindowTracker:
         start = max(0, t - window + 1)
         if t - start < 1:
             return
-        blocks = []
+        rows = []
         for fid, obs in self.bg_obs.items():
-            in_window = [(f, l, r) for f, l, r in obs if f >= start]
-            if len(in_window) < 2:
-                continue
-            for f, left, right in in_window:
-                blocks.append(feature_block(f - start, fid, left, right,
-                                            self.config.feature_sigma))
-        if not blocks:
+            in_window = [o for o in obs if o[0] >= start]
+            if len(in_window) >= 2:
+                rows.extend((f - start, fid, left, right)
+                            for f, left, right in in_window)
+        if not rows:
             return
-        poses = self.camera_trajectory[start:t + 1]
-        problem = TrackProblem(poses, self.bg_landmarks, {}, blocks)
         try:
-            result = solve_ego(problem, self.rig, self.config)
+            result = solve_ego(self.camera_trajectory[start:t + 1],
+                               self.bg_landmarks, feature_rows(rows),
+                               self.rig, self.config)
         except NoConvergence:
             return
         self.camera_trajectory[start:t + 1] = result.poses
@@ -832,38 +760,20 @@ class WindowTracker:
         frame_set = set(frames)
         self._maybe_init_speed(track)
         states = [track.states[i] for i in keep]
-        local = {f: f - start for f in frames}
-        blocks = []
-        lm_used = set()
-        for f, fid, left, right in track.feature_obs:
-            if f in frame_set:
-                blocks.append(feature_block(local[f], fid, left, right,
-                                            self.config.feature_sigma,
-                                            object_id=track.track_id))
-                lm_used.add(fid)
-        for f, edges, valid, viewpoint in track.semantic_obs:
-            if f in frame_set:
-                blocks.append(semantic_block(local[f], track.track_id, edges,
-                                             valid, viewpoint,
-                                             self.config.box_sigma))
-        for prev_f, cur_f in zip(frames, frames[1:]):
-            dt = (cur_f - prev_f) * self.config.dt
-            blocks.append(motion_block(local[cur_f], local[prev_f],
-                                       track.track_id, dt,
-                                       self.config.motion_sigmas))
-        blocks.append(prior_block(local[frames[-1]], track.track_id,
-                                  track.prior))
-        window_track = ObjectTrack(track.label, [local[f] for f in frames],
-                                   states,
-                                   {lm: track.landmarks[lm]
-                                    for lm in lm_used},
-                                   track.prior)
-        poses = self.camera_trajectory[start:t + 1]
-        problem = TrackProblem(poses, {}, {track.track_id: window_track},
-                               blocks)
+        features = [(f - start, fid, left, right)
+                    for f, fid, left, right in track.feature_obs
+                    if f in frame_set]
+        semantic = [(f - start, edges, valid, viewpoint)
+                    for f, edges, valid, viewpoint in track.semantic_obs
+                    if f in frame_set]
+        window_track = ObjectTrack(
+            track.label, [f - start for f in frames], states,
+            {fid: track.landmarks[fid] for _, fid, _, _ in features},
+            track.prior, feature_rows(features), semantic_rows(semantic))
         try:
-            result = solve_object(problem, track.track_id, self.rig,
-                                  self.config)
+            result = solve_object(window_track,
+                                  self.camera_trajectory[start:t + 1],
+                                  self.rig, self.config)
         except NoConvergence:
             return
         for i, s in zip(keep, result.states):

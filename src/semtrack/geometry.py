@@ -17,6 +17,7 @@ All types are immutable values and all functions are pure.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,6 +82,46 @@ def so3_log(rot):
                      rot[0, 2] - rot[2, 0],
                      rot[1, 0] - rot[0, 1]]) / (2.0 * np.sin(angle))
     return angle * axis
+
+
+def _unit_quaternion(q):
+    # (x, y, z, w) order, squares summed in sequence: written trajectory
+    # files keep the digits they had with SciPy's Rotation
+    return np.asarray(q, dtype=float) / math.sqrt(sum(v * v for v in q))
+
+
+def rotation_to_quaternion(rot):
+    """Unit quaternion (w, x, y, z) of a rotation matrix.
+
+    Branches on the largest of the diagonal entries and the trace, so the
+    component divided through stays large near 180 degrees as well.
+    """
+    rot = np.asarray(rot, dtype=float)
+    trace = rot[0, 0] + rot[1, 1] + rot[2, 2]
+    i = int(np.argmax([rot[0, 0], rot[1, 1], rot[2, 2], trace]))
+    q = np.empty(4)  # (x, y, z, w)
+    if i == 3:
+        q[:3] = (rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0],
+                 rot[1, 0] - rot[0, 1])
+        q[3] = 1.0 + trace
+    else:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        q[i] = 1.0 - trace + 2.0 * rot[i, i]
+        q[j] = rot[j, i] + rot[i, j]
+        q[k] = rot[k, i] + rot[i, k]
+        q[3] = rot[k, j] - rot[j, k]
+    return _unit_quaternion(q)[[3, 0, 1, 2]]
+
+
+def quaternion_to_rotation(q):
+    """Rotation matrix of a quaternion (w, x, y, z), normalized first."""
+    w, x, y, z = q
+    x, y, z, w = _unit_quaternion((x, y, z, w))
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.array([[x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+                     [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+                     [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2]])
 
 
 def project_rotation(rot):
@@ -161,16 +202,6 @@ class Pose:
     def perturbed(self, dt, dphi) -> "Pose":
         """Local update: t += dt, R <- R @ exp(dphi)."""
         return Pose(self.rotation @ so3_exp(dphi), self.translation + np.asarray(dt))
-
-
-def transform(pose: Pose, p):
-    """Apply a rigid transform to point(s); alias of ``pose.apply``."""
-    return pose.apply(p)
-
-
-def inverse_transform(pose: Pose, p):
-    """Apply the inverse rigid transform to point(s)."""
-    return pose.apply_inverse(p)
 
 
 def project(p):

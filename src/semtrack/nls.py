@@ -5,16 +5,19 @@ that can produce damped Gauss-Newton steps, plus ``cost(state)`` and
 ``retract(state, step)``.  :func:`solve_nls` runs Levenberg-Marquardt on
 top of that interface.
 
-Two normal-equation accumulators are provided: a plain dense one, and a
-Schur-complement variant that eliminates a block-diagonal landmark block
-(the standard trick for bundle-adjustment style problems where the number
-of 3D points dwarfs the number of poses).
+Problems hand their residuals over as :class:`RowBatch` arrays, already
+whitened.  Two normal-equation accumulators take them through one
+``add_batch`` entry point: a plain dense one, and a Schur-complement
+variant that eliminates a block-diagonal landmark block (the standard
+trick for bundle-adjustment style problems where the number of 3D points
+dwarfs the number of poses).  :func:`batch_cost` evaluates the same
+batches without Jacobians.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -23,38 +26,59 @@ from .errors import NumericalFailure
 MAX_DAMPING = 1e8
 
 
-def huber_factor(norm, delta):
-    """IRLS weight and robust cost for a whitened residual norm.
+class RowBatch(NamedTuple):
+    """Whitened residual rows with their whitened Jacobians.
 
-    Returns (weight, cost): the residual and Jacobian rows are scaled by
-    sqrt(weight); cost is the Huber loss value (0.5 * norm^2 inside the
-    delta band, linear outside).
+    ``residuals`` is (n, k): n independent rows of k components each,
+    robustified one row at a time when ``huber_delta`` is set.  ``jac``
+    is (n, k, p) over the dense columns starting at ``offset`` (None for
+    a cost-only batch).  ``lm_indices`` (n,), with no repeated index, and
+    ``lm_jac`` (n, k, lm_dim) attach each row to one eliminated landmark.
     """
-    if delta is None or norm <= delta:
-        return 1.0, 0.5 * norm * norm
-    return delta / norm, delta * (norm - 0.5 * delta)
+
+    residuals: np.ndarray
+    jac: np.ndarray | None = None
+    offset: int = 0
+    huber_delta: float | None = None
+    tag: str | None = None
+    lm_indices: np.ndarray | None = None
+    lm_jac: np.ndarray | None = None
 
 
-def _whiten(residual, sqrt_info):
-    if sqrt_info is None:
-        return residual
-    if np.isscalar(sqrt_info):
-        return residual * sqrt_info
-    sqrt_info = np.asarray(sqrt_info)
-    if sqrt_info.ndim == 1:
-        return residual * sqrt_info
-    return sqrt_info @ residual
+def huber(r_w, delta):
+    """Per-row IRLS weight and robust cost of whitened rows (n, k).
+
+    Rows are scaled by sqrt(weight); the cost is the Huber loss of the
+    row norm (0.5 * norm^2 inside the delta band, linear outside).
+    ``delta`` None disables the loss.
+    """
+    norms = np.linalg.norm(r_w, axis=1)
+    weight = np.ones(len(norms))
+    rho = 0.5 * norms ** 2
+    if delta is not None:
+        out = norms > delta
+        weight[out] = delta / norms[out]
+        rho[out] = delta * (norms[out] - 0.5 * delta)
+    return weight, rho
 
 
-def _whiten_jac(jac, sqrt_info):
-    if sqrt_info is None:
-        return jac
-    if np.isscalar(sqrt_info):
-        return jac * sqrt_info
-    sqrt_info = np.asarray(sqrt_info)
-    if sqrt_info.ndim == 1:
-        return jac * sqrt_info[:, None]
-    return sqrt_info @ jac
+def batch_cost(batches):
+    """Total robust cost of an iterable of :class:`RowBatch`."""
+    return sum(float(huber(b.residuals, b.huber_delta)[1].sum())
+               for b in batches)
+
+
+def _book(eq, batch):
+    """Add a batch's robust cost to ``eq``; return its IRLS-weighted
+    residuals and dense Jacobian, and the per-row scale."""
+    weight, rho = huber(batch.residuals, batch.huber_delta)
+    cost = float(rho.sum())
+    eq.cost += cost
+    if batch.tag is not None:
+        eq.cost_by_tag[batch.tag] = eq.cost_by_tag.get(batch.tag, 0.0) + cost
+    scale = np.sqrt(weight)
+    return (batch.residuals * scale[:, None],
+            batch.jac * scale[:, None, None], scale)
 
 
 def _damped(h_mat, damping):
@@ -83,69 +107,19 @@ class DenseNormalEquations:
         self.h_mat = np.zeros((self.size, self.size))
         self.grad = np.zeros(self.size)
 
-    def add(self, blocks, residual, sqrt_info=None, huber_delta=None,
-            tag=None):
-        """Add one residual. ``blocks`` is a list of (offset, jacobian)."""
-        r_w = _whiten(np.asarray(residual, dtype=float), sqrt_info)
-        weight, rho = huber_factor(np.linalg.norm(r_w), huber_delta)
-        self.cost += rho
-        if tag is not None:
-            self.cost_by_tag[tag] = self.cost_by_tag.get(tag, 0.0) + rho
-        scale = np.sqrt(weight)
-        r_w = r_w * scale
-        mats = [(off, _whiten_jac(np.asarray(jac, dtype=float),
-                                  sqrt_info) * scale)
-                for off, jac in blocks]
-        for off_a, jac_a in mats:
-            sl_a = slice(off_a, off_a + jac_a.shape[1])
-            self.grad[sl_a] += jac_a.T @ r_w
-            for off_b, jac_b in mats:
-                sl_b = slice(off_b, off_b + jac_b.shape[1])
-                self.h_mat[sl_a, sl_b] += jac_a.T @ jac_b
-
-    def add_batch(self, offset, jac, residuals, sqrt_info=1.0,
-                  huber_delta=None, tag=None):
-        """Add n independent residuals sharing one dense block.
-
-        ``jac`` is (n, k, p) (ignored when the accumulator has size 0,
-        which serves as a cost-only evaluator), ``residuals`` (n, k),
-        ``sqrt_info`` a scalar.
-        """
-        r_w = np.asarray(residuals, dtype=float) * sqrt_info
-        weight, rho = _huber_batch(r_w, huber_delta)
-        self.cost += float(rho.sum())
-        if tag is not None:
-            self.cost_by_tag[tag] = self.cost_by_tag.get(tag, 0.0) \
-                + float(rho.sum())
-        if self.size == 0:
-            return
-        scale = np.sqrt(weight)
-        r_w = r_w * scale[:, None]
-        jac_w = np.asarray(jac, dtype=float) * sqrt_info * scale[:, None, None]
-        sl = slice(offset, offset + jac_w.shape[2])
+    def add_batch(self, batch: RowBatch):
+        """Add the rows of one :class:`RowBatch` (no landmarks)."""
+        r_w, jac_w, _ = _book(self, batch)
+        sl = slice(batch.offset, batch.offset + jac_w.shape[2])
         self.grad[sl] += np.einsum("nij,ni->j", jac_w, r_w)
         self.h_mat[sl, sl] += np.einsum("nij,nik->jk", jac_w, jac_w)
 
     @property
     def gradient_norm(self):
-        return float(np.abs(self.grad).max()) if self.size else 0.0
+        return float(np.abs(self.grad).max())
 
     def solve(self, damping):
-        if self.size == 0:
-            return np.zeros(0)
         return _try_cholesky_solve(_damped(self.h_mat, damping), -self.grad)
-
-
-def _huber_batch(r_w, delta):
-    norms = np.linalg.norm(r_w, axis=1)
-    if delta is None:
-        return np.ones(len(norms)), 0.5 * norms ** 2
-    weight = np.ones(len(norms))
-    out = norms > delta
-    weight[out] = delta / norms[out]
-    rho = 0.5 * norms ** 2
-    rho[out] = delta * (norms[out] - 0.5 * delta)
-    return weight, rho
 
 
 @dataclass
@@ -170,60 +144,18 @@ class SchurNormalEquations:
         self.g_l = np.zeros((self.n_landmarks, self.lm_dim))
         self.h_dl = np.zeros((self.dense_size, self.n_landmarks * self.lm_dim))
 
-    def add(self, blocks, residual, sqrt_info=None, huber_delta=None,
-            tag=None, lm_index=None, lm_jacobian=None):
-        """Add one residual touching dense blocks and at most one landmark."""
-        r_w = _whiten(np.asarray(residual, dtype=float), sqrt_info)
-        weight, rho = huber_factor(np.linalg.norm(r_w), huber_delta)
-        self.cost += rho
-        if tag is not None:
-            self.cost_by_tag[tag] = self.cost_by_tag.get(tag, 0.0) + rho
-        scale = np.sqrt(weight)
-        r_w = r_w * scale
-        mats = [(off, _whiten_jac(np.asarray(jac, dtype=float),
-                                  sqrt_info) * scale)
-                for off, jac in blocks]
-        for off_a, jac_a in mats:
-            sl_a = slice(off_a, off_a + jac_a.shape[1])
-            self.g_d[sl_a] += jac_a.T @ r_w
-            for off_b, jac_b in mats:
-                sl_b = slice(off_b, off_b + jac_b.shape[1])
-                self.h_dd[sl_a, sl_b] += jac_a.T @ jac_b
-        if lm_index is None:
-            return
-        jac_l = _whiten_jac(np.asarray(lm_jacobian, dtype=float),
-                            sqrt_info) * scale
-        self.h_ll[lm_index] += jac_l.T @ jac_l
-        self.g_l[lm_index] += jac_l.T @ r_w
-        sl_l = slice(lm_index * self.lm_dim, (lm_index + 1) * self.lm_dim)
-        for off_a, jac_a in mats:
-            sl_a = slice(off_a, off_a + jac_a.shape[1])
-            self.h_dl[sl_a, sl_l] += jac_a.T @ jac_l
-
-    def add_batch(self, offset, jac, residuals, lm_indices, lm_jacobians,
-                  sqrt_info=1.0, huber_delta=None, tag=None):
-        """Add n independent residuals sharing one dense block, each
-        touching one landmark.
-
-        ``jac`` is (n, k, p), ``residuals`` (n, k), ``lm_indices`` (n,)
-        with no repeated index, ``lm_jacobians`` (n, k, lm_dim),
-        ``sqrt_info`` a scalar.
-        """
-        r_w = np.asarray(residuals, dtype=float) * sqrt_info
-        weight, rho = _huber_batch(r_w, huber_delta)
-        self.cost += float(rho.sum())
-        if tag is not None:
-            self.cost_by_tag[tag] = self.cost_by_tag.get(tag, 0.0) \
-                + float(rho.sum())
-        scale = np.sqrt(weight)
-        r_w = r_w * scale[:, None]
-        jac_d = np.asarray(jac, dtype=float) * sqrt_info * scale[:, None, None]
-        jac_l = np.asarray(lm_jacobians, dtype=float) * sqrt_info \
-            * scale[:, None, None]
-        sl = slice(offset, offset + jac_d.shape[2])
+    def add_batch(self, batch: RowBatch):
+        """Add the rows of one :class:`RowBatch`, each touching the dense
+        block and, when ``lm_indices`` is set, one landmark."""
+        r_w, jac_d, scale = _book(self, batch)
+        sl = slice(batch.offset, batch.offset + jac_d.shape[2])
         self.g_d[sl] += np.einsum("nij,ni->j", jac_d, r_w)
         self.h_dd[sl, sl] += np.einsum("nij,nik->jk", jac_d, jac_d)
-        # lm_indices are unique within one call, so plain fancy-index
+        if batch.lm_indices is None:
+            return
+        lm_indices = batch.lm_indices
+        jac_l = batch.lm_jac * scale[:, None, None]
+        # lm_indices are unique within one batch, so plain fancy-index
         # accumulation is safe (and much faster than np.add.at)
         self.h_ll[lm_indices] += np.einsum("nij,nik->njk", jac_l, jac_l)
         self.g_l[lm_indices] += np.einsum("nij,ni->nj", jac_l, r_w)
@@ -242,7 +174,6 @@ class SchurNormalEquations:
         return float(max(parts)) if parts else 0.0
 
     def solve(self, damping):
-        n_l = self.n_landmarks * self.lm_dim
         # damp the landmark blocks and invert them
         h_ll = self.h_ll.copy()
         for k in range(self.n_landmarks):

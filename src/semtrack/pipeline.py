@@ -25,12 +25,12 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from . import simulate as sim
 from .errors import ConfigError, IoError
 from .estimator import EstimatorConfig, WindowTracker
-from .geometry import Box3D, ObjectState, Pose, heading
+from .geometry import (Box3D, ObjectState, Pose, heading,
+                       quaternion_to_rotation, rotation_to_quaternion)
 from .metrics import (DetectionRecord, Trajectory, ap_and_error_curves,
                       ate_rmse, rpe)
 
@@ -49,8 +49,8 @@ _ESTIMATOR_KEYS = {"feature_sigma", "box_sigma", "motion_sigmas",
 def _camera_rows(trajectory: Trajectory):
     rows = []
     for t, pose in zip(trajectory.times, trajectory.poses):
-        qx, qy, qz, qw = Rotation.from_matrix(pose.rotation).as_quat()
-        rows.append([t, *pose.translation, qw, qx, qy, qz])
+        rows.append([t, *pose.translation,
+                     *rotation_to_quaternion(pose.rotation)])
     return rows
 
 
@@ -110,7 +110,7 @@ def read_camera_trajectory(path) -> Trajectory:
     times, poses = [], []
     for t, x, y, z, qw, qx, qy, qz in rows:
         times.append(t)
-        rot = Rotation.from_quat([qx, qy, qz, qw]).as_matrix()
+        rot = quaternion_to_rotation([qw, qx, qy, qz])
         poses.append(Pose(rot, np.array([x, y, z])))
     return Trajectory(np.array(times), tuple(poses))
 

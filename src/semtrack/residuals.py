@@ -4,8 +4,9 @@ Residual conventions:
 
 * Feature (4): stereo reprojection of one landmark, rows (left u, left v,
   right u, right v), each minus the observation.
-* Semantic (4): selected box-vertex projections against the 2D box edges,
-  rows ordered (u_min, u_max, v_min, v_max); truncated edges drop out.
+* Semantic (1 per edge): selected box-vertex projections against the 2D
+  box edges, ordered (u_min, u_max, v_min, v_max); truncated edges drop
+  out.
 * Motion (6): state minus kinematic prediction, components ordered
   (position x, y, z, yaw, steer, speed); yaw difference wrapped.
 * Prior (3): dims minus the class prior mean.
@@ -15,6 +16,8 @@ Residual conventions:
 Jacobian layouts follow the state orderings used by the solvers: camera
 pose (translation 3, rotation-vector 3, applied as t += dt,
 R <- R exp(dphi)); object state (position 3, yaw, steer, speed); dims 3.
+Every family but the prior is evaluated for a whole batch of rows in one
+call; feature rows share one camera pose per call.
 """
 
 from __future__ import annotations
@@ -22,79 +25,24 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry as geom
-from .boxinfer import SelectionSet
-from .errors import BehindCamera
-from .geometry import (ObjectState, Pose, StereoRig, drot_y, heading, rot_y,
-                       skew, wrap_angle)
+from .geometry import ObjectState, Pose, StereoRig, drot_y, rot_y, wrap_angle
 from .simulate import CAR_WHEELBASE_RATIO
 
 # order mapping from selection rows (u_min, u_max, v_min, v_max) to the
 # BBox2D edge tuple (u_min, v_min, u_max, v_max)
-_EDGE_INDEX = (0, 2, 1, 3)
-
-
-def _projection_jacobian(p):
-    x, y, z = p
-    return np.array([[1.0 / z, 0.0, -x / z ** 2],
-                     [0.0, 1.0 / z, -y / z ** 2]])
-
-
-def feature_residual(obs_left, obs_right, x_cam: Pose, obj: ObjectState | None,
-                     landmark, rig: StereoRig, jacobians=True):
-    """Stereo reprojection residual of one landmark.
-
-    ``landmark`` is in world frame for background (``obj`` None), else in
-    the object frame.  Returns (residual(4), jac dict) with keys
-    "camera" (4x6), "object" (4x4), "landmark" (4x3); absent keys were
-    not requested or not applicable.
-    """
-    landmark = np.asarray(landmark, dtype=float)
-    if obj is not None:
-        rot_obj = rot_y(obj.yaw)
-        world = rot_obj @ landmark + obj.position
-    else:
-        world = landmark
-    p_left = x_cam.apply_inverse(world)
-    p_right = rig.extrinsic.apply(p_left)
-    if p_left[2] <= geom.EPS_Z or p_right[2] <= geom.EPS_Z:
-        raise BehindCamera("landmark behind a camera")
-    res = np.empty(4)
-    res[:2] = p_left[:2] / p_left[2] - np.asarray(obs_left)
-    res[2:] = p_right[:2] / p_right[2] - np.asarray(obs_right)
-    if not jacobians:
-        return res, {}
-
-    jac_l = _projection_jacobian(p_left)
-    jac_r = _projection_jacobian(p_right) @ rig.extrinsic.rotation
-
-    def stack(dp):
-        """4xN from a 3xN derivative of the left-camera point."""
-        return np.vstack([jac_l @ dp, jac_r @ dp])
-
-    jac = {}
-    rot_cam_t = x_cam.rotation.T
-    # camera: t += dt gives dp/dt = -R^T; R <- R exp(phi) gives
-    # p = exp(-phi^) R^T (w - t), so dp/dphi = [p]_x
-    jac["camera"] = np.hstack([stack(-rot_cam_t), stack(skew(p_left))])
-    dp_dworld = rot_cam_t
-    if obj is not None:
-        d_yaw = dp_dworld @ (drot_y(obj.yaw) @ landmark)
-        jac["object"] = np.hstack([stack(dp_dworld), stack(d_yaw[:, None])])
-        jac["landmark"] = stack(dp_dworld @ rot_obj)
-    else:
-        jac["landmark"] = stack(dp_dworld)
-    return res, jac
+_EDGE_INDEX = [0, 2, 1, 3]
 
 
 def feature_residuals_batch(obs_left, obs_right, x_cam: Pose,
                             obj: ObjectState | None, landmarks,
                             rig: StereoRig, jacobians=True):
-    """Vectorized :func:`feature_residual` over n landmarks.
+    """Stereo reprojection residuals of n landmarks seen from one camera.
 
-    Rows with a point behind either camera are dropped.  Returns
-    (residuals (m, 4), jac dict of stacked arrays, valid mask (n,)) where
-    m = mask.sum(); jac keys as in the scalar version with a leading
-    batch axis.
+    ``landmarks`` (n, 3) are in world frame for background (``obj``
+    None), else in the object frame.  Rows with a point behind either
+    camera are dropped.  Returns (residuals (m, 4), jac dict, valid mask
+    (n,)) where m = mask.sum(); the jac keys are "camera" (m, 4, 6),
+    "object" (m, 4, 4, anchored only) and "landmark" (m, 4, 3).
     """
     landmarks = np.atleast_2d(np.asarray(landmarks, dtype=float))
     obs_left = np.atleast_2d(np.asarray(obs_left, dtype=float))
@@ -156,92 +104,105 @@ def feature_residuals_batch(obs_left, obs_right, x_cam: Pose,
     return res, jac, valid
 
 
-def semantic_residual(box_edges, valid_edges, sel: SelectionSet, x_cam: Pose,
-                      obj: ObjectState, jacobians=True):
-    """Box-edge residual rows (u_min, u_max, v_min, v_max).
+def semantic_residual(box_edges, valid_edges, signs, cam_rotation,
+                      cam_translation, position, yaw, dims, jacobians=True):
+    """Box-edge residual rows of n detections.
 
-    ``box_edges`` is the BBox2D edge array (u_min, v_min, u_max, v_max)
-    and ``valid_edges`` its validity flags in the same order; invalid
-    (truncated) rows are dropped.  Returns (residual(k,), jac dict with
-    "object" (k x 4) and "dims" (k x 3), row_mask(4,)).
+    Per detection: ``box_edges`` (n, 4) is the BBox2D edge array (u_min,
+    v_min, u_max, v_max), ``valid_edges`` (n, 4) its validity flags in the
+    same order, ``signs`` (n, 4, 3) the selection-set vertex signs,
+    ``cam_rotation`` (n, 3, 3) and ``cam_translation`` (n, 3) the camera
+    pose, ``position`` (n, 3) and ``yaw`` (n,) the object pose; ``dims``
+    (3,) is shared.  Residual rows run (u_min, u_max, v_min, v_max) per
+    detection; invalid (truncated) rows drop out, and so does every row of
+    a detection with a selected vertex behind the camera.  Returns
+    (residual (m,), jac dict with "object" (m, 4) and "dims" (m, 3),
+    row mask (n, 4)).
     """
-    box_edges = np.asarray(box_edges, dtype=float)
-    rot_obj = rot_y(obj.yaw)
-    rot_cam_t = x_cam.rotation.T
-    rows = []
-    jac_obj = []
-    jac_dims = []
-    mask = np.zeros(4, dtype=bool)
-    for i in range(4):
-        if not valid_edges[_EDGE_INDEX[i]]:
-            continue
-        offset = sel.signs[i] * obj.dims / 2.0
-        world = rot_obj @ offset + obj.position
-        p_cam = x_cam.apply_inverse(world)
-        if p_cam[2] <= geom.EPS_Z:
-            raise BehindCamera("selected box vertex behind camera")
-        axis = 0 if i < 2 else 1
-        rows.append(p_cam[axis] / p_cam[2] - box_edges[_EDGE_INDEX[i]])
-        mask[i] = True
-        if jacobians:
-            grad = np.zeros(3)
-            grad[axis] = 1.0 / p_cam[2]
-            grad[2] = -p_cam[axis] / p_cam[2] ** 2
-            d_world = grad @ rot_cam_t
-            d_yaw = d_world @ (drot_y(obj.yaw) @ offset)
-            jac_obj.append(np.concatenate([d_world, [d_yaw]]))
-            jac_dims.append(d_world @ rot_obj * (sel.signs[i] / 2.0))
-    res = np.array(rows)
+    box_edges = np.asarray(box_edges, dtype=float)[:, _EDGE_INDEX]
+    valid = np.asarray(valid_edges, dtype=bool)[:, _EDGE_INDEX]
+    c, s = np.cos(yaw), np.sin(yaw)
+    zero, one = np.zeros_like(c), np.ones_like(c)
+    rot_obj = np.stack([np.stack([c, zero, s], -1),
+                        np.stack([zero, one, zero], -1),
+                        np.stack([-s, zero, c], -1)], -2)
+    offset = signs * (np.asarray(dims, dtype=float) / 2.0)
+    world = np.einsum("nij,nkj->nki", rot_obj, offset) + position[:, None]
+    p_cam = np.einsum("nkj,nji->nki", world - cam_translation[:, None],
+                      cam_rotation)
+    z = p_cam[:, :, 2]
+    in_front = z > geom.EPS_Z
+    mask = valid & np.all(in_front | ~valid, axis=1)[:, None]
+    z = np.where(in_front, z, 1.0)
+    rows = np.arange(4)
+    axis = np.array([0, 0, 1, 1])
+    coord = p_cam[:, rows, axis]
+    res = (coord / z - box_edges)[mask]
     if not jacobians:
         return res, {}, mask
-    jac = {"object": np.array(jac_obj).reshape(len(rows), 4),
-           "dims": np.array(jac_dims).reshape(len(rows), 3)}
+    grad = np.zeros(p_cam.shape)
+    grad[:, rows, axis] = 1.0 / z
+    grad[:, :, 2] = -coord / z ** 2
+    d_world = np.einsum("nki,nji->nkj", grad, cam_rotation)
+    d_rot = np.stack([np.stack([-s, zero, c], -1),
+                      np.zeros(c.shape + (3,)),
+                      np.stack([-c, zero, -s], -1)], -2)
+    d_yaw = np.einsum("nkj,nji,nki->nk", d_world, d_rot, offset)
+    jac = {"object": np.concatenate([d_world, d_yaw[:, :, None]],
+                                    axis=2)[mask],
+           "dims": (np.einsum("nkj,nji->nki", d_world, rot_obj)
+                    * signs / 2.0)[mask]}
     return res, jac, mask
 
 
-def motion_residual(cur: ObjectState, prev: ObjectState, dt, label="car",
-                    jacobians=True):
-    """State-transition residual, components (position 3, yaw, steer, speed).
+def motion_residual(cur, prev, dt, dims, label="car", jacobians=True):
+    """State-transition residuals of n consecutive state pairs.
 
-    The prediction follows the same kinematics as the simulator: cars use
-    the single-track model with wheelbase 0.6 * length, pedestrians move
-    at constant velocity (their steer row and its Jacobians are zero).
-    Returns (residual(6), jac dict with "cur" (6x6), "prev" (6x6),
-    "dims" (6x3)).
+    ``cur`` and ``prev`` are (n, 6) motion states (position x, y, z, yaw,
+    steer, speed), ``dt`` scalar or (n,), ``dims`` (3,) the shared box
+    size.  The prediction follows the same kinematics as the simulator:
+    cars use the single-track model with wheelbase 0.6 * length,
+    pedestrians move at constant velocity (their steer row and its
+    Jacobians are zero).  Returns (residual (n, 6), jac dict with "cur"
+    (n, 6, 6), "prev" (n, 6, 6), "dims" (n, 6, 3)).
     """
-    if dt <= 0:
+    cur = np.asarray(cur, dtype=float)
+    prev = np.asarray(prev, dtype=float)
+    dt = np.broadcast_to(np.asarray(dt, dtype=float), len(prev))
+    if np.any(dt <= 0):
         raise ValueError("dt must be positive")
-    head = heading(prev.yaw)
-    pred_pos = prev.position + head * prev.speed * dt
+    yaw, steer, speed = prev[:, 3], prev[:, 4], prev[:, 5]
+    head = np.stack([np.cos(yaw), np.zeros_like(yaw), -np.sin(yaw)], -1)
+    pred_pos = prev[:, :3] + head * speed[:, None] * dt[:, None]
     is_car = label == "car"
     if is_car:
-        wheelbase = CAR_WHEELBASE_RATIO * prev.dims[0]
-        pred_yaw = prev.yaw + np.tan(prev.steer) * prev.speed * dt / wheelbase
+        wheelbase = CAR_WHEELBASE_RATIO * dims[0]
+        pred_yaw = yaw + np.tan(steer) * speed * dt / wheelbase
     else:
-        pred_yaw = prev.yaw
-    res = np.empty(6)
-    res[:3] = cur.position - pred_pos
-    res[3] = wrap_angle(cur.yaw - pred_yaw)
-    res[4] = (cur.steer - prev.steer) if is_car else 0.0
-    res[5] = cur.speed - prev.speed
+        pred_yaw = yaw
+    res = np.empty((len(prev), 6))
+    res[:, :3] = cur[:, :3] - pred_pos
+    res[:, 3] = wrap_angle(cur[:, 3] - pred_yaw)
+    res[:, 4] = (cur[:, 4] - steer) if is_car else 0.0
+    res[:, 5] = cur[:, 5] - speed
     if not jacobians:
         return res, {}
 
-    jac_cur = np.eye(6)
-    jac_prev = -np.eye(6)
-    dhead = np.array([-np.sin(prev.yaw), 0.0, -np.cos(prev.yaw)])
-    jac_prev[:3, 3] = -dhead * prev.speed * dt
-    jac_prev[:3, 5] = -head * dt
-    jac_dims = np.zeros((6, 3))
+    n = len(prev)
+    jac_cur = np.broadcast_to(np.eye(6), (n, 6, 6)).copy()
+    jac_prev = -jac_cur
+    dhead = np.stack([-np.sin(yaw), np.zeros_like(yaw), -np.cos(yaw)], -1)
+    jac_prev[:, :3, 3] = -dhead * speed[:, None] * dt[:, None]
+    jac_prev[:, :3, 5] = -head * dt[:, None]
+    jac_dims = np.zeros((n, 6, 3))
     if is_car:
-        jac_prev[3, 4] = -prev.speed * dt / (np.cos(prev.steer) ** 2
-                                             * wheelbase)
-        jac_prev[3, 5] = -np.tan(prev.steer) * dt / wheelbase
-        jac_dims[3, 0] = (np.tan(prev.steer) * prev.speed * dt
-                          * CAR_WHEELBASE_RATIO / wheelbase ** 2)
+        jac_prev[:, 3, 4] = -speed * dt / (np.cos(steer) ** 2 * wheelbase)
+        jac_prev[:, 3, 5] = -np.tan(steer) * dt / wheelbase
+        jac_dims[:, 3, 0] = (np.tan(steer) * speed * dt
+                             * CAR_WHEELBASE_RATIO / wheelbase ** 2)
     else:
-        jac_cur[4, 4] = 0.0
-        jac_prev[4, 4] = 0.0
+        jac_cur[:, 4, 4] = 0.0
+        jac_prev[:, 4, 4] = 0.0
     return res, {"cur": jac_cur, "prev": jac_prev, "dims": jac_dims}
 
 
@@ -253,21 +214,23 @@ def prior_residual(dims, prior, jacobians=True):
     return res, {"dims": np.eye(3)}
 
 
-def point_surface_residual(world_point, obj: ObjectState, face,
+def point_surface_residual(world_points, obj: ObjectState, faces,
                            jacobians=True):
-    """Signed offset of a world point from one box face plane.
+    """Signed offsets of n world points from their assigned box face planes.
 
-    ``face`` as in :data:`geometry.FACES`.  Returns (residual(1,), jac
-    dict with "object" (1x4): position 3 + yaw).
+    ``faces`` (n,) indexes :data:`geometry.FACES`, whose order pairs each
+    axis's + and - face.  Returns (residual (n,), jac dict with "object"
+    (n, 4): position 3 + yaw).
     """
-    sign = 1.0 if face[0] == "+" else -1.0
-    axis = {"x": 0, "y": 1, "z": 2}[face[1]]
+    faces = np.asarray(faces)
+    axis = faces // 2
+    sign = 1.0 - 2.0 * (faces % 2)
+    rows = np.arange(len(faces))
     rot_obj = rot_y(obj.yaw)
-    diff = np.asarray(world_point, dtype=float) - obj.position
-    q = rot_obj.T @ diff
-    res = np.array([q[axis] - sign * obj.dims[axis] / 2.0])
+    diff = np.asarray(world_points, dtype=float) - obj.position
+    q = diff @ rot_obj
+    res = q[rows, axis] - sign * obj.dims[axis] / 2.0
     if not jacobians:
         return res, {}
-    d_pos = -rot_obj.T[axis]
-    d_yaw = (drot_y(obj.yaw).T @ diff)[axis]
-    return res, {"object": np.concatenate([d_pos, [d_yaw]])[None, :]}
+    d_yaw = (diff @ drot_y(obj.yaw))[rows, axis]
+    return res, {"object": np.column_stack([-rot_obj.T[axis], d_yaw])}

@@ -518,10 +518,22 @@ def write_measurements(path, frames):
 
 
 def read_measurements(path):
+    """Frames of a JSON-lines measurement log.
+
+    A line with bad JSON, a missing key or a value of the wrong type
+    raises :class:`ConfigError` naming the path and the 1-based line.
+    """
     frames = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 frames.append(frame_from_dict(json.loads(line)))
+            except KeyError as exc:
+                raise ConfigError(f"{path}:{number}",
+                                  f"missing key {exc}") from exc
+            except (ValueError, TypeError, IndexError) as exc:
+                raise ConfigError(f"{path}:{number}", str(exc)) from exc
     return frames

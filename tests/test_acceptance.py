@@ -12,15 +12,14 @@ import numpy as np
 from raster import random_box_pair, raster_iou_3d, raster_iou_bev
 from test_estimator import FORWARD, car, ego_problem, make_scenario, \
     object_problem
-from test_residuals import central_diff, perturb_full, perturb_object, \
-    random_object, random_pose
+from test_residuals import central_diff, feature_one, motion_one, \
+    perturb_full, perturb_object, random_object, random_pose, semantic_one
 
 from semtrack import boxinfer as bi
 from semtrack import cli
 from semtrack import estimator as est
 from semtrack import geometry as geom
 from semtrack import pipeline
-from semtrack import residuals as res
 from semtrack import simulate as sim
 from semtrack.geometry import ObjectState, Pose, StereoRig, rot_y, wrap_angle
 from semtrack.metrics import (DetectionRecord, Trajectory,
@@ -148,20 +147,19 @@ def test_acceptance_3_jacobian_suite():
         lm = rng.uniform(-1.5, 1.5, 3)
         world = rot_y(obj.yaw) @ lm + obj.position
         obs_l = cam.apply_inverse(world)[:2] / cam.apply_inverse(world)[2]
-        r0, jac = res.feature_residual(obs_l, obs_l, cam, obj, lm, rig)
+        r0, jac = feature_one(obs_l, obs_l, cam, obj, lm, rig)
 
         def f_cam(d):
-            return res.feature_residual(obs_l, obs_l, cam.perturbed(
-                d[:3], d[3:]), obj, lm, rig, jacobians=False)[0]
+            return feature_one(obs_l, obs_l, cam.perturbed(d[:3], d[3:]),
+                               obj, lm, rig, jacobians=False)[0]
 
         def f_obj(d):
-            return res.feature_residual(obs_l, obs_l, cam,
-                                        perturb_object(obj, d), lm, rig,
-                                        jacobians=False)[0]
+            return feature_one(obs_l, obs_l, cam, perturb_object(obj, d), lm,
+                               rig, jacobians=False)[0]
 
         def f_lm(d):
-            return res.feature_residual(obs_l, obs_l, cam, obj, lm + d,
-                                        rig, jacobians=False)[0]
+            return feature_one(obs_l, obs_l, cam, obj, lm + d, rig,
+                               jacobians=False)[0]
 
         worst["feature"] = max(
             worst["feature"],
@@ -178,19 +176,18 @@ def test_acceptance_3_jacobian_suite():
         if not any(valid):
             valid = (True, True, True, True)
         edges = np.array([-0.5, -0.3, 0.5, 0.3])
-        _, jac, _ = res.semantic_residual(edges, valid, sel, cam, obj)
+        _, jac, _ = semantic_one(edges, valid, sel, cam, obj)
         if len(jac["object"]) == 0:
             continue
 
         def f_obj(d):
-            return res.semantic_residual(edges, valid, sel, cam,
-                                         perturb_object(obj, d),
-                                         jacobians=False)[0]
+            return semantic_one(edges, valid, sel, cam,
+                                perturb_object(obj, d), jacobians=False)[0]
 
         def f_dims(d):
-            return res.semantic_residual(
-                edges, valid, sel, cam,
-                obj.replace(dims=obj.dims + d[:3]), jacobians=False)[0]
+            return semantic_one(edges, valid, sel, cam,
+                                obj.replace(dims=obj.dims + d[:3]),
+                                jacobians=False)[0]
 
         worst["semantic"] = max(
             worst["semantic"],
@@ -201,20 +198,19 @@ def test_acceptance_3_jacobian_suite():
         cur, prev = random_object(rng), random_object(rng)
         label = "car" if rng.uniform() < 0.7 else "pedestrian"
         dt = float(rng.uniform(0.05, 0.2))
-        _, jac = res.motion_residual(cur, prev, dt, label)
+        _, jac = motion_one(cur, prev, dt, label)
 
         def f_cur(d):
-            return res.motion_residual(perturb_full(cur, d), prev, dt,
-                                       label, jacobians=False)[0]
+            return motion_one(perturb_full(cur, d), prev, dt, label,
+                              jacobians=False)[0]
 
         def f_prev(d):
-            return res.motion_residual(cur, perturb_full(prev, d), dt,
-                                       label, jacobians=False)[0]
+            return motion_one(cur, perturb_full(prev, d), dt, label,
+                              jacobians=False)[0]
 
         def f_dims(d):
-            return res.motion_residual(
-                cur, prev.replace(dims=prev.dims + d[:3]), dt, label,
-                jacobians=False)[0]
+            return motion_one(cur, prev.replace(dims=prev.dims + d[:3]), dt,
+                              label, jacobians=False)[0]
 
         worst["motion"] = max(
             worst["motion"],
@@ -237,7 +233,7 @@ def test_acceptance_4_zero_noise_convergence():
     rng = np.random.default_rng(104)
     problem = ego_problem(scenario, frames, rng, pose_noise=(0.1, 0.01),
                           lm_noise=0.05)
-    result = est.solve_ego(problem, scenario.rig)
+    result = est.solve_ego(*problem, scenario.rig)
     cam_err = max(np.linalg.norm(p.translation - gt.translation)
                   for p, gt in zip(result.poses, scenario.camera))
     assert cam_err < 1e-4
@@ -245,7 +241,7 @@ def test_acceptance_4_zero_noise_convergence():
     for i in range(3):
         prob, obj = object_problem(scenario, frames, obj_index=i, rng=rng,
                                    state_noise=(0.1, 0.01), lm_noise=0.05)
-        out = est.solve_object(prob, obj.object_id, scenario.rig)
+        out = est.solve_object(*prob, scenario.rig)
         for s, gt in zip(out.states, obj.states):
             obj_pos_err = max(obj_pos_err,
                               np.linalg.norm(s.position - gt.position))

@@ -238,3 +238,20 @@ class TestRejectOutliers:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             assoc.reject_outliers(np.zeros((9, 2)), np.zeros((8, 2)))
+
+
+class TestEightPoint:
+    @pytest.mark.parametrize("n", [8, 900])
+    def test_matches_full_svd(self, n, monkeypatch):
+        # the thin SVD is used from 9 rows on; an 8-row thin vt lacks the
+        # null vector, so the minimal sample must keep the full form
+        rng = np.random.default_rng(n)
+        uv0, uv1 = TestRejectOutliers().rigid_pairs(n, 1e-3, rng)
+        f_mat = assoc._eight_point(uv0, uv1)
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, full_matrices=True: svd(a))
+        f_ref = assoc._eight_point(uv0, uv1)
+        assert f_mat is not None and f_ref is not None
+        assert np.allclose(f_mat, f_ref, rtol=0.0,
+                           atol=1e-12 * np.abs(f_ref).max())

@@ -25,8 +25,9 @@ def car(x, z, v=8.0, yaw=FORWARD):
 
 def ego_problem(scenario, frames, rng=None, pose_noise=(0.0, 0.0),
                 lm_noise=0.0):
-    """Ego TrackProblem from zero-noise frames, optionally perturbed."""
-    poses, landmarks, blocks = [], {}, []
+    """Ego solve inputs (poses, landmarks, feature rows) from zero-noise
+    frames, optionally perturbed."""
+    poses, landmarks, obs = [], {}, []
     for t, gt in enumerate(scenario.camera[:len(frames)]):
         if t == 0 or pose_noise == (0.0, 0.0):
             poses.append(gt)
@@ -42,18 +43,18 @@ def ego_problem(scenario, frames, rng=None, pose_noise=(0.0, 0.0),
                 true = scenario.background[f.feature_id]
                 noise = rng.normal(0.0, lm_noise, 3) if lm_noise else 0.0
                 landmarks[f.feature_id] = true + noise
-            blocks.append(est.feature_block(t, f.feature_id, f.left, f.right,
-                                            0.5 / 700.0))
-    return est.TrackProblem(poses, landmarks, {}, blocks)
+            obs.append((t, f.feature_id, f.left, f.right))
+    return poses, landmarks, est.feature_rows(obs)
 
 
 def object_problem(scenario, frames, obj_index=0, rng=None,
                    state_noise=(0.0, 0.0), lm_noise=0.0, dims_noise=0.0,
                    with_semantic=True, with_features=True):
+    """Object solve inputs (window track, camera poses) and the simulated
+    object."""
     obj = scenario.objects[obj_index]
-    cfg = est.EstimatorConfig()
     n = len(frames)
-    states, lm_init, blocks = [], {}, []
+    states, lm_init, features, semantic = [], {}, [], []
     for t in range(n):
         gt = obj.states[t]
         dims = obj.prior.mean.copy()
@@ -76,25 +77,17 @@ def object_problem(scenario, frames, obj_index=0, rng=None,
                     true = obj.landmarks[f.feature_id - lm_base]
                     noise = rng.normal(0.0, lm_noise, 3) if lm_noise else 0.0
                     lm_init[f.feature_id] = true + noise
-                blocks.append(est.feature_block(
-                    t, f.feature_id, f.left, f.right, cfg.feature_sigma,
-                    object_id=obj.object_id))
+                features.append((t, f.feature_id, f.left, f.right))
         if with_semantic:
             for s in fr.semantic:
                 if s.object_id != obj.object_id:
                     continue
-                blocks.append(est.semantic_block(
-                    t, obj.object_id, s.box.as_array(), s.valid_edges,
-                    s.viewpoint, cfg.box_sigma))
-    for t in range(1, n):
-        blocks.append(est.motion_block(t, t - 1, obj.object_id, scenario.dt,
-                                       cfg.motion_sigmas))
-    blocks.append(est.prior_block(n - 1, obj.object_id, obj.prior))
+                semantic.append((t, s.box.as_array(), s.valid_edges,
+                                 s.viewpoint))
     track = est.ObjectTrack(obj.label, list(range(n)), states, lm_init,
-                            obj.prior)
-    problem = est.TrackProblem(list(scenario.camera[:n]), {},
-                               {obj.object_id: track}, blocks)
-    return problem, obj
+                            obj.prior, est.feature_rows(features),
+                            est.semantic_rows(semantic))
+    return (track, list(scenario.camera[:n])), obj
 
 
 class TestSolveEgo:
@@ -103,7 +96,7 @@ class TestSolveEgo:
         frames = [sim.synthesize_frame(scenario, t, sim.NoiseSpec.zero())
                   for t in range(6)]
         problem = ego_problem(scenario, frames)
-        result = est.solve_ego(problem, scenario.rig)
+        result = est.solve_ego(*problem, scenario.rig)
         assert result.report.initial_cost < 1e-14
         for pose, gt in zip(result.poses, scenario.camera):
             assert np.linalg.norm(pose.translation - gt.translation) < 1e-9
@@ -115,7 +108,7 @@ class TestSolveEgo:
         rng = np.random.default_rng(3)
         problem = ego_problem(scenario, frames, rng,
                               pose_noise=(0.1, 0.01), lm_noise=0.05)
-        result = est.solve_ego(problem, scenario.rig)
+        result = est.solve_ego(*problem, scenario.rig)
         for pose, gt in zip(result.poses, scenario.camera):
             assert np.linalg.norm(pose.translation - gt.translation) < 1e-6
             assert np.abs(pose.rotation - gt.rotation).max() < 1e-6
@@ -128,7 +121,7 @@ class TestSolveEgo:
         frames = [sim.synthesize_frame(scenario, t, sim.NoiseSpec.zero())
                   for t in range(4)]
         problem = ego_problem(scenario, frames)
-        result = est.solve_ego(problem, scenario.rig)
+        result = est.solve_ego(*problem, scenario.rig)
         assert result.insufficient_parallax
 
     def test_single_pose_rejected(self):
@@ -136,7 +129,7 @@ class TestSolveEgo:
         frames = [sim.synthesize_frame(scenario, 0, sim.NoiseSpec.zero())]
         problem = ego_problem(scenario, frames)
         with pytest.raises(ValueError):
-            est.solve_ego(problem, scenario.rig)
+            est.solve_ego(*problem, scenario.rig)
 
     def test_gauge_invariance(self):
         # rigidly moving the whole world leaves the cost unchanged
@@ -144,19 +137,15 @@ class TestSolveEgo:
         frames = [sim.synthesize_frame(scenario, t, sim.NoiseSpec.zero())
                   for t in range(6)]
         rng = np.random.default_rng(4)
-        problem = ego_problem(scenario, frames, rng,
-                              pose_noise=(0.05, 0.005), lm_noise=0.02)
+        poses, landmarks, rows = ego_problem(
+            scenario, frames, rng, pose_noise=(0.05, 0.005), lm_noise=0.02)
         transform = Pose(rot_y(0.8), np.array([5.0, -1.0, 3.0]))
-        moved = est.TrackProblem(
-            [transform.compose(p) for p in problem.camera_poses],
-            {k: transform.apply(v) for k, v in problem.landmarks.items()},
-            {}, problem.blocks)
-        ego_a = est._EgoProblem(problem.camera_poses, problem.landmarks,
-                                problem.blocks, scenario.rig,
-                                est.EstimatorConfig(), 0)
-        ego_b = est._EgoProblem(moved.camera_poses, moved.landmarks,
-                                moved.blocks, scenario.rig,
-                                est.EstimatorConfig(), 0)
+        ego_a = est._EgoProblem(poses, landmarks, rows, scenario.rig,
+                                est.EstimatorConfig())
+        ego_b = est._EgoProblem(
+            [transform.compose(p) for p in poses],
+            {k: transform.apply(v) for k, v in landmarks.items()}, rows,
+            scenario.rig, est.EstimatorConfig())
         cost_a = ego_a.cost(ego_a.initial)
         cost_b = ego_b.cost(ego_b.initial)
         assert cost_a == pytest.approx(cost_b, rel=1e-9)
@@ -171,7 +160,7 @@ class TestSolveObject:
         problem, obj = object_problem(scenario, frames, rng=rng,
                                       state_noise=(0.1, 0.01),
                                       lm_noise=0.05, dims_noise=0.05)
-        result = est.solve_object(problem, obj.object_id, scenario.rig)
+        result = est.solve_object(*problem, scenario.rig)
         for s, gt in zip(result.states, obj.states):
             assert np.linalg.norm(s.position - gt.position) < 1e-4
             assert abs(s.yaw - gt.yaw) < 1e-4
@@ -184,7 +173,7 @@ class TestSolveObject:
         frames = [sim.synthesize_frame(scenario, 0, sim.NoiseSpec.zero())]
         problem, obj = object_problem(scenario, frames, with_features=False)
         meas = frames[0].semantic[0]
-        result = est.solve_object(problem, obj.object_id, scenario.rig)
+        result = est.solve_object(*problem, scenario.rig)
         assert result.under_constrained
         assert np.array_equal(result.dims, obj.prior.mean)
         p_cam, theta, _ = infer_pose(meas.box, meas.viewpoint,
@@ -203,7 +192,7 @@ class TestSolveObject:
         problem, obj = object_problem(scenario, frames, rng=rng,
                                       state_noise=(0.05, 0.05),
                                       with_features=False)
-        result = est.solve_object(problem, obj.object_id, scenario.rig)
+        result = est.solve_object(*problem, scenario.rig)
         for prev, cur in zip(result.states, result.states[1:]):
             delta = cur.position - prev.position
             if np.linalg.norm(delta) < 0.1:
@@ -221,7 +210,7 @@ class TestSolveObject:
         problem, obj = object_problem(scenario, frames, rng=rng,
                                       state_noise=(0.05, 0.005),
                                       lm_noise=0.02, with_semantic=False)
-        result = est.solve_object(problem, obj.object_id, scenario.rig)
+        result = est.solve_object(*problem, scenario.rig)
         # feature-only tracks have a free global offset (no semantic
         # anchor), so compare the trajectory shape and the motion state
         base_est = result.states[0].position
@@ -239,9 +228,9 @@ class TestSolveObject:
         frames = [sim.synthesize_frame(scenario, t, sim.NoiseSpec.zero())
                   for t in range(8)]
         rng_a = np.random.default_rng(8)
-        pa1, oa1 = object_problem(scenario, frames, 0, rng_a, (0.05, 0.005),
+        pa1, _ = object_problem(scenario, frames, 0, rng_a, (0.05, 0.005),
                                   0.02)
-        pa2, oa2 = object_problem(scenario, frames, 1, rng_a, (0.05, 0.005),
+        pa2, _ = object_problem(scenario, frames, 1, rng_a, (0.05, 0.005),
                                   0.02)
         # rebuild with identical perturbations and solve in reverse order
         rng_b = np.random.default_rng(8)
@@ -249,20 +238,21 @@ class TestSolveObject:
                                 0.02)
         pb2, _ = object_problem(scenario, frames, 1, rng_b, (0.05, 0.005),
                                 0.02)
-        r1 = est.solve_object(pa1, oa1.object_id, scenario.rig)
-        r2 = est.solve_object(pa2, oa2.object_id, scenario.rig)
-        r2b = est.solve_object(pb2, oa2.object_id, scenario.rig)
-        r1b = est.solve_object(pb1, oa1.object_id, scenario.rig)
+        r1 = est.solve_object(*pa1, scenario.rig)
+        r2 = est.solve_object(*pa2, scenario.rig)
+        r2b = est.solve_object(*pb2, scenario.rig)
+        r1b = est.solve_object(*pb1, scenario.rig)
         for x, y in ((r1, r1b), (r2, r2b)):
             for sx, sy in zip(x.states, y.states):
                 assert np.array_equal(sx.position, sy.position)
                 assert sx.yaw == sy.yaw
 
     def test_empty_track_rejected(self):
-        track = est.ObjectTrack("car", [], [], {}, DEFAULT_PRIORS["car"])
-        problem = est.TrackProblem([Pose.identity()], {}, {1: track}, [])
+        track = est.ObjectTrack("car", [], [], {}, DEFAULT_PRIORS["car"],
+                                est.feature_rows([]), est.semantic_rows([]))
         with pytest.raises(ValueError):
-            est.solve_object(problem, 1, StereoRig.horizontal(0.54))
+            est.solve_object(track, [Pose.identity()],
+                             StereoRig.horizontal(0.54))
 
 
 class TestAlignPointCloud:

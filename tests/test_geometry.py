@@ -88,6 +88,29 @@ class TestRotations:
             assert np.allclose(so3_exp(w_back), r, atol=1e-6)
 
 
+    def test_quaternion_round_trip(self):
+        rng = np.random.default_rng(41)
+        rots = [so3_exp(rng.uniform(-np.pi, np.pi, 3)) for _ in range(200)]
+        for _ in range(200):
+            axis = rng.normal(size=3)
+            angle = np.pi - rng.uniform(0.0, 1e-6)
+            rots.append(so3_exp(axis / np.linalg.norm(axis) * angle))
+        for rot in rots:
+            q = geom.rotation_to_quaternion(rot)
+            assert abs(np.linalg.norm(q) - 1.0) < 1e-15
+            assert np.abs(geom.quaternion_to_rotation(q) - rot).max() < 1e-12
+
+    def test_quaternion_of_known_rotations(self):
+        assert np.array_equal(geom.rotation_to_quaternion(np.eye(3)),
+                              [1.0, 0.0, 0.0, 0.0])
+        # half turn about y: w = 0, the trace branch would divide by ~0
+        q = geom.rotation_to_quaternion(rot_y(np.pi))
+        assert np.allclose(np.abs(q), [0.0, 0.0, 1.0, 0.0], atol=1e-15)
+        q = geom.rotation_to_quaternion(rot_y(0.5))
+        assert np.allclose(q, [np.cos(0.25), 0.0, np.sin(0.25), 0.0],
+                           atol=1e-15)
+
+
 class TestPose:
     def test_round_trip(self):
         rng = np.random.default_rng(0)

@@ -19,7 +19,8 @@ class QuadraticProblem:
 
     def linearize(self, x):
         eq = nls.DenseNormalEquations(len(x))
-        eq.add([(0, self.a_mat)], self.residual(x), tag="quad")
+        eq.add_batch(nls.RowBatch(self.residual(x)[None], self.a_mat[None],
+                                  tag="quad"))
         return eq
 
     def cost(self, x):
@@ -37,7 +38,7 @@ class RosenbrockProblem:
     def linearize(self, x):
         eq = nls.DenseNormalEquations(2)
         jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
-        eq.add([(0, jac)], self.residual(x))
+        eq.add_batch(nls.RowBatch(self.residual(x)[None], jac[None]))
         return eq
 
     def cost(self, x):
@@ -110,17 +111,17 @@ class TestSolveNls:
 
 class TestHuber:
     def test_quadratic_inside_band(self):
-        w, rho = nls.huber_factor(0.5, 1.0)
-        assert w == 1.0 and rho == pytest.approx(0.125)
+        w, rho = nls.huber(np.array([[0.3, 0.4]]), 1.0)
+        assert w[0] == 1.0 and rho[0] == pytest.approx(0.125)
 
     def test_linear_outside_band(self):
-        w, rho = nls.huber_factor(4.0, 1.0)
-        assert w == pytest.approx(0.25)
-        assert rho == pytest.approx(1.0 * (4.0 - 0.5))
+        w, rho = nls.huber(np.array([[4.0]]), 1.0)
+        assert w[0] == pytest.approx(0.25)
+        assert rho[0] == pytest.approx(1.0 * (4.0 - 0.5))
 
     def test_none_disables(self):
-        w, rho = nls.huber_factor(100.0, None)
-        assert w == 1.0 and rho == pytest.approx(0.5 * 100.0 ** 2)
+        w, rho = nls.huber(np.array([[100.0]]), None)
+        assert w[0] == 1.0 and rho[0] == pytest.approx(0.5 * 100.0 ** 2)
 
 
 class TestSchurEquivalence:
@@ -134,14 +135,21 @@ class TestSchurEquivalence:
             obs.append((lm, jac_d, jac_l, r))
         return obs
 
-    def assemble(self, obs, n_dense, n_lm, huber=None, sqrt_info=None):
+    def assemble(self, obs, n_dense, n_lm, huber=None, sqrt_info=1.0):
+        # one Schur batch per observation keeps landmark indices unique;
+        # the dense reference carries the landmarks as plain columns
         schur = nls.SchurNormalEquations(n_dense, n_lm, 3)
         dense = nls.DenseNormalEquations(n_dense + 3 * n_lm)
-        for lm, jac_d, jac_l, r in obs:
-            schur.add([(0, jac_d)], r, sqrt_info=sqrt_info,
-                      huber_delta=huber, lm_index=lm, lm_jacobian=jac_l)
-            dense.add([(0, jac_d), (n_dense + 3 * lm, jac_l)], r,
-                      sqrt_info=sqrt_info, huber_delta=huber)
+        full = np.zeros((len(obs), 2, n_dense + 3 * n_lm))
+        for i, (lm, jac_d, jac_l, r) in enumerate(obs):
+            schur.add_batch(nls.RowBatch(
+                sqrt_info * r[None], sqrt_info * jac_d[None], 0, huber,
+                lm_indices=np.array([lm]), lm_jac=sqrt_info * jac_l[None]))
+            full[i, :, :n_dense] = jac_d
+            full[i, :, n_dense + 3 * lm:n_dense + 3 * lm + 3] = jac_l
+        residuals = np.array([r for *_, r in obs])
+        dense.add_batch(nls.RowBatch(sqrt_info * residuals, sqrt_info * full,
+                                     0, huber))
         return schur, dense
 
     def test_step_matches_dense_assembly(self):
@@ -150,7 +158,7 @@ class TestSchurEquivalence:
             n_dense, n_lm = 7, 12
             obs = self.build_problem(rng, n_dense, n_lm)
             huber = 1.0 if trial % 2 else None
-            info = 2.5 if trial % 3 == 0 else None
+            info = 2.5 if trial % 3 == 0 else 1.0
             schur, dense = self.assemble(obs, n_dense, n_lm, huber, info)
             assert schur.cost == pytest.approx(dense.cost)
             for damping in (1e-6, 1e-2, 1.0):
@@ -168,25 +176,21 @@ class TestSchurEquivalence:
     def test_unobserved_landmark_still_solvable(self):
         # damping keeps an empty landmark block invertible
         schur = nls.SchurNormalEquations(2, 2, 3)
-        schur.add([(0, np.eye(2))], np.ones(2), lm_index=0,
-                  lm_jacobian=np.ones((2, 3)))
+        schur.add_batch(nls.RowBatch(np.ones((1, 2)), np.eye(2)[None],
+                                     lm_indices=np.array([0]),
+                                     lm_jac=np.ones((1, 2, 3))))
         step = schur.solve(1e-4)
         assert step is not None and len(step) == 8
         assert np.allclose(step[5:], 0.0)
 
-    def test_matrix_sqrt_info(self):
+    def test_batch_cost_matches_accumulated_cost(self):
         rng = np.random.default_rng(26)
-        obs = self.build_problem(rng, 4, 3, 15)
-        info = np.diag([2.0, 0.5])
-        schur, dense = self.assemble(obs, 4, 3, None, None)
-        schur_i, dense_i = nls.SchurNormalEquations(4, 3, 3), None
-        for lm, jac_d, jac_l, r in obs:
-            schur_i.add([(0, jac_d)], r, sqrt_info=info, lm_index=lm,
-                        lm_jacobian=jac_l)
-        # whitening changes the solution; just confirm consistency with a
-        # manually scaled assembly
-        manual = nls.SchurNormalEquations(4, 3, 3)
-        for lm, jac_d, jac_l, r in obs:
-            manual.add([(0, info @ jac_d)], info @ r, lm_index=lm,
-                       lm_jacobian=info @ jac_l)
-        assert np.allclose(schur_i.solve(1e-3), manual.solve(1e-3))
+        batches = [nls.RowBatch(rng.normal(size=(5, 2)),
+                                rng.normal(size=(5, 2, 3)), 0, delta, tag)
+                   for delta, tag in ((None, "a"), (0.5, "b"), (2.0, "a"))]
+        eq = nls.DenseNormalEquations(3)
+        for batch in batches:
+            eq.add_batch(batch)
+        assert nls.batch_cost(batches) == eq.cost
+        assert eq.cost_by_tag["a"] + eq.cost_by_tag["b"] == \
+            pytest.approx(eq.cost)

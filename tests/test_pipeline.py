@@ -1,6 +1,8 @@
 """Tests for the scenario runner, artifact I/O and the CLI."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -193,7 +195,34 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_log_line_reports_line(self, tmp_path, capsys):
+        config = small_config(3)
+        log = tmp_path / "measurements.jsonl"
+        direct = pipeline.run_pipeline(config, tmp_path / "direct")
+        lines = direct["measurements"].read_text().splitlines()
+        record = json.loads(lines[1])
+        del record["semantic"]
+        lines[1] = json.dumps(record)
+        log.write_text("\n".join(lines) + "\n")
+        config["measurements"] = str(log)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["eval", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{log}:2" in err and "semantic" in err
+
     def test_rejects_bad_format(self, tmp_path):
         config = self.write_config(tmp_path)
         with pytest.raises(SystemExit):
             cli.main(["eval", "--config", str(config), "--format", "xml"])
+
+
+def test_import_does_not_load_scipy():
+    code = ("import sys, semtrack; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

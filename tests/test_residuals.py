@@ -5,7 +5,6 @@ import pytest
 
 from semtrack import residuals as res
 from semtrack.boxinfer import DEFAULT_PRIORS, Viewpoint, selection_set
-from semtrack.errors import BehindCamera
 from semtrack.geometry import (FACES, ObjectState, Pose, StereoRig, rot_y,
                                so3_exp)
 
@@ -52,6 +51,35 @@ def perturb_full(obj, d):
                        steer=obj.steer + d[4], speed=obj.speed + d[5])
 
 
+def motion_state(obj):
+    """The (1, 6) motion-state row (position, yaw, steer, speed)."""
+    return np.array([[*obj.position, obj.yaw, obj.steer, obj.speed]])
+
+
+def feature_one(obs_l, obs_r, cam, obj, lm, rig, jacobians=True):
+    """One feature row: (residual (4,), jac dict of single rows)."""
+    r, jac, valid = res.feature_residuals_batch(obs_l, obs_r, cam, obj,
+                                                lm[None], rig, jacobians)
+    assert valid.all()
+    return r[0], {k: v[0] for k, v in jac.items()}
+
+
+def semantic_one(edges, valid, sel, cam, obj, jacobians=True):
+    """The rows of one detection: (residual, jac dict, row mask (4,))."""
+    r, jac, mask = res.semantic_residual(
+        np.asarray(edges)[None], np.asarray(valid)[None], sel.signs[None],
+        cam.rotation[None], cam.translation[None], obj.position[None],
+        np.array([obj.yaw]), obj.dims, jacobians)
+    return r, jac, mask[0]
+
+
+def motion_one(cur, prev, dt, label="car", jacobians=True):
+    """One motion pair: (residual (6,), jac dict of single blocks)."""
+    r, jac = res.motion_residual(motion_state(cur), motion_state(prev), dt,
+                                 prev.dims, label, jacobians)
+    return r[0], {k: v[0] for k, v in jac.items()}
+
+
 class TestFeatureResidual:
     def test_jacobians_background(self):
         rng = np.random.default_rng(11)
@@ -61,16 +89,16 @@ class TestFeatureResidual:
             lm = cam.apply(rng.uniform([-8, -4, 5], [8, 2, 50]))
             obs_l = rng.uniform(-0.3, 0.3, 2)
             obs_r = rng.uniform(-0.3, 0.3, 2)
-            r0, jac = res.feature_residual(obs_l, obs_r, cam, None, lm, rig)
+            r0, jac = feature_one(obs_l, obs_r, cam, None, lm, rig)
 
             def f_cam(d):
                 p = Pose(cam.rotation @ so3_exp(d[3:]), cam.translation + d[:3])
-                return res.feature_residual(obs_l, obs_r, p, None, lm, rig,
-                                            jacobians=False)[0]
+                return feature_one(obs_l, obs_r, p, None, lm, rig,
+                                   jacobians=False)[0]
 
             def f_lm(d):
-                return res.feature_residual(obs_l, obs_r, cam, None, lm + d,
-                                            rig, jacobians=False)[0]
+                return feature_one(obs_l, obs_r, cam, None, lm + d, rig,
+                                   jacobians=False)[0]
 
             assert rel_error(jac["camera"], central_diff(f_cam, r0, 6)) < TOL
             assert rel_error(jac["landmark"], central_diff(f_lm, r0, 3)) < TOL
@@ -85,19 +113,19 @@ class TestFeatureResidual:
             lm = rng.uniform(-1.0, 1.0, 3) * obj.dims / 2.0
             obs_l = rng.uniform(-0.3, 0.3, 2)
             obs_r = rng.uniform(-0.3, 0.3, 2)
-            try:
-                _, jac = res.feature_residual(obs_l, obs_r, cam, obj, lm, rig)
-            except BehindCamera:
+            _, jac, valid = res.feature_residuals_batch(obs_l, obs_r, cam,
+                                                        obj, lm[None], rig)
+            if not valid.all():
                 continue
+            jac = {k: v[0] for k, v in jac.items()}
 
             def f_obj(d):
-                return res.feature_residual(obs_l, obs_r, cam,
-                                            perturb_object(obj, d), lm, rig,
-                                            jacobians=False)[0]
+                return feature_one(obs_l, obs_r, cam, perturb_object(obj, d),
+                                   lm, rig, jacobians=False)[0]
 
             def f_lm(d):
-                return res.feature_residual(obs_l, obs_r, cam, obj, lm + d,
-                                            rig, jacobians=False)[0]
+                return feature_one(obs_l, obs_r, cam, obj, lm + d, rig,
+                                   jacobians=False)[0]
 
             assert rel_error(jac["object"], central_diff(f_obj, None, 4)) < TOL
             assert rel_error(jac["landmark"], central_diff(f_lm, None, 3)) < TOL
@@ -107,15 +135,18 @@ class TestFeatureResidual:
         cam = Pose.identity()
         lm = np.array([1.0, -0.5, 12.0])
         p_r = rig.extrinsic.apply(lm)
-        r0, _ = res.feature_residual(lm[:2] / lm[2], p_r[:2] / p_r[2], cam,
-                                     None, lm, rig)
+        r0, _ = feature_one(lm[:2] / lm[2], p_r[:2] / p_r[2], cam, None, lm,
+                            rig)
         assert np.abs(r0).max() < 1e-15
 
-    def test_behind_camera_raises(self):
+    def test_behind_camera_dropped(self):
         rig = StereoRig.horizontal(0.54)
-        with pytest.raises(BehindCamera):
-            res.feature_residual(np.zeros(2), np.zeros(2), Pose.identity(),
-                                 None, np.array([0.0, 0.0, -5.0]), rig)
+        lms = np.array([[0.0, 0.0, -5.0], [0.0, 0.0, 5.0]])
+        r, jac, valid = res.feature_residuals_batch(
+            np.zeros((2, 2)), np.zeros((2, 2)), Pose.identity(), None, lms,
+            rig)
+        assert list(valid) == [False, True]
+        assert r.shape == (1, 4) and jac["landmark"].shape == (1, 4, 3)
 
 
 class TestSemanticResidual:
@@ -135,22 +166,19 @@ class TestSemanticResidual:
             valid = tuple(bool(b) for b in rng.integers(0, 2, 4))
             if not any(valid):
                 continue
-            try:
-                r0, jac, mask = res.semantic_residual(edges, valid, sel, cam,
-                                                      obj)
-            except BehindCamera:
-                continue
-            assert len(r0) == int(mask.sum())
+            r0, jac, mask = semantic_one(edges, valid, sel, cam, obj)
+            if mask.sum() < sum(valid):
+                continue  # a selected vertex behind the camera
 
             def f_obj(d):
-                return res.semantic_residual(edges, valid, sel, cam,
-                                             perturb_object(obj, d),
-                                             jacobians=False)[0]
+                return semantic_one(edges, valid, sel, cam,
+                                    perturb_object(obj, d),
+                                    jacobians=False)[0]
 
             def f_dims(d):
                 o = obj.replace(dims=obj.dims + d)
-                return res.semantic_residual(edges, valid, sel, cam, o,
-                                             jacobians=False)[0]
+                return semantic_one(edges, valid, sel, cam, o,
+                                    jacobians=False)[0]
 
             assert rel_error(jac["object"], central_diff(f_obj, None, 4)) < TOL
             assert rel_error(jac["dims"], central_diff(f_dims, None, 3)) < TOL
@@ -163,15 +191,55 @@ class TestSemanticResidual:
                           dims=np.array([3.9, 1.6, 1.7]))
         sel = selection_set(Viewpoint(0, 0))
         edges = rng.uniform(-0.2, 0.2, 4)
-        r_all, _, m_all = res.semantic_residual(edges, (True,) * 4, sel, cam,
-                                                obj)
-        r_part, _, m_part = res.semantic_residual(edges,
-                                                  (True, False, True, False),
-                                                  sel, cam, obj)
+        r_all, _, m_all = semantic_one(edges, (True,) * 4, sel, cam, obj)
+        r_part, _, m_part = semantic_one(edges, (True, False, True, False),
+                                         sel, cam, obj)
         assert m_all.all() and len(r_all) == 4
         # kept rows are u_min and u_max (valid order is u_min,v_min,u_max,v_max)
         assert list(m_part) == [True, True, False, False]
         assert np.allclose(r_part, r_all[:2])
+
+    def test_behind_camera_drops_detection(self):
+        sel = selection_set(Viewpoint(0, 0))
+        obj = ObjectState(position=np.array([0.0, 0.0, 0.5]), yaw=0.0,
+                          dims=np.array([3.9, 1.6, 1.7]))
+        r, jac, mask = semantic_one(np.zeros(4), (True,) * 4, sel,
+                                    Pose.identity(), obj)
+        assert not mask.any() and r.shape == (0,)
+        assert jac["object"].shape == (0, 4)
+
+    def test_batch_matches_single_detections(self):
+        rng = np.random.default_rng(18)
+        cams, objs, sels, edges, valids = [], [], [], [], []
+        while len(cams) < 6:
+            cam = Pose(rot_y(rng.uniform(-0.2, 0.2)),
+                       np.array([rng.uniform(-2, 2), -1.2,
+                                 rng.uniform(-2, 2)]))
+            obj = random_object(rng)
+            if cam.apply_inverse(obj.position)[2] < 5.0:
+                continue
+            cams.append(cam)
+            objs.append(obj.replace(dims=np.array([4.0, 1.7, 1.8])))
+            sels.append(selection_set(Viewpoint(int(rng.integers(0, 8)),
+                                                int(rng.integers(0, 2)))))
+            edges.append(rng.uniform(-0.3, 0.3, 4))
+            valids.append(rng.integers(0, 2, 4).astype(bool))
+        r, jac, mask = res.semantic_residual(
+            np.array(edges), np.array(valids),
+            np.array([s.signs for s in sels]),
+            np.array([c.rotation for c in cams]),
+            np.array([c.translation for c in cams]),
+            np.array([o.position for o in objs]),
+            np.array([o.yaw for o in objs]), objs[0].dims)
+        singles = [semantic_one(*args) for args in
+                   zip(edges, valids, sels, cams, objs)]
+        assert np.array_equal(mask, [m for _, _, m in singles])
+        assert np.allclose(r, np.concatenate([s[0] for s in singles]),
+                           rtol=0.0, atol=1e-15)
+        for key in ("object", "dims"):
+            assert np.allclose(jac[key],
+                               np.concatenate([s[1][key] for s in singles]),
+                               rtol=0.0, atol=1e-12)
 
 
 class TestMotionResidual:
@@ -180,20 +248,19 @@ class TestMotionResidual:
         for _ in range(400):
             prev = random_object(rng)
             cur = random_object(rng)
-            r0, jac = res.motion_residual(cur, prev, 0.1, "car")
+            r0, jac = motion_one(cur, prev, 0.1, "car")
 
             def f_cur(d):
-                return res.motion_residual(perturb_full(cur, d), prev, 0.1,
-                                           "car", jacobians=False)[0]
+                return motion_one(perturb_full(cur, d), prev, 0.1, "car",
+                                  jacobians=False)[0]
 
             def f_prev(d):
-                return res.motion_residual(cur, perturb_full(prev, d), 0.1,
-                                           "car", jacobians=False)[0]
+                return motion_one(cur, perturb_full(prev, d), 0.1, "car",
+                                  jacobians=False)[0]
 
             def f_dims(d):
-                return res.motion_residual(cur,
-                                           prev.replace(dims=prev.dims + d),
-                                           0.1, "car", jacobians=False)[0]
+                return motion_one(cur, prev.replace(dims=prev.dims + d), 0.1,
+                                  "car", jacobians=False)[0]
 
             assert rel_error(jac["cur"], central_diff(f_cur, r0, 6)) < TOL
             assert rel_error(jac["prev"], central_diff(f_prev, r0, 6)) < TOL
@@ -204,16 +271,31 @@ class TestMotionResidual:
         for _ in range(200):
             prev = random_object(rng)
             cur = random_object(rng)
-            r0, jac = res.motion_residual(cur, prev, 0.1, "pedestrian")
+            r0, jac = motion_one(cur, prev, 0.1, "pedestrian")
             assert r0[4] == 0.0
             assert not jac["cur"][4].any() and not jac["prev"][4].any()
             assert not jac["dims"].any()
 
             def f_prev(d):
-                return res.motion_residual(cur, perturb_full(prev, d), 0.1,
-                                           "pedestrian", jacobians=False)[0]
+                return motion_one(cur, perturb_full(prev, d), 0.1,
+                                  "pedestrian", jacobians=False)[0]
 
             assert rel_error(jac["prev"], central_diff(f_prev, r0, 6)) < TOL
+
+    def test_batch_matches_single_pairs(self):
+        rng = np.random.default_rng(19)
+        dims = np.array([4.0, 1.7, 1.8])
+        cur = [random_object(rng).replace(dims=dims) for _ in range(5)]
+        prev = [random_object(rng).replace(dims=dims) for _ in range(5)]
+        dt = rng.uniform(0.05, 0.3, 5)
+        r, jac = res.motion_residual(
+            np.concatenate([motion_state(o) for o in cur]),
+            np.concatenate([motion_state(o) for o in prev]), dt, dims)
+        for i in range(5):
+            r_i, jac_i = motion_one(cur[i], prev[i], dt[i])
+            assert np.array_equal(r[i], r_i)
+            for key in jac_i:
+                assert np.array_equal(jac[key][i], jac_i[key])
 
     def test_exact_propagation_zero_residual(self):
         from semtrack.simulate import propagate_object
@@ -221,14 +303,14 @@ class TestMotionResidual:
                            dims=np.array([4.0, 1.7, 1.8]), speed=6.0,
                            steer=0.1)
         cur = propagate_object(prev, (6.0, 0.1), 0.1, "car")
-        r0, _ = res.motion_residual(cur, prev, 0.1, "car")
+        r0, _ = motion_one(cur, prev, 0.1, "car")
         assert np.abs(r0).max() < 1e-12
 
     def test_bad_dt(self):
         obj = ObjectState(position=np.zeros(3), yaw=0.0,
                           dims=np.ones(3))
         with pytest.raises(ValueError):
-            res.motion_residual(obj, obj, 0.0)
+            motion_one(obj, obj, 0.0)
 
 
 class TestPriorResidual:
@@ -239,6 +321,12 @@ class TestPriorResidual:
         assert np.array_equal(jac["dims"], np.eye(3))
 
 
+def surface_one(world, obj, face, jacobians=True):
+    """One point-surface row: (residual (1,), jac dict of (1, 4))."""
+    return res.point_surface_residual(world[None], obj, [FACES.index(face)],
+                                      jacobians)
+
+
 class TestPointSurfaceResidual:
     def test_on_face_zero(self):
         obj = ObjectState(position=np.array([3.0, -0.85, 20.0]), yaw=0.7,
@@ -246,7 +334,7 @@ class TestPointSurfaceResidual:
         # point on the +x face plane
         local = np.array([2.0, 0.3, -0.4])
         world = rot_y(obj.yaw) @ local + obj.position
-        r0, _ = res.point_surface_residual(world, obj, "+x")
+        r0, _ = surface_one(world, obj, "+x")
         assert abs(r0[0]) < 1e-12
 
     def test_jacobians(self):
@@ -255,12 +343,11 @@ class TestPointSurfaceResidual:
             obj = random_object(rng)
             world = obj.position + rng.uniform(-3.0, 3.0, 3)
             face = FACES[rng.integers(0, len(FACES))]
-            r0, jac = res.point_surface_residual(world, obj, face)
+            r0, jac = surface_one(world, obj, face)
 
             def f_obj(d):
-                return res.point_surface_residual(world,
-                                                  perturb_object(obj, d),
-                                                  face, jacobians=False)[0]
+                return surface_one(world, perturb_object(obj, d), face,
+                                   jacobians=False)[0]
 
             assert rel_error(jac["object"], central_diff(f_obj, r0, 4)) < TOL
 
@@ -269,5 +356,5 @@ class TestPointSurfaceResidual:
                           dims=np.array([4.0, 2.0, 2.0]))
         outside = np.array([3.0, 0.0, 0.0])
         inside = np.array([1.0, 0.0, 0.0])
-        assert res.point_surface_residual(outside, obj, "+x")[0][0] > 0
-        assert res.point_surface_residual(inside, obj, "+x")[0][0] < 0
+        assert surface_one(outside, obj, "+x")[0][0] > 0
+        assert surface_one(inside, obj, "+x")[0][0] < 0
