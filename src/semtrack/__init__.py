@@ -8,7 +8,7 @@ pipeline without images.
 """
 
 from .geometry import (Box3D, ObjectState, Pose, StereoRig, box_vertices,
-                       point_to_box_face_distance, project)
+                       face_offsets, project)
 from .boxinfer import (BBox2D, DEFAULT_PRIORS, DimensionPrior, SelectionSet,
                        Viewpoint, classify_viewpoint, classify_viewpoint_world,
                        infer_pose, infer_pose_candidates, selection_set,
@@ -27,7 +27,7 @@ from .pipeline import run_pipeline
 
 __all__ = [
     "Box3D", "ObjectState", "Pose", "StereoRig", "box_vertices",
-    "point_to_box_face_distance", "project",
+    "face_offsets", "project",
     "BBox2D", "DEFAULT_PRIORS", "DimensionPrior", "SelectionSet", "Viewpoint",
     "classify_viewpoint", "classify_viewpoint_world", "infer_pose",
     "infer_pose_candidates", "selection_set", "tight_bbox",

@@ -10,11 +10,12 @@ looking-down).  Each class fixes which 3D box vertex projects onto each
 vertices as offsets C_i @ dims from the box center, paired with
 (u_min, u_max, v_min, v_max) respectively.
 
-The 16-entry table is derived by brute force at import time: for sampled
-configurations inside each viewpoint's validity regime, the projected
-extreme vertices are found by enumeration and their sign patterns must
-agree across all samples.  For the u edges the vertical sign of the vertex
-is irrelevant (a vertical box edge projects to a single u for a level
+The 16-entry table is a literal.  It was derived by enumerating the
+projected extreme vertices of boxes sampled inside each viewpoint's
+validity regime (:func:`sample_camera_frame_box`,
+:func:`brute_force_extremes_camera`); the tests check it against that
+enumeration.  For the u edges the vertical sign of the vertex is
+irrelevant (a vertical box edge projects to a single u for a level
 camera); it is fixed to +1 (bottom vertices) throughout.
 """
 
@@ -157,7 +158,7 @@ def classify_viewpoint_world(x_cam: Pose, state: ObjectState) -> Viewpoint:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force table construction
+# Validity regimes and brute-force extremes
 
 
 def _sample_camera_position(vp: Viewpoint, rng, half, range_m, max_pitch_deg):
@@ -311,54 +312,36 @@ def tight_bbox(box_cam: Box3D) -> BBox2D:
                   float(uv[:, 0].max()), float(uv[:, 1].max()))
 
 
-def brute_force_extremes(x_cam: Pose, state: ObjectState):
-    """Indices into :data:`geometry.VERTEX_SIGNS` of the vertices attaining
-    (min u, max u, min v, max v)."""
-    verts_world = geom.box_vertices(Box3D(state.position, state.yaw, state.dims))
-    verts_cam = x_cam.apply_inverse(verts_world)
-    uv = project(verts_cam)
-    return (int(np.argmin(uv[:, 0])), int(np.argmax(uv[:, 0])),
-            int(np.argmin(uv[:, 1])), int(np.argmax(uv[:, 1])))
-
-
 def brute_force_extremes_camera(box_cam: Box3D):
-    """Same as :func:`brute_force_extremes` for a camera-frame box."""
+    """Indices into :data:`geometry.VERTEX_SIGNS` of the vertices of a
+    camera-frame box attaining (min u, max u, min v, max v)."""
     uv = project(geom.box_vertices(box_cam))
     return (int(np.argmin(uv[:, 0])), int(np.argmax(uv[:, 0])),
             int(np.argmin(uv[:, 1])), int(np.argmax(uv[:, 1])))
 
 
-def _build_table(samples_per_vp=60, seed=20240817):
-    """Derive the 16 selection sets by enumeration.
-
-    Each viewpoint is sampled with a level camera and the box centered on
-    the optical axis (the interior of the validity regime); the extreme
-    vertex sign patterns must agree across all samples.
-    """
-    rng = np.random.default_rng(seed)
-    table = {}
-    for vertical in (0, 1):
-        for horizontal in range(8):
-            vp = Viewpoint(horizontal, vertical)
-            rows = []
-            for _ in range(samples_per_vp):
-                dims = np.array([3.9, 1.6, 1.7]) * rng.uniform(0.85, 1.15, 3)
-                q = _sample_camera_position(vp, rng, dims / 2.0,
-                                            (6.0, 30.0), 5.0)
-                theta = _on_axis_yaw(q)
-                box = Box3D(-(rot_y(theta) @ q), theta, dims, "camera")
-                idx = brute_force_extremes_camera(box)
-                signs = geom.VERTEX_SIGNS[list(idx)].copy()
-                signs[0, 1] = signs[1, 1] = 1.0  # u rows: vertical sign is free
-                rows.append(signs)
-            rows = np.array(rows)
-            if not np.all(rows == rows[0]):
-                raise AssertionError(f"selection table ambiguous for {vp}")
-            table[vp] = SelectionSet(rows[0])
-    return table
-
-
-_SELECTION_TABLE = _build_table()
+# Vertex signs per (horizontal, vertical) viewpoint, one row per 2D edge
+# (u_min, u_max, v_min, v_max).
+_SELECTION_SIGNS = {
+    (0, 0): ((1, 1, -1), (1, 1, 1), (1, -1, 1), (1, 1, 1)),
+    (1, 0): ((1, 1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)),
+    (2, 0): ((1, 1, 1), (-1, 1, 1), (-1, -1, 1), (-1, 1, 1)),
+    (3, 0): ((1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, 1, 1)),
+    (4, 0): ((-1, 1, 1), (-1, 1, -1), (-1, -1, -1), (-1, 1, -1)),
+    (5, 0): ((-1, 1, 1), (1, 1, -1), (-1, -1, -1), (-1, 1, -1)),
+    (6, 0): ((-1, 1, -1), (1, 1, -1), (1, -1, -1), (1, 1, -1)),
+    (7, 0): ((-1, 1, -1), (1, 1, 1), (1, -1, -1), (1, 1, -1)),
+    (0, 1): ((1, 1, -1), (1, 1, 1), (-1, -1, -1), (1, 1, 1)),
+    (1, 1): ((1, 1, -1), (-1, 1, 1), (-1, -1, -1), (1, 1, 1)),
+    (2, 1): ((1, 1, 1), (-1, 1, 1), (1, -1, -1), (-1, 1, 1)),
+    (3, 1): ((1, 1, 1), (-1, 1, -1), (1, -1, -1), (-1, 1, 1)),
+    (4, 1): ((-1, 1, 1), (-1, 1, -1), (1, -1, 1), (-1, 1, -1)),
+    (5, 1): ((-1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, -1)),
+    (6, 1): ((-1, 1, -1), (1, 1, -1), (-1, -1, 1), (1, 1, -1)),
+    (7, 1): ((-1, 1, -1), (1, 1, 1), (-1, -1, 1), (1, 1, -1)),
+}
+_SELECTION_TABLE = {Viewpoint(*vp): SelectionSet(signs)
+                    for vp, signs in _SELECTION_SIGNS.items()}
 
 # The viewpoint whose selection set matches the published edge-vertex
 # matrices: camera rear-left of the object, slightly above it.
@@ -395,22 +378,6 @@ def _edge_residual(p, theta, dims, sel: SelectionSet, box: BBox2D):
         jac[i, :3] = grad
         jac[i, 3] = grad @ (drot @ offsets[i])
     return res, jac
-
-
-def _solve_position(theta, dims, sel: SelectionSet, box: BBox2D):
-    """Linear least-squares position for a fixed yaw: each constraint
-    u * (p_z + a_z) = p_axis + a_axis is linear in p."""
-    offsets = sel.vertex_offsets(dims) @ rot_y(theta).T  # camera-frame offsets
-    edges = box.as_array()[[0, 2, 1, 3]]
-    a_mat = np.zeros((4, 3))
-    b_vec = np.zeros(4)
-    for i in range(4):
-        axis = 0 if i < 2 else 1
-        a_mat[i, axis] = 1.0
-        a_mat[i, 2] = -edges[i]
-        b_vec[i] = edges[i] * offsets[i, 2] - offsets[i, axis]
-    sol, _, rank, _ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    return sol, rank
 
 
 def _tightness_deviation(p, theta, dims, box: BBox2D):

@@ -21,12 +21,11 @@ import numpy as np
 
 from . import residuals as res
 from .associate import associate_objects, reject_outliers
-from .boxinfer import (DEFAULT_PRIORS, BBox2D, DimensionPrior, infer_pose,
+from .boxinfer import (DEFAULT_PRIORS, DimensionPrior, infer_pose,
                        selection_set)
 from .errors import DegenerateGroup, NoConvergence
-from .geometry import (FACES, Box3D, ObjectState, Pose, StereoRig,
-                       nearest_face, project_rotation, rot_y, so3_exp,
-                       wrap_angle)
+from .geometry import (ObjectState, Pose, StereoRig, face_offsets,
+                       project_rotation, rot_y, so3_exp, wrap_angle)
 from .nls import (DenseNormalEquations, RowBatch, SchurNormalEquations,
                   SolveReport, batch_cost, solve_nls)
 
@@ -46,7 +45,6 @@ class EstimatorConfig:
     huber_scale: float = 3.0
     window: int = 10
     max_iterations: int = 50
-    align_position_only: bool = False
     dt: float = 0.1
 
 
@@ -427,24 +425,22 @@ def solve_object(track: ObjectTrack, camera_poses, rig: StereoRig,
 
 
 class _AlignProblem:
-    def __init__(self, world_points, faces, config, position_only):
+    def __init__(self, world_points, faces, config):
         self.points = world_points
         self.faces = faces
         self.config = config
-        self.dim = 3 if position_only else 4
 
     def _batch(self, state, jacobians):
         info = 1.0 / self.config.surface_sigma
         r, jac = res.point_surface_residual(self.points, state, self.faces,
                                             jacobians=jacobians)
-        jac_w = jac["object"][:, None, :self.dim] * info if jacobians \
-            else None
+        jac_w = jac["object"][:, None, :] * info if jacobians else None
         return RowBatch(r[:, None] * info, jac_w,
                         huber_delta=self.config.huber_scale,
                         tag="point_surface")
 
     def linearize(self, state):
-        eq = DenseNormalEquations(self.dim)
+        eq = DenseNormalEquations(4)
         eq.add_batch(self._batch(state, True))
         return eq
 
@@ -452,35 +448,29 @@ class _AlignProblem:
         return batch_cost([self._batch(state, False)])
 
     def retract(self, state, step):
-        yaw = state.yaw if self.dim == 3 else wrap_angle(state.yaw + step[3])
-        return state.replace(position=state.position + step[:3], yaw=yaw)
+        return state.replace(position=state.position + step[:3],
+                             yaw=wrap_angle(state.yaw + step[3]))
 
 
 def align_point_cloud(state: ObjectState, local_points,
-                      config: EstimatorConfig = EstimatorConfig(),
-                      position_only=None):
+                      config: EstimatorConfig = EstimatorConfig()):
     """Snap a box pose onto its anchored landmark cloud.
 
     ``local_points`` are object-frame landmark estimates.  Each point is
     assigned its nearest box face at entry (assignment fixed during the
-    solve) and position plus yaw (or position only) minimize the robust
-    point-to-face distances, dims unchanged.  Fewer than 3 points, or all
-    points on a single face, leave the pose unobservable: the input state
-    is returned with the flag False.  Returns (state, applied).
+    solve; ties go to the first face in :data:`geometry.FACES` order) and
+    position plus yaw minimize the robust point-to-face distances, dims
+    unchanged.  Fewer than 3 points, or all points on a single face, leave
+    the pose unobservable: the input state is returned with the flag
+    False.  Returns (state, applied).
     """
     local_points = np.atleast_2d(np.asarray(local_points, dtype=float))
     if len(local_points) < 3:
         return state, False
-    box = Box3D(np.zeros(3), 0.0, state.dims)
-    faces = np.array([FACES.index(nearest_face(box, p))
-                      for p in local_points])
+    faces = np.argmin(np.abs(face_offsets(state.dims, local_points)), axis=1)
     if len(set(faces)) < 2:
         return state, False
-    if position_only is None:
-        position_only = config.align_position_only
-    pose = state.pose
-    world_points = np.array([pose.apply(p) for p in local_points])
-    problem = _AlignProblem(world_points, faces, config, position_only)
+    problem = _AlignProblem(state.pose.apply(local_points), faces, config)
     new_state, report = solve_nls(problem, state,
                                   max_iterations=config.max_iterations)
     if not report.converged:
@@ -502,7 +492,6 @@ class _TrackData:
     landmarks: dict = field(default_factory=dict)
     feature_obs: list = field(default_factory=list)
     semantic_obs: list = field(default_factory=list)
-    last_box: BBox2D | None = None
     speed_initialized: bool = False
 
 
@@ -619,16 +608,15 @@ class WindowTracker:
                     continue
                 self.bg_landmarks[fid] = point
             self.bg_obs.setdefault(fid, []).append((t, left, right))
-        window = self.config.window
-        start = max(0, t - window + 1)
+        start = max(0, t - self.config.window + 1)
+        # observations before the window are never read again
+        self.bg_obs = {fid: kept for fid, obs in self.bg_obs.items()
+                       if (kept := [o for o in obs if o[0] >= start])}
         if t - start < 1:
             return
-        rows = []
-        for fid, obs in self.bg_obs.items():
-            in_window = [o for o in obs if o[0] >= start]
-            if len(in_window) >= 2:
-                rows.extend((f - start, fid, left, right)
-                            for f, left, right in in_window)
+        rows = [(f - start, fid, left, right)
+                for fid, obs in self.bg_obs.items() if len(obs) >= 2
+                for f, left, right in obs]
         if not rows:
             return
         try:
@@ -716,7 +704,6 @@ class WindowTracker:
                     track.states.append(self._predict_state(track))
                     track.frames.append(t)
             self._detector_to_track[meas.object_id] = track.track_id
-            track.last_box = meas.box
             track.semantic_obs.append(
                 (t, meas.box.as_array(), meas.valid_edges, meas.viewpoint))
             seen_tracks.add(track.track_id)
@@ -757,15 +744,17 @@ class WindowTracker:
         start = max(0, t - window + 1)
         keep = [i for i, f in enumerate(track.frames) if f >= start]
         frames = [track.frames[i] for i in keep]
-        frame_set = set(frames)
         self._maybe_init_speed(track)
         states = [track.states[i] for i in keep]
+        # every observation is made at a track frame; those before the
+        # window are never read again
+        track.feature_obs = [o for o in track.feature_obs if o[0] >= start]
+        track.semantic_obs = [o for o in track.semantic_obs
+                              if o[0] >= start]
         features = [(f - start, fid, left, right)
-                    for f, fid, left, right in track.feature_obs
-                    if f in frame_set]
+                    for f, fid, left, right in track.feature_obs]
         semantic = [(f - start, edges, valid, viewpoint)
-                    for f, edges, valid, viewpoint in track.semantic_obs
-                    if f in frame_set]
+                    for f, edges, valid, viewpoint in track.semantic_obs]
         window_track = ObjectTrack(
             track.label, [f - start for f in frames], states,
             {fid: track.landmarks[fid] for _, fid, _, _ in features},

@@ -32,7 +32,8 @@ VERTEX_SIGNS = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
 
 # Face labels: axis and side of the box, e.g. "+x" is the front face.
 FACES = ("+x", "-x", "+y", "-y", "+z", "-z")
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+_FACE_AXIS = np.array([0, 0, 1, 1, 2, 2])
+_FACE_SIGN = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
 def wrap_angle(theta):
@@ -317,29 +318,10 @@ def box_vertices(box: Box3D):
     return box.center + offsets @ rot_y(box.yaw).T
 
 
-def point_to_box_face_distance(box: Box3D, p, face):
-    """Unsigned distance from ``p`` to the infinite plane of one box face.
-
-    ``face`` is one of "+x", "-x", "+y", "-y", "+z", "-z"; the point is
-    expressed in the same frame as the box.
-    """
-    if face not in FACES:
-        raise ValueError(f"unknown face {face!r}")
-    sign = 1.0 if face[0] == "+" else -1.0
-    axis = _AXIS_INDEX[face[1]]
-    q = box.pose.apply_inverse(np.asarray(p, dtype=float))
-    return float(abs(q[axis] - sign * box.dims[axis] / 2.0))
-
-
-def signed_face_offset(box: Box3D, p, face):
-    """Signed version of :func:`point_to_box_face_distance` (object-frame
-    coordinate minus the face plane coordinate)."""
-    sign = 1.0 if face[0] == "+" else -1.0
-    axis = _AXIS_INDEX[face[1]]
-    q = box.pose.apply_inverse(np.asarray(p, dtype=float))
-    return float(q[axis] - sign * box.dims[axis] / 2.0)
-
-
-def nearest_face(box: Box3D, p):
-    """The face whose plane is closest to ``p`` (same frame as the box)."""
-    return min(FACES, key=lambda f: point_to_box_face_distance(box, p, f))
+def face_offsets(dims, points):
+    """Signed offsets (n, 6) of object-frame points from the six face
+    planes of a box of ``dims``, in :data:`FACES` order: each point's
+    coordinate along the face axis minus the plane's coordinate."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    dims = np.asarray(dims, dtype=float)
+    return points[:, _FACE_AXIS] - _FACE_SIGN * dims[_FACE_AXIS] / 2.0

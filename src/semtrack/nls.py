@@ -174,10 +174,12 @@ class SchurNormalEquations:
         return float(max(parts)) if parts else 0.0
 
     def solve(self, damping):
-        # damp the landmark blocks and invert them
+        # damp the landmark blocks as _damped does, all at once, and
+        # invert them
         h_ll = self.h_ll.copy()
-        for k in range(self.n_landmarks):
-            h_ll[k] = _damped(h_ll[k], damping)
+        diag = np.arange(self.lm_dim)
+        h_ll[:, diag, diag] += damping * np.maximum(h_ll[:, diag, diag],
+                                                    1e-12)
         try:
             h_ll_inv = np.linalg.inv(h_ll) if self.n_landmarks else h_ll
         except np.linalg.LinAlgError:

@@ -39,7 +39,7 @@ OBJECT_HEADER = ["t", "x", "y", "z", "yaw", "dx", "dy", "dz", "v", "steer"]
 
 _ESTIMATOR_KEYS = {"feature_sigma", "box_sigma", "motion_sigmas",
                    "surface_sigma", "huber_scale", "window",
-                   "max_iterations", "align_position_only"}
+                   "max_iterations"}
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry as geom
-from .geometry import ObjectState, Pose, StereoRig, drot_y, rot_y, wrap_angle
+from .geometry import (ObjectState, Pose, StereoRig, drot_y, face_offsets,
+                       rot_y, wrap_angle)
 from .simulate import CAR_WHEELBASE_RATIO
 
 # order mapping from selection rows (u_min, u_max, v_min, v_max) to the
@@ -224,12 +225,10 @@ def point_surface_residual(world_points, obj: ObjectState, faces,
     """
     faces = np.asarray(faces)
     axis = faces // 2
-    sign = 1.0 - 2.0 * (faces % 2)
     rows = np.arange(len(faces))
     rot_obj = rot_y(obj.yaw)
     diff = np.asarray(world_points, dtype=float) - obj.position
-    q = diff @ rot_obj
-    res = q[rows, axis] - sign * obj.dims[axis] / 2.0
+    res = face_offsets(obj.dims, diff @ rot_obj)[rows, faces]
     if not jacobians:
         return res, {}
     d_yaw = (diff @ drot_y(obj.yaw))[rows, axis]

@@ -115,12 +115,9 @@ class Scenario:
         for obj in self.objects:
             if len(obj.states) != len(self.camera):
                 raise ValueError("object track length != camera track length")
-            box = Box3D(np.zeros(3), 0.0, obj.states[0].dims)
-            for p in obj.landmarks:
-                d = min(geom.point_to_box_face_distance(box, p, f)
-                        for f in geom.FACES)
-                if d > 1e-9:
-                    raise ValueError("object landmark off the box surface")
+            offsets = geom.face_offsets(obj.states[0].dims, obj.landmarks)
+            if np.any(np.abs(offsets).min(axis=1) > 1e-9):
+                raise ValueError("object landmark off the box surface")
 
     @property
     def n_frames(self):
@@ -224,17 +221,14 @@ def _sample_face_points(dims, count, rng):
     areas = np.array([width * height, width * height,
                       length * height, length * height])
     faces = rng.choice(4, size=count, p=areas / areas.sum())
-    pts = np.empty((count, 3))
     u = rng.uniform(-0.5, 0.5, count)
     v = rng.uniform(-0.5, 0.5, count)
-    for i, f in enumerate(faces):
-        if f < 2:  # +x / -x faces
-            sign = 1.0 if f == 0 else -1.0
-            pts[i] = [sign * length / 2.0, v[i] * height, u[i] * width]
-        else:  # +z / -z faces
-            sign = 1.0 if f == 2 else -1.0
-            pts[i] = [u[i] * length, v[i] * height, sign * width / 2.0]
-    return pts
+    sign = np.where(faces % 2 == 0, 1.0, -1.0)
+    x_face = faces < 2  # +x / -x faces, else +z / -z
+    return np.column_stack([
+        np.where(x_face, sign * length / 2.0, u * length),
+        v * height,
+        np.where(x_face, u * width, sign * width / 2.0)])
 
 
 def _parse_noise(node, focal):
@@ -344,46 +338,41 @@ def generate_scenario(config: dict, seed: int) -> Scenario:
 # Measurement synthesis
 
 
-def _in_image(uv, rig: StereoRig):
-    return (abs(uv[0]) <= rig.u_half_extent
-            and abs(uv[1]) <= rig.v_half_extent)
+def _hidden(points, origin, boxes, skip):
+    """Mask of the points (n, 3) whose open segment from ``origin`` passes
+    through one of ``boxes`` (object states), leaving out index ``skip``
+    (None leaves out none).
 
-
-def _ray_hits_box(origin, point, box: Box3D, margin=1e-6):
-    """True if the open segment origin->point passes through the box."""
-    pose = box.pose
-    o = pose.apply_inverse(origin)
-    d = pose.apply_inverse(point) - o
-    half = box.dims / 2.0
-    t_lo, t_hi = 0.0, 1.0 - margin
-    for axis in range(3):
-        if abs(d[axis]) < 1e-12:
-            if abs(o[axis]) > half[axis]:
-                return False
-            continue
-        t1 = (-half[axis] - o[axis]) / d[axis]
-        t2 = (half[axis] - o[axis]) / d[axis]
-        if t1 > t2:
-            t1, t2 = t2, t1
-        t_lo = max(t_lo, t1)
-        t_hi = min(t_hi, t2)
-        if t_lo > t_hi:
-            return False
-    return True
-
-
-def _world_boxes(scenario: Scenario, t):
-    return [Box3D(obj.states[t].position, obj.states[t].yaw,
-                  obj.states[t].dims) for obj in scenario.objects]
-
-
-def _occluded(world_point, cam_center, boxes, skip_index):
+    The slab test (Kay and Kajiya 1986) over all points at once, per box:
+    the segment parameter interval inside each pair of face planes is
+    intersected with [0, 1 - 1e-6], so a point lying on a face of a box is
+    not hidden by that box.
+    """
+    hidden = np.zeros(len(points), dtype=bool)
     for j, box in enumerate(boxes):
-        if j == skip_index:
+        if j == skip:
             continue
-        if _ray_hits_box(cam_center, world_point, box):
-            return True
-    return False
+        pose = box.pose
+        o = pose.apply_inverse(origin)
+        d = pose.apply_inverse(points) - o
+        half = box.dims / 2.0
+        t_lo = np.zeros(len(points))
+        t_hi = np.full(len(points), 1.0 - 1e-6)
+        outside = np.zeros(len(points), dtype=bool)
+        for axis in range(3):
+            # a segment parallel to a slab misses it or stays inside it
+            parallel = np.abs(d[:, axis]) < 1e-12
+            if abs(o[axis]) > half[axis]:
+                outside |= parallel
+            step = np.where(parallel, 1.0, d[:, axis])
+            t1 = (-half[axis] - o[axis]) / step
+            t2 = (half[axis] - o[axis]) / step
+            t_lo = np.where(parallel, t_lo,
+                            np.maximum(t_lo, np.minimum(t1, t2)))
+            t_hi = np.where(parallel, t_hi,
+                            np.minimum(t_hi, np.maximum(t1, t2)))
+        hidden |= ~outside & (t_lo <= t_hi)
+    return hidden
 
 
 def synthesize_frame(scenario: Scenario, t: int,
@@ -397,12 +386,13 @@ def synthesize_frame(scenario: Scenario, t: int,
     rig = scenario.rig
     x_cam = scenario.camera[t]
     x_right = x_cam.compose(rig.extrinsic.inverse())
-    boxes = _world_boxes(scenario, t)
+    states = [obj.states[t] for obj in scenario.objects]
 
     semantic = []
-    for j, (obj, box) in enumerate(zip(scenario.objects, boxes)):
-        state = obj.states[t]
-        verts_cam = x_cam.apply_inverse(geom.box_vertices(box))
+    for j, (obj, state) in enumerate(zip(scenario.objects, states)):
+        verts_world = geom.box_vertices(
+            Box3D(state.position, state.yaw, state.dims))
+        verts_cam = x_cam.apply_inverse(verts_world)
         if np.any(verts_cam[:, 2] <= geom.EPS_Z):
             continue
         uv = verts_cam[:, :2] / verts_cam[:, 2:]
@@ -416,9 +406,7 @@ def synthesize_frame(scenario: Scenario, t: int,
             continue  # entirely outside the image
         valid = tuple(bool(abs(c - r) < 1e-12)
                       for c, r in zip(clipped, raw))
-        verts_world = geom.box_vertices(box)
-        if all(_occluded(v, x_cam.translation, boxes, j)
-               for v in verts_world):
+        if _hidden(verts_world, x_cam.translation, states, j).all():
             continue  # fully hidden behind a nearer object
         if rng.uniform() < noise.dropout_rate:
             continue
@@ -436,33 +424,40 @@ def synthesize_frame(scenario: Scenario, t: int,
             obj.object_id, obj.label, BBox2D(*edges), vp,
             truncated=not all(valid), valid_edges=valid))
 
-    features = []
-    next_id = 0
+    # features: ids count every landmark, seen or not, background first
+    half_extent = np.array([rig.u_half_extent, rig.v_half_extent])
     groups = [(0, scenario.background, None)]
-    for j, obj in enumerate(scenario.objects):
-        world_pts = obj.states[t].pose.apply(obj.landmarks)
-        groups.append((obj.object_id, world_pts, j))
+    groups += [(obj.object_id, state.pose.apply(obj.landmarks), j)
+               for j, (obj, state) in enumerate(zip(scenario.objects,
+                                                    states))]
+    ids, anchors, left, right = [], [], [], []
+    next_id = 0
     for anchor_id, pts, skip in groups:
-        for p in np.atleast_2d(pts):
-            fid = next_id
-            next_id += 1
-            pl = x_cam.apply_inverse(p)
-            pr = x_right.apply_inverse(p)
-            if pl[2] <= geom.EPS_Z or pr[2] <= geom.EPS_Z:
-                continue
-            uvl = pl[:2] / pl[2]
-            uvr = pr[:2] / pr[2]
-            if not (_in_image(uvl, rig) and _in_image(uvr, rig)):
-                continue
-            if (_occluded(p, x_cam.translation, boxes, skip)
-                    or _occluded(p, x_right.translation, boxes, skip)):
-                continue
-            uvl = uvl + rng.normal(0.0, noise.feature_sigma, 2)
-            uvr = uvr + rng.normal(0.0, noise.feature_sigma, 2)
-            features.append(FeatureObs(fid, anchor_id, uvl, uvr))
+        pl = x_cam.apply_inverse(pts)
+        pr = x_right.apply_inverse(pts)
+        idx = np.flatnonzero(np.minimum(pl[:, 2], pr[:, 2]) > geom.EPS_Z)
+        uvl = pl[idx, :2] / pl[idx, 2:]
+        uvr = pr[idx, :2] / pr[idx, 2:]
+        seen = (np.all(np.abs(uvl) <= half_extent, axis=1)
+                & np.all(np.abs(uvr) <= half_extent, axis=1))
+        idx, uvl, uvr = idx[seen], uvl[seen], uvr[seen]
+        seen = ~(_hidden(pts[idx], x_cam.translation, states, skip)
+                 | _hidden(pts[idx], x_right.translation, states, skip))
+        ids += (next_id + idx[seen]).tolist()
+        anchors += [anchor_id] * int(seen.sum())
+        left.append(uvl[seen])
+        right.append(uvr[seen])
+        next_id += len(pts)
+    # the draw order per feature (left u, left v, right u, right v) fixes
+    # the measurement stream of a seed
+    jitter = rng.normal(0.0, noise.feature_sigma, (len(ids), 2, 2))
+    left = np.concatenate(left) + jitter[:, 0]
+    right = np.concatenate(right) + jitter[:, 1]
+    features = tuple(FeatureObs(*obs)
+                     for obs in zip(ids, anchors, left, right))
 
     return FrameMeasurements(t * scenario.dt, tuple(semantic),
-                             tuple(features), noise.feature_sigma,
+                             features, noise.feature_sigma,
                              noise.box_sigma)
 
 

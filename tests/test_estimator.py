@@ -304,17 +304,6 @@ class TestAlignPointCloud:
                                                            [0.0, 1.0, 0.0]]))
         assert not applied
 
-    def test_position_only_keeps_yaw(self):
-        rng = np.random.default_rng(11)
-        state = ObjectState(position=np.array([1.0, -0.85, 15.0]), yaw=0.3,
-                            dims=np.array([3.9, 1.6, 1.7]))
-        cloud = self.surface_cloud(state.dims, rng) + rng.normal(0, 0.01,
-                                                                 (40, 3))
-        aligned, applied = est.align_point_cloud(state, cloud,
-                                                 position_only=True)
-        assert applied
-        assert aligned.yaw == state.yaw
-
 
 class TestWindowTracker:
     def run_tracker(self, scenario, noise=None, **kwargs):
@@ -367,6 +356,24 @@ class TestWindowTracker:
             for (ta, sa), (tb, sb) in zip(va, vb):
                 assert ta == tb
                 assert np.array_equal(sa.position, sb.position)
+
+    def test_held_observations_stay_in_window(self):
+        # a stream three windows long: the tracker holds no observation
+        # from before the current window
+        window = 4
+        scenario = make_scenario(3 * window, [car(-10.0, 18.0)])
+        tracker = est.WindowTracker(
+            scenario.rig, est.EstimatorConfig(dt=scenario.dt, window=window),
+            initial_pose=scenario.camera[0])
+        for t in range(scenario.n_frames):
+            tracker.process(sim.synthesize_frame(scenario, t))
+            assert all(tracker.bg_obs.values())
+            held = [o[0] for obs in tracker.bg_obs.values() for o in obs]
+            for track in tracker.tracks.values():
+                held += [o[0] for o in track.feature_obs + track.semantic_obs]
+            assert min(held) >= t - window + 1
+        assert len(tracker.tracks) == 1
+        assert len(tracker.object_trajectories[0]) == scenario.n_frames
 
     def test_object_blind_ignores_objects(self):
         scenario = make_scenario(6, [car(-10.0, 18.0)])

@@ -5,11 +5,9 @@ import pytest
 
 from semtrack import geometry as geom
 from semtrack.errors import BehindCamera
-from semtrack.geometry import (Box3D, ObjectState, Pose, StereoRig,
-                               box_vertices, nearest_face,
-                               point_to_box_face_distance, project, rot_y,
-                               signed_face_offset, so3_exp, so3_log,
-                               wrap_angle)
+from semtrack.geometry import (FACES, Box3D, ObjectState, Pose, StereoRig,
+                               box_vertices, face_offsets, project, rot_y,
+                               so3_exp, so3_log, wrap_angle)
 
 
 def random_rotation(rng):
@@ -209,13 +207,14 @@ class TestBoxes:
         rng = np.random.default_rng(8)
         for _ in range(100):
             dims = rng.uniform(0.5, 5.0, 3)
-            box = Box3D(np.zeros(3), 0.0, dims)
-            p = rng.normal(scale=4.0, size=3)
+            p = rng.normal(scale=4.0, size=(5, 3))
             # axis-aligned box at origin: distances readable off coordinates
-            assert point_to_box_face_distance(box, p, "+x") == pytest.approx(
-                abs(p[0] - dims[0] / 2))
-            assert point_to_box_face_distance(box, p, "-z") == pytest.approx(
-                abs(p[2] + dims[2] / 2))
+            offsets = face_offsets(dims, p)
+            assert offsets.shape == (5, 6)
+            assert np.allclose(np.abs(offsets[:, FACES.index("+x")]),
+                               np.abs(p[:, 0] - dims[0] / 2))
+            assert np.allclose(np.abs(offsets[:, FACES.index("-z")]),
+                               np.abs(p[:, 2] + dims[2] / 2))
 
     def test_face_distance_rigid_invariance(self):
         rng = np.random.default_rng(9)
@@ -224,33 +223,37 @@ class TestBoxes:
             yaw = rng.uniform(-np.pi, np.pi)
             center = rng.normal(scale=5.0, size=3)
             p = rng.normal(scale=8.0, size=3)
-            face = geom.FACES[rng.integers(0, 6)]
-            d0 = point_to_box_face_distance(Box3D(center, yaw, dims), p, face)
+            box = Box3D(center, yaw, dims)
+            d0 = face_offsets(dims, box.pose.apply_inverse(p))
             shift = rng.normal(scale=3.0, size=3)
             dyaw = rng.uniform(-np.pi, np.pi)
             moved = Box3D(rot_y(dyaw) @ center + shift, yaw + dyaw, dims)
             p_moved = rot_y(dyaw) @ p + shift
-            d1 = point_to_box_face_distance(moved, p_moved, face)
-            assert d1 == pytest.approx(d0, abs=1e-10)
+            d1 = face_offsets(dims, moved.pose.apply_inverse(p_moved))
+            assert np.allclose(d1, d0, atol=1e-10)
 
     def test_signed_face_offset_sign(self):
-        box = Box3D(np.zeros(3), 0.0, np.array([2.0, 2.0, 2.0]))
-        assert signed_face_offset(box, np.array([1.5, 0.0, 0.0]), "+x") > 0
-        assert signed_face_offset(box, np.array([0.5, 0.0, 0.0]), "+x") < 0
-        assert signed_face_offset(
-            box, np.array([1.0, 0.0, 0.0]), "+x") == pytest.approx(0.0)
+        dims = np.array([2.0, 2.0, 2.0])
+        plus_x = FACES.index("+x")
+        assert face_offsets(dims, [1.5, 0.0, 0.0])[0, plus_x] > 0
+        assert face_offsets(dims, [0.5, 0.0, 0.0])[0, plus_x] < 0
+        assert face_offsets(dims, [1.0, 0.0, 0.0])[0, plus_x] == 0.0
 
     def test_nearest_face_for_surface_points(self):
         # plane distances are meaningful for points near the box surface
         # (the landmark-anchoring use case)
-        box = Box3D(np.zeros(3), 0.0, np.array([2.0, 2.0, 2.0]))
-        assert nearest_face(box, np.array([0.99, 0.2, -0.3])) == "+x"
-        assert nearest_face(box, np.array([0.1, -1.02, 0.3])) == "-y"
+        dims = np.array([2.0, 2.0, 2.0])
+        # the third point ties between +x and +z: the first face wins
+        points = np.array([[0.99, 0.2, -0.3], [0.1, -1.02, 0.3],
+                           [0.75, 0.0, 0.75]])
+        nearest = np.argmin(np.abs(face_offsets(dims, points)), axis=1)
+        assert [FACES[i] for i in nearest] == ["+x", "-y", "+x"]
 
-    def test_unknown_face_rejected(self):
-        box = Box3D(np.zeros(3), 0.0, np.ones(3))
-        with pytest.raises(ValueError):
-            point_to_box_face_distance(box, np.zeros(3), "+w")
+    def test_face_offsets_follow_faces_order(self):
+        # the centre lies half a side inside every face plane
+        offsets = face_offsets([2.0, 4.0, 6.0], np.zeros(3))
+        assert offsets.tolist() == [[-1.0, 1.0, -2.0, 2.0, -3.0, 3.0]]
+        assert FACES == ("+x", "-x", "+y", "-y", "+z", "-z")
 
 
 class TestStates:

@@ -167,6 +167,32 @@ class TestSchurEquivalence:
                 assert step_s is not None and step_d is not None
                 assert np.allclose(step_s, step_d, atol=1e-8)
 
+    def test_block_damping_matches_per_block_reference(self):
+        # the landmark blocks are damped all at once; the per-block loop
+        # with _damped gives the same bits
+        def reference_solve(eq, damping):
+            h_ll = eq.h_ll.copy()
+            for k in range(eq.n_landmarks):
+                h_ll[k] = nls._damped(h_ll[k], damping)
+            h_ll_inv = np.linalg.inv(h_ll)
+            w_mat = eq.h_dl.reshape(eq.dense_size, eq.n_landmarks, eq.lm_dim)
+            w_inv = np.einsum("dki,kij->dkj", w_mat, h_ll_inv)
+            h_red = (nls._damped(eq.h_dd, damping)
+                     - np.einsum("dkj,ekj->de", w_inv, w_mat))
+            g_red = eq.g_d - np.einsum("dkj,kj->d", w_inv, eq.g_l)
+            dx_d = nls._try_cholesky_solve(h_red, -g_red)
+            rhs = -eq.g_l - np.einsum("dkj,d->kj", w_mat, dx_d)
+            dx_l = np.einsum("kij,kj->ki", h_ll_inv, rhs)
+            return np.concatenate([dx_d, dx_l.ravel()])
+
+        rng = np.random.default_rng(27)
+        # 20 landmarks for 12 observations: some blocks stay empty
+        schur, _ = self.assemble(self.build_problem(rng, 7, 20, 12), 7, 20)
+        for damping in (1e-4, 1e-2, 1.0, 1e3):
+            step = schur.solve(damping)
+            assert step is not None
+            assert step.tobytes() == reference_solve(schur, damping).tobytes()
+
     def test_gradient_norm_matches(self):
         rng = np.random.default_rng(25)
         obs = self.build_problem(rng)

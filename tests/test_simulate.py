@@ -5,6 +5,7 @@ import pytest
 
 from semtrack import geometry as geom
 from semtrack import simulate as sim
+from semtrack.boxinfer import BBox2D, Viewpoint, classify_viewpoint_world
 from semtrack.errors import ConfigError
 from semtrack.geometry import Box3D, ObjectState, Pose
 
@@ -99,11 +100,28 @@ class TestGenerateScenario:
     def test_object_landmarks_on_surface(self):
         scenario = sim.generate_scenario(base_config(), seed=4)
         for obj in scenario.objects:
-            box = Box3D(np.zeros(3), 0.0, obj.states[0].dims)
-            for p in obj.landmarks:
-                d = min(geom.point_to_box_face_distance(box, p, f)
-                        for f in geom.FACES)
-                assert d < 1e-9
+            offsets = geom.face_offsets(obj.states[0].dims, obj.landmarks)
+            assert np.all(np.abs(offsets).min(axis=1) < 1e-9)
+
+    def test_face_points_match_per_point_reference(self):
+        dims = np.array([4.1, 1.5, 1.8])
+        areas = np.repeat([dims[2] * dims[1], dims[0] * dims[1]], 2)
+        rng = np.random.default_rng(15)
+        got = sim._sample_face_points(dims, 200, rng)
+        rng = np.random.default_rng(15)
+        faces = rng.choice(4, size=200, p=areas / areas.sum())
+        u = rng.uniform(-0.5, 0.5, 200)
+        v = rng.uniform(-0.5, 0.5, 200)
+        want = np.empty((200, 3))
+        for i, f in enumerate(faces):
+            sign = 1.0 if f % 2 == 0 else -1.0
+            if f < 2:  # +x / -x faces
+                want[i] = [sign * dims[0] / 2.0, v[i] * dims[1],
+                           u[i] * dims[2]]
+            else:  # +z / -z faces
+                want[i] = [u[i] * dims[0], v[i] * dims[1],
+                           sign * dims[2] / 2.0]
+        assert got.tobytes() == want.tobytes()
 
     def test_landmarks_rigidly_anchored(self):
         scenario = sim.generate_scenario(base_config(), seed=4)
@@ -243,6 +261,223 @@ class TestSynthesizeFrame:
         scenario = sim.generate_scenario(base_config(), seed=10)
         with pytest.raises(ValueError):
             sim.synthesize_frame(scenario, scenario.n_frames)
+
+
+# ---------------------------------------------------------------------------
+# Per-point reference synthesis: the scalar ray casting and feature loop
+# that synthesize_frame computes with arrays.
+
+
+def reference_ray_hits_box(origin, point, box: Box3D, margin=1e-6):
+    """True if the open segment origin->point passes through the box."""
+    pose = box.pose
+    o = pose.apply_inverse(origin)
+    d = pose.apply_inverse(point) - o
+    half = box.dims / 2.0
+    t_lo, t_hi = 0.0, 1.0 - margin
+    for axis in range(3):
+        if abs(d[axis]) < 1e-12:
+            if abs(o[axis]) > half[axis]:
+                return False
+            continue
+        t1 = (-half[axis] - o[axis]) / d[axis]
+        t2 = (half[axis] - o[axis]) / d[axis]
+        if t1 > t2:
+            t1, t2 = t2, t1
+        t_lo = max(t_lo, t1)
+        t_hi = min(t_hi, t2)
+        if t_lo > t_hi:
+            return False
+    return True
+
+
+def reference_occluded(world_point, cam_center, boxes, skip_index):
+    return any(reference_ray_hits_box(cam_center, world_point, box)
+               for j, box in enumerate(boxes) if j != skip_index)
+
+
+def reference_in_image(uv, rig):
+    return (abs(uv[0]) <= rig.u_half_extent
+            and abs(uv[1]) <= rig.v_half_extent)
+
+
+def reference_synthesize_frame(scenario, t, noise):
+    rng = np.random.default_rng((noise.seed, t))
+    rig = scenario.rig
+    x_cam = scenario.camera[t]
+    x_right = x_cam.compose(rig.extrinsic.inverse())
+    boxes = [Box3D(obj.states[t].position, obj.states[t].yaw,
+                   obj.states[t].dims) for obj in scenario.objects]
+
+    semantic = []
+    for j, (obj, box) in enumerate(zip(scenario.objects, boxes)):
+        state = obj.states[t]
+        verts_cam = x_cam.apply_inverse(geom.box_vertices(box))
+        if np.any(verts_cam[:, 2] <= geom.EPS_Z):
+            continue
+        uv = verts_cam[:, :2] / verts_cam[:, 2:]
+        raw = np.array([uv[:, 0].min(), uv[:, 1].min(),
+                        uv[:, 0].max(), uv[:, 1].max()])
+        lo = np.array([-rig.u_half_extent, -rig.v_half_extent])
+        hi = -lo
+        clipped = np.clip(raw, np.concatenate([lo, lo]),
+                          np.concatenate([hi, hi]))
+        if clipped[0] >= clipped[2] or clipped[1] >= clipped[3]:
+            continue
+        valid = tuple(bool(abs(c - r) < 1e-12)
+                      for c, r in zip(clipped, raw))
+        if all(reference_occluded(v, x_cam.translation, boxes, j)
+               for v in geom.box_vertices(box)):
+            continue
+        if rng.uniform() < noise.dropout_rate:
+            continue
+        edges = clipped.copy()
+        for i in range(4):
+            if valid[i]:
+                edges[i] += rng.normal(0.0, noise.box_sigma)
+        if edges[0] > edges[2] or edges[1] > edges[3]:
+            continue
+        vp = classify_viewpoint_world(x_cam, state)
+        if rng.uniform() < noise.viewpoint_error_rate:
+            shift = 1 if rng.uniform() < 0.5 else -1
+            vp = Viewpoint((vp.horizontal + shift) % 8, vp.vertical)
+        semantic.append(sim.SemanticMeasurement(
+            obj.object_id, obj.label, BBox2D(*edges), vp,
+            truncated=not all(valid), valid_edges=valid))
+
+    features = []
+    next_id = 0
+    groups = [(0, scenario.background, None)]
+    for j, obj in enumerate(scenario.objects):
+        groups.append((obj.object_id, obj.states[t].pose.apply(obj.landmarks),
+                       j))
+    for anchor_id, pts, skip in groups:
+        for p in pts:
+            fid = next_id
+            next_id += 1
+            pl = x_cam.apply_inverse(p)
+            pr = x_right.apply_inverse(p)
+            if pl[2] <= geom.EPS_Z or pr[2] <= geom.EPS_Z:
+                continue
+            uvl = pl[:2] / pl[2]
+            uvr = pr[:2] / pr[2]
+            if not (reference_in_image(uvl, rig)
+                    and reference_in_image(uvr, rig)):
+                continue
+            if (reference_occluded(p, x_cam.translation, boxes, skip)
+                    or reference_occluded(p, x_right.translation, boxes,
+                                          skip)):
+                continue
+            uvl = uvl + rng.normal(0.0, noise.feature_sigma, 2)
+            uvr = uvr + rng.normal(0.0, noise.feature_sigma, 2)
+            features.append(sim.FeatureObs(fid, anchor_id, uvl, uvr))
+    return sim.FrameMeasurements(t * scenario.dt, tuple(semantic),
+                                 tuple(features), noise.feature_sigma,
+                                 noise.box_sigma)
+
+
+class TestArraySynthesis:
+    def occlusion_scene(self, background_n):
+        config = base_config(n_frames=6)
+        config["objects"] = [
+            # a near car partly hiding a far one
+            {"class": "car", "init": {"x": 0.5, "z": 9.0, "yaw": 0.3,
+                                      "v": 2.0}},
+            {"class": "car", "init": {"x": -0.5, "z": 22.0, "yaw": -0.4}},
+            # one fully hidden behind the near car
+            {"class": "pedestrian", "init": {"x": 0.6, "z": 30.0}},
+            # a car straddling the left image border
+            {"class": "car", "init": {"x": -9.0, "z": 10.0, "yaw": 0.0}},
+        ]
+        config["camera"] = {"start": [0.0, -1.0, 0.0], "speed": 3.0,
+                            "yaw_rate": 0.05}
+        config["landmarks"] = {"background_n": background_n,
+                               "per_object_n": 150}
+        config["noise"] = {"feature_sigma_px": 0.7, "box_sigma_px": 1.5,
+                           "viewpoint_error_rate": 0.3,
+                           "dropout_rate": 0.1, "seed": 13}
+        return sim.generate_scenario(config, seed=12)
+
+    @pytest.mark.parametrize("background_n", [0, 400])
+    def test_matches_per_point_reference_bit_for_bit(self, background_n):
+        scenario = self.occlusion_scene(background_n)
+        truncated = partly_hidden = False
+        for t in range(scenario.n_frames):
+            got = sim.synthesize_frame(scenario, t)
+            want = reference_synthesize_frame(scenario, t, scenario.noise)
+            assert got.semantic == want.semantic
+            ids = [(f.feature_id, f.anchor_id) for f in got.features]
+            assert ids == [(f.feature_id, f.anchor_id)
+                           for f in want.features]
+            for a, b in zip(got.features, want.features):
+                assert a.left.tobytes() == b.left.tobytes()
+                assert a.right.tobytes() == b.right.tobytes()
+            truncated |= any(s.truncated for s in got.semantic)
+            # the far car shows a corner but none of its landmarks
+            partly_hidden |= (2 in {s.object_id for s in got.semantic}
+                              and 2 not in {f.anchor_id
+                                            for f in got.features})
+        # the scene exercises what it is meant to
+        assert truncated and partly_hidden
+        assert len(got.features) > 50
+
+    def test_hidden_matches_reference_on_random_segments(self):
+        rng = np.random.default_rng(14)
+        boxes = [ObjectState(rng.normal(scale=2.0, size=3),
+                             rng.uniform(-np.pi, np.pi),
+                             rng.uniform(0.5, 3.0, 3)) for _ in range(3)]
+        ref_boxes = [Box3D(b.position, b.yaw, b.dims) for b in boxes]
+        points = rng.normal(scale=4.0, size=(500, 3))
+        origin = rng.normal(scale=4.0, size=3)
+        points[:50] = origin + (points[:50] - origin) * [1.0, 0.0, 0.0]
+        for skip in (None, 1):
+            got = sim._hidden(points, origin, boxes, skip)
+            want = [reference_occluded(p, origin, ref_boxes, skip)
+                    for p in points]
+            assert got.tolist() == want
+            assert 0 < got.sum() < len(points)
+
+
+class TestHidden:
+    # one 2 x 2 x 2 box at the origin, axis-aligned
+    box = ObjectState(np.zeros(3), 0.0, np.full(3, 2.0))
+
+    def hidden(self, origin, points, boxes=None):
+        return sim._hidden(np.asarray(points, dtype=float),
+                           np.asarray(origin, dtype=float),
+                           [self.box] if boxes is None else boxes,
+                           None).tolist()
+
+    def test_axis_parallel_segments(self):
+        # along x through the box, stopping short of it, beside it; along
+        # z above it
+        assert self.hidden([-5.0, 0.0, 0.0], [[5.0, 0.0, 0.0],
+                                              [-2.0, 0.0, 0.0]]) == \
+            [True, False]
+        assert self.hidden([-5.0, 0.0, 1.5], [[5.0, 0.0, 1.5]]) == [False]
+        assert self.hidden([0.0, -3.0, -5.0], [[0.0, -3.0, 5.0]]) == [False]
+        # parallel to two slabs and inside both: only the third one counts
+        assert self.hidden([0.0, 0.5, -5.0], [[0.0, 0.5, 5.0],
+                                              [0.0, 0.5, -1.5]]) == \
+            [True, False]
+
+    def test_segments_ending_on_a_face(self):
+        # a point on the near face is not hidden by its own box; a point on
+        # the far face, or just past the near one, is
+        assert self.hidden([-5.0, 0.2, 0.1], [[-1.0, 0.2, 0.1],
+                                              [1.0, 0.2, 0.1],
+                                              [-0.999, 0.2, 0.1]]) == \
+            [False, True, True]
+        # a segment that only grazes an edge of the box at its end
+        assert self.hidden([-5.0, -3.0, 0.0], [[-1.0, -1.0, 0.0]]) == \
+            [False]
+
+    def test_skip_and_no_boxes(self):
+        points = [[5.0, 0.0, 0.0]]
+        assert sim._hidden(np.asarray(points), np.array([-5.0, 0.0, 0.0]),
+                           [self.box], 0).tolist() == [False]
+        assert self.hidden([-5.0, 0.0, 0.0], points, boxes=[]) == [False]
+        assert self.hidden([-5.0, 0.0, 0.0], np.empty((0, 3))) == []
 
 
 class TestSerialization:
