@@ -126,13 +126,11 @@ class ObjectResult:
     under_constrained: bool
 
 
-def _frame_batches(frame, lm_slot, left, right):
-    """Split frame-sorted feature rows into per-frame (frame, landmark
-    slot, left, right) batches."""
-    bounds = np.flatnonzero(np.diff(frame)) + 1
-    return [(int(frame[i]), lm_slot[i:j], left[i:j], right[i:j])
-            for i, j in zip(np.r_[0, bounds], np.r_[bounds, len(frame)])
-            if j > i]
+def _camera_rows(poses, frames):
+    """Per-row camera rotations (n, 3, 3) and translations (n, 3) of the
+    window ``poses`` at ``frames``."""
+    return (np.array([p.rotation for p in poses])[frames],
+            np.array([p.translation for p in poses])[frames])
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +143,8 @@ class _EgoProblem:
     State is (poses, landmark array); the oldest pose is the gauge and
     stays constant.  Only landmarks observed in at least two frames are
     optimized; rows of other landmarks carry no information about the
-    relative poses beyond a stereo depth and are dropped.
+    relative poses beyond a stereo depth and are dropped.  Each
+    evaluation is one feature batch over the whole window.
     """
 
     def __init__(self, poses, landmarks, rows, rig, config):
@@ -156,10 +155,12 @@ class _EgoProblem:
         self.lm_ids = np.array([lm for lm, n in zip(ids, counts)
                                 if n >= 2 and lm in landmarks], dtype=int)
         keep = np.isin(rows.landmark, self.lm_ids)
-        frame = rows.frame[keep]
-        slot = np.searchsorted(self.lm_ids, rows.landmark[keep])
-        self.batches = _frame_batches(frame, slot, rows.left[keep],
-                                      rows.right[keep])
+        self.frame = frame = rows.frame[keep]
+        self.slot = slot = np.searchsorted(self.lm_ids, rows.landmark[keep])
+        self.left, self.right = rows.left[keep], rows.right[keep]
+        # rows of the gauge frame touch the landmark columns only
+        self.cols = np.where(frame[:, None] > 0,
+                             6 * (frame[:, None] - 1) + np.arange(6), -1)
         lms = np.array([landmarks[lm] for lm in self.lm_ids]).reshape(-1, 3)
         self.initial = (list(poses), lms)
         # parallax: mean ray angle between the first and last observation
@@ -176,32 +177,25 @@ class _EgoProblem:
         self.parallax = float(np.mean(np.arccos(np.clip(cos, -1.0, 1.0)))) \
             if ok.any() else 0.0
 
-    def _batches(self, state, jacobians):
+    def _batch(self, state, jacobians):
         poses, lms = state
         info = 1.0 / self.config.feature_sigma
-        for frame, lm_idx, left, right in self.batches:
-            r, jac, valid = res.feature_residuals_batch(
-                left, right, poses[frame], None, lms[lm_idx], self.rig,
-                jacobians=jacobians)
-            if len(r) == 0:
-                continue
-            if not jacobians:
-                yield RowBatch(r * info, huber_delta=self.config.huber_scale)
-                continue
-            # the gauge frame contributes no dense columns
-            jac_cam = jac["camera"] if frame else jac["camera"][:, :, :0]
-            yield RowBatch(r * info, jac_cam * info, 6 * max(frame - 1, 0),
-                           self.config.huber_scale, "feature",
-                           lm_idx[valid], jac["landmark"] * info)
+        r, jac, valid = res.feature_residuals_batch(
+            self.left, self.right, *_camera_rows(poses, self.frame),
+            lms[self.slot], self.rig, jacobians=jacobians)
+        if not jacobians:
+            return RowBatch(r * info, huber_delta=self.config.huber_scale)
+        return RowBatch(r * info, jac["camera"] * info, self.cols[valid],
+                        self.config.huber_scale, "feature", self.slot[valid],
+                        jac["landmark"] * info)
 
     def linearize(self, state):
         eq = SchurNormalEquations(6 * (self.n_poses - 1), len(self.lm_ids))
-        for batch in self._batches(state, True):
-            eq.add_batch(batch)
+        eq.add_batch(self._batch(state, True))
         return eq
 
     def cost(self, state):
-        return batch_cost(self._batches(state, False))
+        return batch_cost([self._batch(state, False)])
 
     def retract(self, state, step):
         poses, lms = state
@@ -251,76 +245,76 @@ class _ObjectProblem:
     State is (object states, dims, landmark array); camera poses are
     constants.  Dims can be locked (under-constrained tracks).  The dense
     parameter layout is one 6-slot per window state (position, yaw,
-    steer, speed) followed by dims when free.  Semantic, motion and prior
-    rows enter as full-width dense Jacobians.
+    steer, speed) followed by dims when free.  Each evaluation is one
+    batch per residual family over the whole window, and each row
+    carries the dense columns it touches.
     """
 
     def __init__(self, track, camera_poses, rig, config, lock_dims=False):
         self.track = track
-        self.camera_poses = camera_poses
         self.rig = rig
         self.config = config
         self.lock_dims = lock_dims
         frames = np.asarray(track.frames)
-        self.lm_ids = np.array(sorted(track.landmarks), dtype=int)
-        rows = track.features
-        keep = np.isin(rows.landmark, self.lm_ids)
-        self.feature_batches = [
-            (frame, int(np.searchsorted(frames, frame)), lm_idx, left, right)
-            for frame, lm_idx, left, right in _frame_batches(
-                rows.frame[keep],
-                np.searchsorted(self.lm_ids, rows.landmark[keep]),
-                rows.left[keep], rows.right[keep])]
-        sem = track.semantic
-        self.sem_slot = np.searchsorted(frames, sem.frame)
-        self.sem_cam = (
-            np.array([camera_poses[f].rotation for f in sem.frame]
-                     ).reshape(-1, 3, 3),
-            np.array([camera_poses[f].translation for f in sem.frame]
-                     ).reshape(-1, 3))
-        self.motion_dt = np.diff(frames) * config.dt
-        self.motion_info = 1.0 / (np.asarray(config.motion_sigmas)
-                                  * np.sqrt(self.motion_dt)[:, None])
         self.n_states = len(track.frames)
         self.dims_offset = 6 * self.n_states
         self.dense_size = self.dims_offset + (0 if lock_dims else 3)
+        self.lm_ids = np.array(sorted(track.landmarks), dtype=int)
+        rows = track.features
+        keep = np.isin(rows.landmark, self.lm_ids)
+        self.feat_slot = np.searchsorted(frames, rows.frame[keep])
+        self.feat_lm = np.searchsorted(self.lm_ids, rows.landmark[keep])
+        self.feat_obs = (rows.left[keep], rows.right[keep])
+        self.feat_cam = _camera_rows(camera_poses, rows.frame[keep])
+        # position and yaw: the first 4 columns of the state's slot
+        self.feat_cols = 6 * self.feat_slot[:, None] + np.arange(4)
+        sem = track.semantic
+        self.sem_slot = np.searchsorted(frames, sem.frame)
+        self.sem_cam = _camera_rows(camera_poses, sem.frame)
+        self.sem_cols = self._with_dims(
+            6 * self.sem_slot[:, None] + np.arange(4))
+        slots = np.arange(self.n_states)[:, None]
+        self.motion_cols = self._with_dims(
+            np.hstack([6 * slots[1:] + np.arange(6),
+                       6 * slots[:-1] + np.arange(6)]))
+        self.motion_dt = np.diff(frames) * config.dt
+        self.motion_info = 1.0 / (np.asarray(config.motion_sigmas)
+                                  * np.sqrt(self.motion_dt)[:, None])
         lms = np.array([track.landmarks[lm] for lm in self.lm_ids])
         self.initial = (list(track.states),
                         np.asarray(track.states[0].dims, dtype=float),
                         lms.reshape(len(self.lm_ids), 3))
 
-    def _dense(self, n_rows, k, slot_jacs, dims_jac):
-        """Full-width (n_rows, k, dense_size) Jacobian from per-row
-        (slot, jacobian (n_rows, k, w)) pairs and a dims Jacobian."""
-        out = np.zeros((n_rows, k, self.dense_size))
-        rows = np.arange(n_rows)[:, None, None]
-        comps = np.arange(k)[None, :, None]
-        for slot, jac in slot_jacs:
-            cols = 6 * slot[:, None, None] + np.arange(jac.shape[2])
-            out[rows, comps, cols] = jac
-        if not self.lock_dims:
-            out[:, :, self.dims_offset:] = dims_jac
-        return out
+    def _with_dims(self, cols):
+        """Per-row columns followed by the dims columns when dims are free."""
+        if self.lock_dims:
+            return cols
+        return np.hstack([cols, np.broadcast_to(
+            self.dims_offset + np.arange(3), (len(cols), 3))])
+
+    def _jac(self, parts, dims_jac):
+        """Dense Jacobian in the column order of :meth:`_with_dims`."""
+        return np.concatenate(parts if self.lock_dims else parts + [dims_jac],
+                              axis=2)
 
     def _batches(self, state, jacobians):
         states, dims, lms = state
         cfg = self.config
-        info = 1.0 / cfg.feature_sigma
-        for frame, slot, lm_idx, left, right in self.feature_batches:
-            r, jac, valid = res.feature_residuals_batch(
-                left, right, self.camera_poses[frame], states[slot],
-                lms[lm_idx], self.rig, jacobians=jacobians)
-            if len(r) == 0:
-                continue
-            if not jacobians:
-                yield RowBatch(r * info, huber_delta=cfg.huber_scale)
-                continue
-            # position and yaw: the first 4 columns of the state's slot
-            yield RowBatch(r * info, jac["object"] * info, 6 * slot,
-                           cfg.huber_scale, "feature", lm_idx[valid],
-                           jac["landmark"] * info)
         motion = np.array([[*s.position, s.yaw, s.steer, s.speed]
                            for s in states])
+        if len(self.feat_lm):
+            info = 1.0 / cfg.feature_sigma
+            slot = self.feat_slot
+            r, jac, valid = res.feature_residuals_batch(
+                *self.feat_obs, *self.feat_cam, lms[self.feat_lm], self.rig,
+                motion[slot, :3], motion[slot, 3], jacobians)
+            if not jacobians:
+                yield RowBatch(r * info, huber_delta=cfg.huber_scale)
+            else:
+                yield RowBatch(r * info, jac["object"] * info,
+                               self.feat_cols[valid], cfg.huber_scale,
+                               "feature", self.feat_lm[valid],
+                               jac["landmark"] * info)
         sem = self.track.semantic
         if len(sem.frame):
             slot = self.sem_slot
@@ -328,14 +322,13 @@ class _ObjectProblem:
                 sem.edges, sem.valid, sem.signs, *self.sem_cam,
                 motion[slot, :3], motion[slot, 3], dims, jacobians)
             if len(r):
-                r_w = r[:, None] / cfg.box_sigma
-                jac_w = None
+                jac_w = cols = None
                 if jacobians:
-                    row_slot = np.nonzero(mask)[0]
-                    jac_w = self._dense(
-                        len(r), 1, [(slot[row_slot], jac["object"][:, None])],
-                        jac["dims"][:, None]) / cfg.box_sigma
-                yield RowBatch(r_w, jac_w, tag="semantic")
+                    jac_w = self._jac([jac["object"][:, None]],
+                                      jac["dims"][:, None]) / cfg.box_sigma
+                    cols = self.sem_cols[np.nonzero(mask)[0]]
+                yield RowBatch(r[:, None] / cfg.box_sigma, jac_w, cols,
+                               tag="semantic")
         if self.n_states > 1:
             r, jac = res.motion_residual(motion[1:], motion[:-1],
                                          self.motion_dt, dims,
@@ -343,21 +336,15 @@ class _ObjectProblem:
             info_m = self.motion_info
             jac_w = None
             if jacobians:
-                slots = np.arange(self.n_states)
-                jac_w = self._dense(
-                    len(r), 6, [(slots[1:], jac["cur"]),
-                                (slots[:-1], jac["prev"])],
-                    jac["dims"]) * info_m[:, :, None]
-            yield RowBatch(r * info_m, jac_w, tag="motion")
+                jac_w = self._jac([jac["cur"], jac["prev"]],
+                                  jac["dims"]) * info_m[:, :, None]
+            yield RowBatch(r * info_m, jac_w, self.motion_cols, tag="motion")
         if not self.lock_dims:
             prior = self.track.prior
             r, _ = res.prior_residual(dims, prior, jacobians=False)
             info_p = 1.0 / np.asarray(prior.sigma, dtype=float)
-            jac_w = None
-            if jacobians:
-                jac_w = np.zeros((1, 3, self.dense_size))
-                jac_w[0, :, self.dims_offset:] = np.diag(info_p)
-            yield RowBatch((r * info_p)[None], jac_w, tag="prior")
+            yield RowBatch((r * info_p)[None], np.diag(info_p)[None],
+                           self.dims_offset + np.arange(3), tag="prior")
 
     def linearize(self, state):
         eq = SchurNormalEquations(self.dense_size, len(self.lm_ids))
@@ -435,8 +422,8 @@ class _AlignProblem:
         r, jac = res.point_surface_residual(self.points, state, self.faces,
                                             jacobians=jacobians)
         jac_w = jac["object"][:, None, :] * info if jacobians else None
-        return RowBatch(r[:, None] * info, jac_w,
-                        huber_delta=self.config.huber_scale,
+        return RowBatch(r[:, None] * info, jac_w, np.arange(4),
+                        self.config.huber_scale,
                         tag="point_surface")
 
     def linearize(self, state):
@@ -460,15 +447,18 @@ def align_point_cloud(state: ObjectState, local_points,
     assigned its nearest box face at entry (assignment fixed during the
     solve; ties go to the first face in :data:`geometry.FACES` order) and
     position plus yaw minimize the robust point-to-face distances, dims
-    unchanged.  Fewer than 3 points, or all points on a single face, leave
-    the pose unobservable: the input state is returned with the flag
-    False.  Returns (state, applied).
+    unchanged.  The ground-plane position is observable only through an x
+    face and a z face of the box: with fewer than 3 points, or without a
+    point on each of those two axes, the input state is returned with the
+    flag False.  Returns (state, applied).
     """
     local_points = np.atleast_2d(np.asarray(local_points, dtype=float))
     if len(local_points) < 3:
         return state, False
     faces = np.argmin(np.abs(face_offsets(state.dims, local_points)), axis=1)
-    if len(set(faces)) < 2:
+    # FACES pairs each axis's + and - face: face // 2 is the box axis
+    axes = faces // 2
+    if not ((axes == 0).any() and (axes == 2).any()):
         return state, False
     problem = _AlignProblem(state.pose.apply(local_points), faces, config)
     new_state, report = solve_nls(problem, state,

@@ -31,14 +31,16 @@ class RowBatch(NamedTuple):
 
     ``residuals`` is (n, k): n independent rows of k components each,
     robustified one row at a time when ``huber_delta`` is set.  ``jac``
-    is (n, k, p) over the dense columns starting at ``offset`` (None for
-    a cost-only batch).  ``lm_indices`` (n,), with no repeated index, and
-    ``lm_jac`` (n, k, lm_dim) attach each row to one eliminated landmark.
+    is (n, k, p) over the dense columns ``cols``, given per row (n, p) or
+    shared (p,); a row does not touch a column whose index is negative.
+    ``jac`` is None for a cost-only batch.  ``lm_indices`` (n,) and
+    ``lm_jac`` (n, k, lm_dim) attach each row to one eliminated landmark;
+    an index may repeat, and the terms of its rows add up.
     """
 
     residuals: np.ndarray
     jac: np.ndarray | None = None
-    offset: int = 0
+    cols: np.ndarray | None = None
     huber_delta: float | None = None
     tag: str | None = None
     lm_indices: np.ndarray | None = None
@@ -81,6 +83,23 @@ def _book(eq, batch):
             batch.jac * scale[:, None, None], scale)
 
 
+def _dense_terms(r_w, jac_w, cols, size):
+    """Gradient (size,) and Gauss-Newton block (size, size) of weighted
+    rows over their dense columns; also the per-row columns (n, p) with
+    every negative index sent to a sink column ``size``, which the
+    returned terms leave out.  Rows that share a column add up."""
+    n, _, p = jac_w.shape
+    cols = np.broadcast_to(np.where(cols < 0, size, cols), (n, p))
+    wide = size + 1
+    grad = np.bincount(cols.ravel(),
+                       np.einsum("nij,ni->nj", jac_w, r_w).ravel(),
+                       minlength=wide)[:size]
+    h_mat = np.bincount((cols[:, :, None] * wide + cols[:, None, :]).ravel(),
+                        (jac_w.transpose(0, 2, 1) @ jac_w).ravel(),
+                        minlength=wide * wide).reshape(wide, wide)
+    return grad, h_mat[:size, :size], cols
+
+
 def _damped(h_mat, damping):
     diag = np.maximum(np.diag(h_mat), 1e-12)
     return h_mat + damping * np.diag(diag)
@@ -109,10 +128,10 @@ class DenseNormalEquations:
 
     def add_batch(self, batch: RowBatch):
         """Add the rows of one :class:`RowBatch` (no landmarks)."""
-        r_w, jac_w, _ = _book(self, batch)
-        sl = slice(batch.offset, batch.offset + jac_w.shape[2])
-        self.grad[sl] += np.einsum("nij,ni->j", jac_w, r_w)
-        self.h_mat[sl, sl] += np.einsum("nij,nik->jk", jac_w, jac_w)
+        grad, h_mat, _ = _dense_terms(*_book(self, batch)[:2], batch.cols,
+                                      self.size)
+        self.grad += grad
+        self.h_mat += h_mat
 
     @property
     def gradient_norm(self):
@@ -148,21 +167,30 @@ class SchurNormalEquations:
         """Add the rows of one :class:`RowBatch`, each touching the dense
         block and, when ``lm_indices`` is set, one landmark."""
         r_w, jac_d, scale = _book(self, batch)
-        sl = slice(batch.offset, batch.offset + jac_d.shape[2])
-        self.g_d[sl] += np.einsum("nij,ni->j", jac_d, r_w)
-        self.h_dd[sl, sl] += np.einsum("nij,nik->jk", jac_d, jac_d)
+        g_d, h_dd, cols = _dense_terms(r_w, jac_d, batch.cols,
+                                       self.dense_size)
+        self.g_d += g_d
+        self.h_dd += h_dd
         if batch.lm_indices is None:
             return
-        lm_indices = batch.lm_indices
+        dim = self.lm_dim
+        width = self.n_landmarks * dim
         jac_l = batch.lm_jac * scale[:, None, None]
-        # lm_indices are unique within one batch, so plain fancy-index
-        # accumulation is safe (and much faster than np.add.at)
-        self.h_ll[lm_indices] += np.einsum("nij,nik->njk", jac_l, jac_l)
-        self.g_l[lm_indices] += np.einsum("nij,ni->nj", jac_l, r_w)
-        cross = np.einsum("nij,nik->njk", jac_d, jac_l)
-        view = self.h_dl.reshape(self.dense_size, self.n_landmarks,
-                                 self.lm_dim)[sl].transpose(1, 0, 2)
-        view[lm_indices] += cross
+        lm = np.asarray(batch.lm_indices)[:, None]
+        # bincount adds up the terms of rows that share a landmark
+        self.h_ll += np.bincount(
+            (lm * dim * dim + np.arange(dim * dim)).ravel(),
+            (jac_l.transpose(0, 2, 1) @ jac_l).ravel(),
+            minlength=width * dim).reshape(self.h_ll.shape)
+        lm_cols = lm * dim + np.arange(dim)
+        self.g_l += np.bincount(
+            lm_cols.ravel(), np.einsum("nij,ni->nj", jac_l, r_w).ravel(),
+            minlength=width).reshape(self.g_l.shape)
+        self.h_dl += np.bincount(
+            (cols[:, :, None] * width + lm_cols[:, None, :]).ravel(),
+            (jac_d.transpose(0, 2, 1) @ jac_l).ravel(),
+            minlength=(self.dense_size + 1) * width
+        ).reshape(-1, width)[:self.dense_size]
 
     @property
     def gradient_norm(self):

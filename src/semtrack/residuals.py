@@ -17,7 +17,8 @@ Jacobian layouts follow the state orderings used by the solvers: camera
 pose (translation 3, rotation-vector 3, applied as t += dt,
 R <- R exp(dphi)); object state (position 3, yaw, steer, speed); dims 3.
 Every family but the prior is evaluated for a whole batch of rows in one
-call; feature rows share one camera pose per call.
+call, each row with its own camera pose (and object pose, where it has
+one), so one call covers a whole window.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry as geom
-from .geometry import (ObjectState, Pose, StereoRig, drot_y, face_offsets,
+from .geometry import (ObjectState, StereoRig, drot_y, face_offsets,
                        rot_y, wrap_angle)
 from .simulate import CAR_WHEELBASE_RATIO
 
@@ -34,35 +35,39 @@ from .simulate import CAR_WHEELBASE_RATIO
 _EDGE_INDEX = [0, 2, 1, 3]
 
 
-def feature_residuals_batch(obs_left, obs_right, x_cam: Pose,
-                            obj: ObjectState | None, landmarks,
-                            rig: StereoRig, jacobians=True):
-    """Stereo reprojection residuals of n landmarks seen from one camera.
+def feature_residuals_batch(obs_left, obs_right, cam_rotation,
+                            cam_translation, landmarks, rig: StereoRig,
+                            position=None, yaw=None, jacobians=True):
+    """Stereo reprojection residuals of n landmark observations.
 
-    ``landmarks`` (n, 3) are in world frame for background (``obj``
-    None), else in the object frame.  Rows with a point behind either
-    camera are dropped.  Returns (residuals (m, 4), jac dict, valid mask
-    (n,)) where m = mask.sum(); the jac keys are "camera" (m, 4, 6),
-    "object" (m, 4, 4, anchored only) and "landmark" (m, 4, 3).
+    Per row: ``obs_left`` and ``obs_right`` (n, 2) are the normalized
+    image points, ``cam_rotation`` (n, 3, 3) and ``cam_translation`` (n, 3)
+    the camera pose and ``landmarks`` (n, 3) the point.  Background points
+    (``position`` None) are in world frame; anchored points are in the
+    frame of an object at ``position`` (n, 3) with ``yaw`` (n,).  Rows
+    with a point behind either camera are dropped.  Returns (residuals
+    (m, 4), jac dict, valid mask (n,)) where m = mask.sum(); the jac keys
+    are "camera" (m, 4, 6), "object" (m, 4, 4, anchored only) and
+    "landmark" (m, 4, 3).
     """
-    landmarks = np.atleast_2d(np.asarray(landmarks, dtype=float))
-    obs_left = np.atleast_2d(np.asarray(obs_left, dtype=float))
-    obs_right = np.atleast_2d(np.asarray(obs_right, dtype=float))
-    if obj is not None:
-        rot_obj = rot_y(obj.yaw)
-        world = landmarks @ rot_obj.T + obj.position
+    landmarks = np.asarray(landmarks, dtype=float).reshape(-1, 3)
+    anchored = position is not None
+    if anchored:
+        c, s = np.cos(yaw), np.sin(yaw)
+        x, z = landmarks[:, 0], landmarks[:, 2]
+        world = np.column_stack([c * x + s * z, landmarks[:, 1],
+                                 c * z - s * x]) + position
     else:
         world = landmarks
-    rot_cam = x_cam.rotation
     rot_ext = rig.extrinsic.rotation
-    p_l = (world - x_cam.translation) @ rot_cam
+    p_l = np.einsum("nji,nj->ni", cam_rotation, world - cam_translation)
     p_r = p_l @ rot_ext.T + rig.extrinsic.translation
     valid = (p_l[:, 2] > geom.EPS_Z) & (p_r[:, 2] > geom.EPS_Z)
     p_l, p_r = p_l[valid], p_r[valid]
     n = len(p_l)
-    res = np.empty((n, 4))
-    res[:, :2] = p_l[:, :2] / p_l[:, 2:] - obs_left[valid]
-    res[:, 2:] = p_r[:, :2] / p_r[:, 2:] - obs_right[valid]
+    obs = np.hstack([np.reshape(obs_left, (-1, 2)),
+                     np.reshape(obs_right, (-1, 2))])[valid]
+    res = np.hstack([p_l[:, :2] / p_l[:, 2:], p_r[:, :2] / p_r[:, 2:]]) - obs
     if not jacobians:
         return res, {}, valid
 
@@ -74,18 +79,10 @@ def feature_residuals_batch(obs_left, obs_right, x_cam: Pose,
         out[:, :, 2] = -p[:, :2] * inv_z[:, None] ** 2
         return out
 
-    jac_l = proj_jac(p_l)
-    jac_r = np.einsum("nij,jk->nik", proj_jac(p_r), rot_ext)
-
-    def stack(dp):
-        """(n, 4, m) from a (n, 3, m) derivative of the left-camera point."""
-        return np.concatenate([np.einsum("nij,njk->nik", jac_l, dp),
-                               np.einsum("nij,njk->nik", jac_r, dp)], axis=1)
-
-    def stack_const(dp):
-        dp = np.broadcast_to(dp, (n,) + dp.shape)
-        return stack(dp)
-
+    # derivative of the four rows by the left-camera point, then by the
+    # world point
+    d_left = np.concatenate([proj_jac(p_l), proj_jac(p_r) @ rot_ext], axis=1)
+    d_world = d_left @ cam_rotation[valid].transpose(0, 2, 1)
     sk = np.zeros((n, 3, 3))
     sk[:, 0, 1] = -p_l[:, 2]
     sk[:, 0, 2] = p_l[:, 1]
@@ -93,15 +90,21 @@ def feature_residuals_batch(obs_left, obs_right, x_cam: Pose,
     sk[:, 1, 2] = -p_l[:, 0]
     sk[:, 2, 0] = -p_l[:, 1]
     sk[:, 2, 1] = p_l[:, 0]
-    jac = {"camera": np.concatenate([stack_const(-rot_cam.T), stack(sk)],
-                                    axis=2)}
-    if obj is not None:
-        d_yaw = (landmarks[valid] @ drot_y(obj.yaw).T) @ rot_cam
-        jac["object"] = np.concatenate(
-            [stack_const(rot_cam.T), stack(d_yaw[:, :, None])], axis=2)
-        jac["landmark"] = stack_const(rot_cam.T @ rot_obj)
-    else:
-        jac["landmark"] = stack_const(rot_cam.T)
+    jac = {"camera": np.concatenate([-d_world, d_left @ sk], axis=2)}
+    if not anchored:
+        jac["landmark"] = d_world
+        return res, jac, valid
+    c, s = c[valid], s[valid]
+    x, z = x[valid], z[valid]
+    # drot_y(yaw) @ landmark, and d_world @ rot_y(yaw)
+    d_yaw = np.einsum("nij,nj->ni", d_world[:, :, ::2],
+                      np.column_stack([c * z - s * x, -c * x - s * z]))
+    jac["object"] = np.concatenate([d_world, d_yaw[:, :, None]], axis=2)
+    jac["landmark"] = np.stack(
+        [c[:, None] * d_world[:, :, 0] - s[:, None] * d_world[:, :, 2],
+         d_world[:, :, 1],
+         s[:, None] * d_world[:, :, 0] + c[:, None] * d_world[:, :, 2]],
+        axis=2)
     return res, jac, valid
 
 

@@ -31,23 +31,16 @@ def _grid(a, b, resolution):
     return np.column_stack([gx.ravel(), gz.ravel()]), cell_area
 
 
-def raster_iou_bev(a, b, resolution=1000):
-    """Monte-Carlo-free IoU of footprints counted on a regular grid."""
-    points, _ = _grid(a, b, resolution)
-    in_a = _footprint_mask(points, a)
-    in_b = _footprint_mask(points, b)
-    union = np.count_nonzero(in_a | in_b)
-    if union == 0:
-        return 0.0
-    return np.count_nonzero(in_a & in_b) / union
-
-
-def raster_iou_3d(a, b, resolution=1000):
-    """3D IoU with rasterized footprint areas and analytic vertical overlap."""
+def raster_iou(a, b, resolution=1000):
+    """Oracle (BEV IoU, 3D IoU) of two boxes from one grid: footprints
+    counted on a regular grid, the vertical overlap analytic."""
     points, cell_area = _grid(a, b, resolution)
     in_a = _footprint_mask(points, a)
     in_b = _footprint_mask(points, b)
-    inter_area = np.count_nonzero(in_a & in_b) * cell_area
+    n_inter = np.count_nonzero(in_a & in_b)
+    n_union = np.count_nonzero(in_a | in_b)
+    bev = n_inter / n_union if n_union else 0.0
+    inter_area = n_inter * cell_area
     area_a = np.count_nonzero(in_a) * cell_area
     area_b = np.count_nonzero(in_b) * cell_area
     lo = max(a.center[1] - a.dims[1] / 2.0, b.center[1] - b.dims[1] / 2.0)
@@ -55,7 +48,7 @@ def raster_iou_3d(a, b, resolution=1000):
     overlap = max(hi - lo, 0.0)
     inter = inter_area * overlap
     union = area_a * a.dims[1] + area_b * b.dims[1] - inter
-    return inter / union if union > 0 else 0.0
+    return bev, (inter / union if union > 0 else 0.0)
 
 
 def random_box_pair(rng, allow_disjoint=True):

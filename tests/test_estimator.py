@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from semtrack import estimator as est
+from semtrack import residuals as res
 from semtrack import simulate as sim
 from semtrack.boxinfer import DEFAULT_PRIORS, infer_pose
 from semtrack.errors import NoConvergence
@@ -255,6 +258,276 @@ class TestSolveObject:
                              StereoRig.horizontal(0.54))
 
 
+def assemble_rows(rows, width):
+    """Normal equations of whitened rows (r (k,), full-width J (k, width),
+    huber delta or None): each row is robustified on its own, then all
+    are stacked into one Jacobian."""
+    stacked_r, stacked_j, cost = [np.zeros(0)], [np.zeros((0, width))], 0.0
+    for r, jac, delta in rows:
+        norm = np.linalg.norm(r)
+        weight, rho = 1.0, 0.5 * norm ** 2
+        if delta is not None and norm > delta:
+            weight, rho = delta / norm, delta * (norm - 0.5 * delta)
+        stacked_r.append(np.sqrt(weight) * r)
+        stacked_j.append(np.sqrt(weight) * jac)
+        cost += rho
+    r_all, j_all = np.concatenate(stacked_r), np.concatenate(stacked_j)
+    return j_all.T @ j_all, j_all.T @ r_all, cost
+
+
+def one_feature(left, right, cam, lm, rig, obj=None):
+    """One feature row from single-row arrays; None when it is dropped."""
+    kw = {} if obj is None else {"position": obj.position[None],
+                                 "yaw": np.array([obj.yaw])}
+    r, jac, valid = res.feature_residuals_batch(
+        left[None], right[None], cam.rotation[None], cam.translation[None],
+        lm[None], rig, **kw)
+    return (r[0], {k: v[0] for k, v in jac.items()}) if valid[0] else None
+
+
+def reference_ego(poses, landmarks, rows, state, rig, config):
+    """Full-width whitened rows of the ego window, one row at a time, and
+    the number of dropped rows.  The gauge frame has no pose columns."""
+    ids, counts = np.unique(rows.landmark, return_counts=True)
+    lm_ids = [lm for lm, n in zip(ids, counts) if n >= 2 and lm in landmarks]
+    n_dense = 6 * (len(poses) - 1)
+    width = n_dense + 3 * len(lm_ids)
+    cams, lms = state
+    out, dropped = [], 0
+    for f, lm, left, right in zip(*rows):
+        if lm not in lm_ids:
+            continue
+        k = lm_ids.index(lm)
+        row = one_feature(left, right, cams[f], lms[k], rig)
+        if row is None:
+            dropped += 1
+            continue
+        r, jac = row
+        full = np.zeros((4, width))
+        if f > 0:
+            full[:, 6 * (f - 1):6 * f] = jac["camera"]
+        full[:, n_dense + 3 * k:n_dense + 3 * k + 3] = jac["landmark"]
+        info = 1.0 / config.feature_sigma
+        out.append((r * info, full * info, config.huber_scale))
+    return assemble_rows(out, width), n_dense, dropped
+
+
+def reference_object(track, camera_poses, rig, config, lock_dims, state):
+    """Full-width whitened rows of one object window, one row at a time,
+    and the number of dropped feature rows."""
+    states, dims, lms = state
+    lm_ids = sorted(track.landmarks)
+    n_dense = 6 * len(track.frames) + (0 if lock_dims else 3)
+    dims_col = 6 * len(track.frames)
+    width = n_dense + 3 * len(lm_ids)
+    out, dropped = [], 0
+
+    def place(row_jac, parts, dims_jac):
+        full = np.zeros((len(row_jac), width))
+        for slot, jac in parts:
+            full[:, 6 * slot:6 * slot + jac.shape[1]] = jac
+        if not lock_dims:
+            full[:, dims_col:dims_col + 3] = dims_jac
+        return full
+
+    info = 1.0 / config.feature_sigma
+    for f, lm, left, right in zip(*track.features):
+        if lm not in lm_ids:
+            continue
+        k, slot = lm_ids.index(lm), track.frames.index(f)
+        row = one_feature(left, right, camera_poses[f], lms[k], rig,
+                          states[slot])
+        if row is None:
+            dropped += 1
+            continue
+        r, jac = row
+        full = place(r, [(slot, jac["object"])], 0.0)
+        full[:, n_dense + 3 * k:n_dense + 3 * k + 3] = jac["landmark"]
+        out.append((r * info, full * info, config.huber_scale))
+    sem = track.semantic
+    for f, edges, valid, signs in zip(*sem):
+        slot = track.frames.index(f)
+        s, cam = states[slot], camera_poses[f]
+        r, jac, _ = res.semantic_residual(
+            edges[None], valid[None], signs[None], cam.rotation[None],
+            cam.translation[None], s.position[None], np.array([s.yaw]),
+            dims)
+        for i in range(len(r)):
+            full = place(r[i:i + 1], [(slot, jac["object"][i:i + 1])],
+                         jac["dims"][i])
+            out.append((r[i:i + 1] / config.box_sigma,
+                        full / config.box_sigma, None))
+    for i in range(len(track.frames) - 1):
+        cur, prev = states[i + 1], states[i]
+        dt = (track.frames[i + 1] - track.frames[i]) * config.dt
+        r, jac = res.motion_residual(
+            [[*cur.position, cur.yaw, cur.steer, cur.speed]],
+            [[*prev.position, prev.yaw, prev.steer, prev.speed]], dt, dims,
+            track.label)
+        info_m = 1.0 / (np.asarray(config.motion_sigmas) * np.sqrt(dt))
+        full = place(r[0], [(i + 1, jac["cur"][0]), (i, jac["prev"][0])],
+                     jac["dims"][0])
+        out.append((r[0] * info_m, full * info_m[:, None], None))
+    if not lock_dims:
+        info_p = 1.0 / np.asarray(track.prior.sigma, dtype=float)
+        full = np.zeros((3, width))
+        full[:, dims_col:dims_col + 3] = np.diag(info_p)
+        out.append(((dims - track.prior.mean) * info_p, full, None))
+    return assemble_rows(out, width), n_dense, dropped
+
+
+def assert_matches_reference(eq, reference, n_dense, tol=1e-10):
+    """The Schur accumulator against the full-width reference, to ``tol``
+    relative to the largest entry of the reference H and g."""
+    (h_ref, g_ref, cost_ref) = reference
+    n_lm = eq.n_landmarks
+    h_scale, g_scale = np.abs(h_ref).max(), np.abs(g_ref).max()
+
+    def close(a, b, scale):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max(initial=0.0) <= tol * scale
+
+    close(eq.h_dd, h_ref[:n_dense, :n_dense], h_scale)
+    close(eq.h_dl, h_ref[:n_dense, n_dense:], h_scale)
+    h_ll = h_ref[n_dense:, n_dense:].reshape(n_lm, 3, n_lm, 3)
+    blocks = h_ll[np.arange(n_lm), :, np.arange(n_lm), :]
+    close(eq.h_ll, blocks, h_scale)
+    # landmarks couple only through the dense block
+    h_ll[np.arange(n_lm), :, np.arange(n_lm), :] = 0.0
+    assert not h_ll.any()
+    close(eq.g_d, g_ref[:n_dense], g_scale)
+    close(eq.g_l.ravel(), g_ref[n_dense:], g_scale)
+    assert eq.cost == pytest.approx(cost_ref, rel=tol)
+
+
+class TestOnePassProblems:
+    """Each LM evaluation is one batch per residual family; its normal
+    equations must equal those of full-width rows added one at a time."""
+
+    @pytest.fixture(scope="class")
+    def captured(self):
+        # a dense-traffic window: three cars and a camera on a curve,
+        # window 5; the tracker's own solver inputs are captured
+        scenario = make_scenario(
+            8, [car(-10.0, 18.0), car(0.4, 25.0), car(14.0, 20.0)], seed=9,
+            camera={"speed": 10.0, "yaw_rate": 0.125},
+            landmarks={"background_n": 150, "per_object_n": 16})
+        config = est.EstimatorConfig(dt=scenario.dt, window=5)
+        ego_calls, object_calls = [], []
+        solve_ego, solve_object = est.solve_ego, est.solve_object
+
+        def capture_ego(*args):
+            ego_calls.append(args)
+            return solve_ego(*args)
+
+        def capture_object(*args):
+            object_calls.append(args)
+            return solve_object(*args)
+
+        tracker = est.WindowTracker(scenario.rig, config,
+                                    initial_pose=scenario.camera[0])
+        est.solve_ego, est.solve_object = capture_ego, capture_object
+        try:
+            for t in range(scenario.n_frames):
+                tracker.process(sim.synthesize_frame(scenario, t))
+        finally:
+            est.solve_ego, est.solve_object = solve_ego, solve_object
+        return scenario, config, ego_calls, object_calls
+
+    def check_ego(self, poses, landmarks, rows, rig, config, state=None):
+        problem = est._EgoProblem(poses, landmarks, rows, rig, config)
+        state = problem.initial if state is None else state
+        ref, n_dense, dropped = reference_ego(poses, landmarks, rows, state,
+                                              rig, config)
+        assert_matches_reference(problem.linearize(state), ref, n_dense)
+        assert problem.cost(state) == pytest.approx(ref[2], rel=1e-10)
+        return dropped
+
+    def check_object(self, track, camera_poses, rig, config, lock_dims=False):
+        problem = est._ObjectProblem(track, camera_poses, rig, config,
+                                     lock_dims)
+        state = problem.initial
+        ref, n_dense, dropped = reference_object(
+            track, camera_poses, rig, config, lock_dims, state)
+        assert_matches_reference(problem.linearize(state), ref, n_dense)
+        assert problem.cost(state) == pytest.approx(ref[2], rel=1e-10)
+        return dropped
+
+    def test_captured_ego_window_with_gauge_rows(self, captured):
+        scenario, config, ego_calls, _ = captured
+        poses, landmarks, rows, rig, _ = ego_calls[-1]
+        assert len(poses) == 5 and (rows.frame == 0).any()
+        self.check_ego(poses, landmarks, rows, rig, config)
+
+    def test_captured_object_window(self, captured):
+        scenario, config, _, object_calls = captured
+        track, camera_poses, rig, _ = max(
+            object_calls, key=lambda c: (len(c[0].frames),
+                                         len(c[0].features.frame)))
+        assert len(track.frames) == 5 and len(track.features.frame) > 20
+        assert len(np.unique(track.features.landmark)) < \
+            len(track.features.landmark)
+        self.check_object(track, camera_poses, rig, config)
+
+    def test_rows_behind_the_camera(self, captured):
+        scenario, config, ego_calls, object_calls = captured
+        poses, landmarks, rows, rig, _ = ego_calls[-1]
+        landmarks = dict(landmarks)
+        behind = int(rows.landmark[rows.frame == 0][0])
+        landmarks[behind] = poses[0].apply(np.array([0.5, 0.0, -4.0]))
+        assert self.check_ego(poses, landmarks, rows, rig, config) > 0
+        track, camera_poses, rig, _ = max(
+            object_calls, key=lambda c: len(c[0].features.frame))
+        f, lm = track.features.frame[0], int(track.features.landmark[0])
+        slot = track.frames.index(f)
+        world = camera_poses[f].apply(np.array([0.0, 0.0, -3.0]))
+        track = replace(track, landmarks={
+            **track.landmarks,
+            lm: track.states[slot].pose.apply_inverse(world)})
+        assert self.check_object(track, camera_poses, rig, config) > 0
+
+    def test_perturbed_ego_state(self):
+        # away from the optimum, so that the Huber loss is active
+        scenario = make_scenario(6, [car(-10.0, 18.0)])
+        frames = [sim.synthesize_frame(scenario, t, sim.NoiseSpec.zero())
+                  for t in range(6)]
+        rng = np.random.default_rng(31)
+        poses, landmarks, rows = ego_problem(
+            scenario, frames, rng, pose_noise=(0.3, 0.02), lm_noise=0.5)
+        self.check_ego(poses, landmarks, rows, scenario.rig,
+                       est.EstimatorConfig())
+
+    def test_semantic_only_track_with_locked_dims(self):
+        scenario = make_scenario(2, [car(-10.0, 18.0)])
+        frames = [sim.synthesize_frame(scenario, 0)]
+        (track, poses), _ = object_problem(scenario, frames,
+                                           with_features=False)
+        self.check_object(track, poses, scenario.rig,
+                          est.EstimatorConfig(), lock_dims=True)
+
+    def test_single_frame_track(self):
+        scenario = make_scenario(2, [car(-10.0, 18.0)])
+        frames = [sim.synthesize_frame(scenario, 0)]
+        rng = np.random.default_rng(32)
+        (track, poses), _ = object_problem(scenario, frames, rng=rng,
+                                           state_noise=(0.2, 0.05),
+                                           lm_noise=0.1)
+        assert len(track.features.frame)
+        self.check_object(track, poses, scenario.rig, est.EstimatorConfig())
+
+    def test_pedestrian(self):
+        scenario = make_scenario(6, [{
+            "class": "pedestrian",
+            "init": {"x": -8.0, "z": 14.0, "yaw": FORWARD, "v": 1.2}}])
+        frames = [sim.synthesize_frame(scenario, t) for t in range(6)]
+        rng = np.random.default_rng(33)
+        (track, poses), _ = object_problem(scenario, frames, rng=rng,
+                                           state_noise=(0.1, 0.05),
+                                           lm_noise=0.05, dims_noise=0.05)
+        assert track.label == "pedestrian" and len(track.semantic.frame)
+        self.check_object(track, poses, scenario.rig, est.EstimatorConfig())
+
+
 class TestAlignPointCloud:
     def surface_cloud(self, dims, rng, n=40):
         points = sim._sample_face_points(np.asarray(dims), n, rng)
@@ -293,6 +566,23 @@ class TestAlignPointCloud:
         pts = np.column_stack([np.full(10, 2.0),
                                np.linspace(-0.5, 0.5, 10),
                                np.linspace(-0.5, 0.5, 10)])
+        aligned, applied = est.align_point_cloud(state, pts)
+        assert not applied and aligned is state
+
+    def test_no_x_face_no_op(self):
+        # points on the y and z faces leave the position along the box x
+        # axis unobserved, which the solve would walk without bound
+        state = ObjectState(position=np.array([2.0, -0.85, 20.0]), yaw=0.4,
+                            dims=np.array([4.0, 1.6, 1.8]))
+        grid = np.linspace(-1.2, 1.2, 5)
+        pts = np.concatenate([
+            np.column_stack([grid, np.full(5, 0.8), np.linspace(-0.5, 0.5,
+                                                                5)]),
+            np.column_stack([grid, np.full(5, -0.8), np.zeros(5)]),
+            np.column_stack([grid, np.linspace(-0.4, 0.4, 5),
+                             np.full(5, 0.9)])])
+        faces = np.argmin(np.abs(est.face_offsets(state.dims, pts)), axis=1)
+        assert set(faces.tolist()) == {2, 3, 4}  # +y, -y, +z
         aligned, applied = est.align_point_cloud(state, pts)
         assert not applied and aligned is state
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from raster import random_box_pair, raster_iou_3d, raster_iou_bev
+from raster import random_box_pair, raster_iou
 from semtrack.errors import LengthMismatch
 from semtrack.geometry import Box3D, Pose, rot_y
 from semtrack.metrics import (DetectionRecord, Trajectory, ap_and_error_curves,
@@ -188,8 +188,9 @@ class TestIou:
         rng = np.random.default_rng(24)
         for _ in range(60):
             a, b = random_box_pair(rng)
-            assert abs(iou_bev(a, b) - raster_iou_bev(a, b)) < 1e-3
-            assert abs(iou_3d(a, b) - raster_iou_3d(a, b)) < 1e-3
+            bev, iou3 = raster_iou(a, b)
+            assert abs(iou_bev(a, b) - bev) < 1e-3
+            assert abs(iou_3d(a, b) - iou3) < 1e-3
 
 
 def make_records(rng, n_frames=5, per_frame=3, base_id=0):

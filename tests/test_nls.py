@@ -20,7 +20,7 @@ class QuadraticProblem:
     def linearize(self, x):
         eq = nls.DenseNormalEquations(len(x))
         eq.add_batch(nls.RowBatch(self.residual(x)[None], self.a_mat[None],
-                                  tag="quad"))
+                                  np.arange(len(x)), tag="quad"))
         return eq
 
     def cost(self, x):
@@ -38,7 +38,8 @@ class RosenbrockProblem:
     def linearize(self, x):
         eq = nls.DenseNormalEquations(2)
         jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
-        eq.add_batch(nls.RowBatch(self.residual(x)[None], jac[None]))
+        eq.add_batch(nls.RowBatch(self.residual(x)[None], jac[None],
+                                  np.arange(2)))
         return eq
 
     def cost(self, x):
@@ -136,20 +137,21 @@ class TestSchurEquivalence:
         return obs
 
     def assemble(self, obs, n_dense, n_lm, huber=None, sqrt_info=1.0):
-        # one Schur batch per observation keeps landmark indices unique;
-        # the dense reference carries the landmarks as plain columns
+        # one Schur batch per observation; the dense reference carries
+        # the landmarks as plain columns
         schur = nls.SchurNormalEquations(n_dense, n_lm, 3)
         dense = nls.DenseNormalEquations(n_dense + 3 * n_lm)
         full = np.zeros((len(obs), 2, n_dense + 3 * n_lm))
         for i, (lm, jac_d, jac_l, r) in enumerate(obs):
             schur.add_batch(nls.RowBatch(
-                sqrt_info * r[None], sqrt_info * jac_d[None], 0, huber,
+                sqrt_info * r[None], sqrt_info * jac_d[None],
+                np.arange(n_dense), huber,
                 lm_indices=np.array([lm]), lm_jac=sqrt_info * jac_l[None]))
             full[i, :, :n_dense] = jac_d
             full[i, :, n_dense + 3 * lm:n_dense + 3 * lm + 3] = jac_l
         residuals = np.array([r for *_, r in obs])
         dense.add_batch(nls.RowBatch(sqrt_info * residuals, sqrt_info * full,
-                                     0, huber))
+                                     np.arange(n_dense + 3 * n_lm), huber))
         return schur, dense
 
     def test_step_matches_dense_assembly(self):
@@ -166,6 +168,49 @@ class TestSchurEquivalence:
                 step_d = dense.solve(damping)
                 assert step_s is not None and step_d is not None
                 assert np.allclose(step_s, step_d, atol=1e-8)
+
+    def test_one_batch_with_repeated_landmarks(self):
+        # every landmark shows up in several rows of one batch, and the
+        # rows touch scattered dense columns, some of them not at all
+        rng = np.random.default_rng(28)
+        n_dense, n_lm, n_obs = 9, 5, 40
+        lm = rng.integers(0, n_lm, n_obs)
+        assert len(np.unique(lm)) < n_obs
+        cols = np.array([rng.choice(n_dense, 4, replace=False)
+                         for _ in range(n_obs)])
+        cols[::3, 1] = -1
+        jac_d = rng.normal(size=(n_obs, 2, 4))
+        jac_l = rng.normal(size=(n_obs, 2, 3))
+        r = rng.normal(size=(n_obs, 2))
+        full = np.zeros((n_obs, 2, n_dense + 3 * n_lm))
+        for i in range(n_obs):
+            for j, col in enumerate(cols[i]):
+                if col >= 0:
+                    full[i, :, col] = jac_d[i, :, j]
+            full[i, :, n_dense + 3 * lm[i]:n_dense + 3 * lm[i] + 3] = jac_l[i]
+        for huber in (None, 1.0):
+            schur = nls.SchurNormalEquations(n_dense, n_lm, 3)
+            schur.add_batch(nls.RowBatch(r, jac_d, cols, huber,
+                                         lm_indices=lm, lm_jac=jac_l))
+            dense = nls.DenseNormalEquations(n_dense + 3 * n_lm)
+            dense.add_batch(nls.RowBatch(r, full, np.arange(full.shape[2]),
+                                         huber))
+            h_full = dense.h_mat
+            assert schur.cost == pytest.approx(dense.cost, rel=1e-12)
+            assert np.allclose(schur.h_dd, h_full[:n_dense, :n_dense],
+                               rtol=1e-12, atol=1e-12)
+            assert np.allclose(schur.h_dl, h_full[:n_dense, n_dense:],
+                               rtol=1e-12, atol=1e-12)
+            for k in range(n_lm):
+                sl = slice(n_dense + 3 * k, n_dense + 3 * k + 3)
+                assert np.allclose(schur.h_ll[k], h_full[sl, sl],
+                                   rtol=1e-12, atol=1e-12)
+                assert np.allclose(schur.g_l[k], dense.grad[sl],
+                                   rtol=1e-12, atol=1e-12)
+            assert np.allclose(schur.g_d, dense.grad[:n_dense],
+                               rtol=1e-12, atol=1e-12)
+            assert np.allclose(schur.solve(1e-3), dense.solve(1e-3),
+                               atol=1e-8)
 
     def test_block_damping_matches_per_block_reference(self):
         # the landmark blocks are damped all at once; the per-block loop
@@ -203,7 +248,7 @@ class TestSchurEquivalence:
         # damping keeps an empty landmark block invertible
         schur = nls.SchurNormalEquations(2, 2, 3)
         schur.add_batch(nls.RowBatch(np.ones((1, 2)), np.eye(2)[None],
-                                     lm_indices=np.array([0]),
+                                     np.arange(2), lm_indices=np.array([0]),
                                      lm_jac=np.ones((1, 2, 3))))
         step = schur.solve(1e-4)
         assert step is not None and len(step) == 8
@@ -212,7 +257,8 @@ class TestSchurEquivalence:
     def test_batch_cost_matches_accumulated_cost(self):
         rng = np.random.default_rng(26)
         batches = [nls.RowBatch(rng.normal(size=(5, 2)),
-                                rng.normal(size=(5, 2, 3)), 0, delta, tag)
+                                rng.normal(size=(5, 2, 3)), np.arange(3),
+                                delta, tag)
                    for delta, tag in ((None, "a"), (0.5, "b"), (2.0, "a"))]
         eq = nls.DenseNormalEquations(3)
         for batch in batches:

@@ -56,10 +56,22 @@ def motion_state(obj):
     return np.array([[*obj.position, obj.yaw, obj.steer, obj.speed]])
 
 
+def feature_rows(cam, obj, n):
+    """Per-row camera and object arguments of n rows seen from ``cam``."""
+    cam_args = (np.repeat(cam.rotation[None], n, axis=0),
+                np.repeat(cam.translation[None], n, axis=0))
+    if obj is None:
+        return cam_args, {}
+    return cam_args, {"position": np.repeat(obj.position[None], n, axis=0),
+                      "yaw": np.full(n, obj.yaw)}
+
+
 def feature_one(obs_l, obs_r, cam, obj, lm, rig, jacobians=True):
     """One feature row: (residual (4,), jac dict of single rows)."""
-    r, jac, valid = res.feature_residuals_batch(obs_l, obs_r, cam, obj,
-                                                lm[None], rig, jacobians)
+    cam_args, obj_args = feature_rows(cam, obj, 1)
+    r, jac, valid = res.feature_residuals_batch(
+        np.reshape(obs_l, (1, 2)), np.reshape(obs_r, (1, 2)), *cam_args,
+        lm[None], rig, jacobians=jacobians, **obj_args)
     assert valid.all()
     return r[0], {k: v[0] for k, v in jac.items()}
 
@@ -113,8 +125,10 @@ class TestFeatureResidual:
             lm = rng.uniform(-1.0, 1.0, 3) * obj.dims / 2.0
             obs_l = rng.uniform(-0.3, 0.3, 2)
             obs_r = rng.uniform(-0.3, 0.3, 2)
-            _, jac, valid = res.feature_residuals_batch(obs_l, obs_r, cam,
-                                                        obj, lm[None], rig)
+            cam_args, obj_args = feature_rows(cam, obj, 1)
+            _, jac, valid = res.feature_residuals_batch(
+                obs_l[None], obs_r[None], *cam_args, lm[None], rig,
+                **obj_args)
             if not valid.all():
                 continue
             jac = {k: v[0] for k, v in jac.items()}
@@ -139,12 +153,56 @@ class TestFeatureResidual:
                             rig)
         assert np.abs(r0).max() < 1e-15
 
+    def test_window_call_matches_per_frame_calls(self):
+        # one call over rows of several frames, each row with its own
+        # camera and object pose, against one call per frame
+        rng = np.random.default_rng(14)
+        rig = StereoRig.horizontal(0.54)
+        for anchored in (False, True):
+            frames = []
+            for _ in range(4):
+                cam = random_pose(rng, 2.0)
+                obj = random_object(rng) if anchored else None
+                n = int(rng.integers(1, 9))
+                if anchored:
+                    lms = rng.uniform(-1.0, 1.0, (n, 3)) * obj.dims / 2.0
+                else:
+                    lms = cam.apply(rng.uniform([-8, -4, 5], [8, 2, 50],
+                                                (n, 3)))
+                lms[0] = cam.apply(np.array([0.0, 0.0, -3.0])) \
+                    if obj is None else obj.pose.apply_inverse(
+                        cam.apply(np.array([0.0, 0.0, -3.0])))
+                frames.append((cam, obj, lms, rng.uniform(-0.3, 0.3, (n, 2)),
+                               rng.uniform(-0.3, 0.3, (n, 2))))
+            per_frame = []
+            for cam, obj, lms, left, right in frames:
+                cam_args, obj_args = feature_rows(cam, obj, len(lms))
+                per_frame.append(res.feature_residuals_batch(
+                    left, right, *cam_args, lms, rig, **obj_args))
+            args = [feature_rows(cam, obj, len(lms))
+                    for cam, obj, lms, _, _ in frames]
+            obj_args = {k: np.concatenate([a[1][k] for a in args])
+                        for k in args[0][1]}
+            r, jac, valid = res.feature_residuals_batch(
+                *(np.concatenate([f[i] for f in frames]) for i in (3, 4)),
+                *(np.concatenate([a[0][i] for a in args]) for i in (0, 1)),
+                np.concatenate([f[2] for f in frames]), rig, **obj_args)
+            assert not valid.all()
+            assert np.array_equal(valid,
+                                  np.concatenate([p[2] for p in per_frame]))
+            assert np.allclose(r, np.concatenate([p[0] for p in per_frame]),
+                               rtol=1e-12, atol=1e-15)
+            assert set(jac) == set(per_frame[0][1])
+            for key in jac:
+                ref = np.concatenate([p[1][key] for p in per_frame])
+                assert np.allclose(jac[key], ref, rtol=1e-12, atol=1e-12)
+
     def test_behind_camera_dropped(self):
         rig = StereoRig.horizontal(0.54)
         lms = np.array([[0.0, 0.0, -5.0], [0.0, 0.0, 5.0]])
         r, jac, valid = res.feature_residuals_batch(
-            np.zeros((2, 2)), np.zeros((2, 2)), Pose.identity(), None, lms,
-            rig)
+            np.zeros((2, 2)), np.zeros((2, 2)),
+            *feature_rows(Pose.identity(), None, 2)[0], lms, rig)
         assert list(valid) == [False, True]
         assert r.shape == (1, 4) and jac["landmark"].shape == (1, 4, 3)
 
