@@ -20,7 +20,8 @@ from .associate import (associate_objects, box_similarity, match_stereo,
                         reject_outliers)
 from .estimator import (EstimatorConfig, FeatureRows, ObjectTrack,
                         SemanticRows, WindowTracker, align_point_cloud,
-                        feature_rows, semantic_rows, solve_ego, solve_object)
+                        align_point_clouds, feature_rows, semantic_rows,
+                        solve_ego, solve_object, solve_objects)
 from .metrics import (DetectionRecord, Trajectory, ap_and_error_curves,
                       ate_rmse, iou_3d, iou_bev, rpe)
 from .pipeline import run_pipeline
@@ -36,8 +37,9 @@ __all__ = [
     "synthesize_frame", "write_measurements",
     "associate_objects", "box_similarity", "match_stereo", "reject_outliers",
     "EstimatorConfig", "FeatureRows", "ObjectTrack", "SemanticRows",
-    "WindowTracker", "align_point_cloud", "feature_rows", "semantic_rows",
-    "solve_ego", "solve_object",
+    "WindowTracker", "align_point_cloud", "align_point_clouds",
+    "feature_rows", "semantic_rows", "solve_ego", "solve_object",
+    "solve_objects",
     "DetectionRecord", "Trajectory", "ap_and_error_curves", "ate_rmse",
     "iou_3d", "iou_bev", "rpe",
     "run_pipeline",

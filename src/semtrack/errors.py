@@ -18,7 +18,8 @@ class NoConvergence(SemtrackError):
 
 
 class NumericalFailure(SemtrackError):
-    """Normal equations stayed indefinite after damping escalation."""
+    """Normal equations stayed unsolvable (indefinite, or not finite)
+    after damping escalation."""
 
 
 class DegenerateGroup(SemtrackError):

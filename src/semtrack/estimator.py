@@ -1,14 +1,18 @@
 """Sliding-window estimation of camera ego-motion and 3D object tracks.
 
 The solve is staged: :func:`solve_ego` refines the camera window and the
-background landmarks from static feature observations, then
-:func:`solve_object` refines each object track independently with the
-camera poses held fixed, fusing feature, semantic box, motion-model and
-dimension-prior residuals.  :func:`align_point_cloud` snaps a box pose to
-its anchored landmark cloud as a post-step.  :class:`WindowTracker`
-chains the stages over a measurement stream, handing each solver the
-window's observations as arrays (:class:`FeatureRows`,
-:class:`SemanticRows`).
+background landmarks from static feature observations, then, with the
+camera poses held fixed, :func:`solve_objects` refines the object tracks
+of the window, fusing feature, semantic box, motion-model and
+dimension-prior residuals.  The tracks share nothing, so they are solved
+together in one batched LM, a block per track, in which each track takes
+the steps of a solve of that track alone (:func:`solve_object`), up to
+rounding.
+:func:`align_point_clouds` then snaps the boxes of the converged tracks
+to their anchored landmark clouds, again in one batched solve.
+:class:`WindowTracker` chains the stages over a measurement stream, one
+object solve per frame, handing the solvers the window's observations as
+arrays (:class:`FeatureRows`, :class:`SemanticRows`).
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ from . import residuals as res
 from .associate import associate_objects, reject_outliers
 from .boxinfer import (DEFAULT_PRIORS, DimensionPrior, infer_pose,
                        selection_set)
-from .errors import DegenerateGroup, NoConvergence
+from .errors import DegenerateGroup, NoConvergence, NumericalFailure
 from .geometry import (ObjectState, Pose, StereoRig, face_offsets,
                        project_rotation, rot_y, so3_exp, wrap_angle)
-from .nls import (DenseNormalEquations, RowBatch, SchurNormalEquations,
-                  SolveReport, batch_cost, solve_nls)
+from .nls import (NUMERICAL_FAILURE, DenseNormalEquations, RowBatch,
+                  SchurNormalEquations, SolveReport, solve_nls)
 
 MIN_PARALLAX_DEG = 0.5
 
@@ -138,7 +142,7 @@ def _camera_rows(poses, frames):
 
 
 class _EgoProblem:
-    """Adapter exposing the ego window to the NLS engine.
+    """Adapter exposing the ego window to the NLS engine, as one block.
 
     State is (poses, landmark array); the oldest pose is the gauge and
     stays constant.  Only landmarks observed in at least two frames are
@@ -146,6 +150,8 @@ class _EgoProblem:
     relative poses beyond a stereo depth and are dropped.  Each
     evaluation is one feature batch over the whole window.
     """
+
+    n_blocks = 1
 
     def __init__(self, poses, landmarks, rows, rig, config):
         self.rig = rig
@@ -177,36 +183,31 @@ class _EgoProblem:
         self.parallax = float(np.mean(np.arccos(np.clip(cos, -1.0, 1.0)))) \
             if ok.any() else 0.0
 
-    def _batch(self, state, jacobians):
+    def equations(self):
+        return SchurNormalEquations(6 * (self.n_poses - 1), len(self.lm_ids))
+
+    def batches(self, state, blocks, jacobians):
         poses, lms = state
         info = 1.0 / self.config.feature_sigma
         r, jac, valid = res.feature_residuals_batch(
             self.left, self.right, *_camera_rows(poses, self.frame),
             lms[self.slot], self.rig, jacobians=jacobians)
         if not jacobians:
-            return RowBatch(r * info, huber_delta=self.config.huber_scale)
-        return RowBatch(r * info, jac["camera"] * info, self.cols[valid],
-                        self.config.huber_scale, "feature", self.slot[valid],
-                        jac["landmark"] * info)
+            return [RowBatch(r * info, huber_delta=self.config.huber_scale,
+                             tag="feature")]
+        return [RowBatch(r * info, jac["camera"] * info, self.cols[valid],
+                         self.config.huber_scale, "feature",
+                         self.slot[valid], jac["landmark"] * info)]
 
-    def linearize(self, state):
-        eq = SchurNormalEquations(6 * (self.n_poses - 1), len(self.lm_ids))
-        eq.add_batch(self._batch(state, True))
-        return eq
-
-    def cost(self, state):
-        return batch_cost([self._batch(state, False)])
-
-    def retract(self, state, step):
+    def retract(self, state, step, blocks):
         poses, lms = state
+        dense, dx_l = step
         new_poses = [poses[0]]
         for f, pose in enumerate(poses[1:]):
-            d = step[6 * f:6 * f + 6]
+            d = dense[0, 6 * f:6 * f + 6]
             rot = project_rotation(pose.rotation @ so3_exp(d[3:]))
             new_poses.append(Pose(rot, pose.translation + d[:3]))
-        n_dense = 6 * (self.n_poses - 1)
-        new_lms = lms + step[n_dense:].reshape(-1, 3)
-        return new_poses, new_lms
+        return new_poses, lms + dx_l[0]
 
 
 def solve_ego(poses, landmarks, rows: FeatureRows, rig: StereoRig,
@@ -226,185 +227,263 @@ def solve_ego(poses, landmarks, rows: FeatureRows, rig: StereoRig,
         raise ValueError("feature row references a missing frame")
     ego = _EgoProblem(poses, landmarks, rows, rig, config)
     flag = ego.parallax < math.radians(MIN_PARALLAX_DEG)
-    state, report = solve_nls(ego, ego.initial,
-                              max_iterations=config.max_iterations)
-    if not report.converged:
-        raise NoConvergence("ego window failed to converge; state unchanged")
+    state, (report,) = solve_nls(ego, ego.initial,
+                                 max_iterations=config.max_iterations)
+    _raise_unless_converged(report, "ego")
     poses, lms = state
     return EgoResult(poses, dict(zip(ego.lm_ids.tolist(), lms)), report,
                      flag)
 
 
+def _raise_unless_converged(report, what):
+    if report.reason == NUMERICAL_FAILURE:
+        raise NumericalFailure(
+            "normal equations unsolvable at maximum damping")
+    if not report.converged:
+        raise NoConvergence(f"{what} window failed to converge; "
+                            "state unchanged")
+
+
 # ---------------------------------------------------------------------------
-# per-object window
+# object windows
+
+
+def _stack_rows(parts):
+    """One dict of arrays from per-track dicts with the same keys."""
+    return {key: np.concatenate([p[key] for p in parts])
+            for key in parts[0]}
 
 
 class _ObjectProblem:
-    """Adapter exposing one object track to the NLS engine.
+    """Adapter exposing the object tracks of one window to the NLS engine,
+    one block per track.
 
-    State is (object states, dims, landmark array); camera poses are
-    constants.  Dims can be locked (under-constrained tracks).  The dense
-    parameter layout is one 6-slot per window state (position, yaw,
-    steer, speed) followed by dims when free.  Each evaluation is one
-    batch per residual family over the whole window, and each row
-    carries the dense columns it touches.
+    State is (motion (k, n, 6), dims (k, 3), landmarks (k, m, 3)): per
+    track a row (position, yaw, steer, speed) per window state and a row
+    per landmark, both padded to the longest track; camera poses are
+    constants.  A block's dense layout is one 6-slot per state followed by
+    dims at column 6n.  Slots past a track's own states are padding, and
+    so are the dims of a track whose dims are locked (under-constrained
+    tracks).  Each evaluation is one batch per residual family over the
+    listed tracks; each row carries its track and the dense columns it
+    touches.
     """
 
-    def __init__(self, track, camera_poses, rig, config, lock_dims=False):
-        self.track = track
+    def __init__(self, tracks, camera_poses, rig, config, locked):
         self.rig = rig
         self.config = config
-        self.lock_dims = lock_dims
-        frames = np.asarray(track.frames)
-        self.n_states = len(track.frames)
-        self.dims_offset = 6 * self.n_states
-        self.dense_size = self.dims_offset + (0 if lock_dims else 3)
-        self.lm_ids = np.array(sorted(track.landmarks), dtype=int)
-        rows = track.features
-        keep = np.isin(rows.landmark, self.lm_ids)
-        self.feat_slot = np.searchsorted(frames, rows.frame[keep])
-        self.feat_lm = np.searchsorted(self.lm_ids, rows.landmark[keep])
-        self.feat_obs = (rows.left[keep], rows.right[keep])
-        self.feat_cam = _camera_rows(camera_poses, rows.frame[keep])
-        # position and yaw: the first 4 columns of the state's slot
-        self.feat_cols = 6 * self.feat_slot[:, None] + np.arange(4)
-        sem = track.semantic
-        self.sem_slot = np.searchsorted(frames, sem.frame)
-        self.sem_cam = _camera_rows(camera_poses, sem.frame)
-        self.sem_cols = self._with_dims(
-            6 * self.sem_slot[:, None] + np.arange(4))
-        slots = np.arange(self.n_states)[:, None]
-        self.motion_cols = self._with_dims(
-            np.hstack([6 * slots[1:] + np.arange(6),
-                       6 * slots[:-1] + np.arange(6)]))
-        self.motion_dt = np.diff(frames) * config.dt
-        self.motion_info = 1.0 / (np.asarray(config.motion_sigmas)
-                                  * np.sqrt(self.motion_dt)[:, None])
-        lms = np.array([track.landmarks[lm] for lm in self.lm_ids])
-        self.initial = (list(track.states),
-                        np.asarray(track.states[0].dims, dtype=float),
-                        lms.reshape(len(self.lm_ids), 3))
+        self.n_blocks = k = len(tracks)
+        n_states = np.array([len(t.frames) for t in tracks])
+        self.n_states = n = int(n_states.max())
+        self.lm_ids = [np.array(sorted(t.landmarks), dtype=int)
+                       for t in tracks]
+        self.n_landmarks = max(len(ids) for ids in self.lm_ids)
+        dims_cols = 6 * n + np.arange(3)
+        self.used = np.hstack([np.arange(6 * n) < 6 * n_states[:, None],
+                               np.repeat(~np.asarray(locked)[:, None], 3,
+                                         axis=1)])
+        cam_rot = np.array([p.rotation for p in camera_poses])
+        cam_trans = np.array([p.translation for p in camera_poses])
+        motion = np.zeros((k, n, 6))
+        lms = np.zeros((k, self.n_landmarks, 3))
+        feat, sem, mot, prior = [], [], [], []
+        for b, (track, ids, lock) in enumerate(zip(tracks, self.lm_ids,
+                                                   locked)):
+            frames = np.asarray(track.frames)
+            motion[b, :len(frames)] = [[*s.position, s.yaw, s.steer, s.speed]
+                                       for s in track.states]
+            lms[b, :len(ids)] = np.reshape(
+                [track.landmarks[lm] for lm in ids], (-1, 3))
+            own_dims = np.full(3, -1) if lock else dims_cols
+            rows = track.features
+            keep = np.isin(rows.landmark, ids)
+            slot = np.searchsorted(frames, rows.frame[keep])
+            # position and yaw: the first 4 columns of the state's slot
+            feat.append({
+                "block": np.full(len(slot), b), "slot": slot,
+                "lm": np.searchsorted(ids, rows.landmark[keep]),
+                "left": rows.left[keep], "right": rows.right[keep],
+                "rot": cam_rot[rows.frame[keep]],
+                "trans": cam_trans[rows.frame[keep]],
+                "cols": 6 * slot[:, None] + np.arange(4)})
+            rows = track.semantic
+            slot = np.searchsorted(frames, rows.frame)
+            sem.append({
+                "block": np.full(len(slot), b), "slot": slot,
+                "edges": rows.edges, "valid": rows.valid,
+                "signs": rows.signs, "rot": cam_rot[rows.frame],
+                "trans": cam_trans[rows.frame],
+                "cols": np.hstack([6 * slot[:, None] + np.arange(4),
+                                   np.broadcast_to(own_dims,
+                                                   (len(slot), 3))])})
+            # motion terms join each state (slot + 1) to the one before
+            slot = np.arange(len(frames) - 1)
+            dt = np.diff(frames) * config.dt
+            mot.append({
+                "block": np.full(len(slot), b), "slot": slot, "dt": dt,
+                "info": 1.0 / (np.asarray(config.motion_sigmas)
+                               * np.sqrt(dt)[:, None]),
+                "label": np.full(len(slot), track.label),
+                "cols": np.hstack([6 * slot[:, None] + 6 + np.arange(6),
+                                   6 * slot[:, None] + np.arange(6),
+                                   np.broadcast_to(own_dims,
+                                                   (len(slot), 3))])})
+            # locked dims sit at the prior mean: zero residual, no columns
+            info = 1.0 / np.asarray(track.prior.sigma, dtype=float)
+            prior.append({"block": np.array([b]),
+                          "mean": track.prior.mean[None], "info": info[None],
+                          "jac": np.diag(info)[None], "cols": own_dims[None]})
+        self.rows = {"feature": _stack_rows(feat),
+                     "semantic": _stack_rows(sem),
+                     "motion": _stack_rows(mot), "prior": _stack_rows(prior)}
+        self._taken = (None, None)
+        dims = np.array([t.states[0].dims for t in tracks], dtype=float)
+        self.initial = (motion, dims, lms)
 
-    def _with_dims(self, cols):
-        """Per-row columns followed by the dims columns when dims are free."""
-        if self.lock_dims:
-            return cols
-        return np.hstack([cols, np.broadcast_to(
-            self.dims_offset + np.arange(3), (len(cols), 3))])
+    def equations(self):
+        return SchurNormalEquations(6 * self.n_states + 3, self.n_landmarks,
+                                    n_blocks=self.n_blocks, used=self.used)
 
-    def _jac(self, parts, dims_jac):
-        """Dense Jacobian in the column order of :meth:`_with_dims`."""
-        return np.concatenate(parts if self.lock_dims else parts + [dims_jac],
-                              axis=2)
+    def _rows(self, blocks):
+        """Each family's rows of ``blocks``.  The last set is kept: a solve
+        mostly lists the same blocks several times in a row."""
+        if len(blocks) == self.n_blocks:
+            return self.rows
+        key = tuple(blocks.tolist())
+        if self._taken[0] != key:
+            listed = np.isin(np.arange(self.n_blocks), blocks)
+            self._taken = (key, {
+                name: {k: v[listed[rows["block"]]] for k, v in rows.items()}
+                for name, rows in self.rows.items()})
+        return self._taken[1]
 
-    def _batches(self, state, jacobians):
-        states, dims, lms = state
+    def batches(self, state, blocks, jacobians):
+        motion, dims, lms = state
         cfg = self.config
-        motion = np.array([[*s.position, s.yaw, s.steer, s.speed]
-                           for s in states])
-        if len(self.feat_lm):
+        families = self._rows(blocks)
+        rows = families["feature"]
+        if len(rows["block"]):
             info = 1.0 / cfg.feature_sigma
-            slot = self.feat_slot
+            block, slot = rows["block"], rows["slot"]
             r, jac, valid = res.feature_residuals_batch(
-                *self.feat_obs, *self.feat_cam, lms[self.feat_lm], self.rig,
-                motion[slot, :3], motion[slot, 3], jacobians)
+                rows["left"], rows["right"], rows["rot"], rows["trans"],
+                lms[block, rows["lm"]], self.rig, motion[block, slot, :3],
+                motion[block, slot, 3], jacobians)
             if not jacobians:
-                yield RowBatch(r * info, huber_delta=cfg.huber_scale)
+                yield RowBatch(r * info, huber_delta=cfg.huber_scale,
+                               tag="feature", block=block[valid])
             else:
                 yield RowBatch(r * info, jac["object"] * info,
-                               self.feat_cols[valid], cfg.huber_scale,
-                               "feature", self.feat_lm[valid],
-                               jac["landmark"] * info)
-        sem = self.track.semantic
-        if len(sem.frame):
-            slot = self.sem_slot
-            r, jac, mask = res.semantic_residual(
-                sem.edges, sem.valid, sem.signs, *self.sem_cam,
-                motion[slot, :3], motion[slot, 3], dims, jacobians)
-            if len(r):
-                jac_w = cols = None
-                if jacobians:
-                    jac_w = self._jac([jac["object"][:, None]],
-                                      jac["dims"][:, None]) / cfg.box_sigma
-                    cols = self.sem_cols[np.nonzero(mask)[0]]
-                yield RowBatch(r[:, None] / cfg.box_sigma, jac_w, cols,
-                               tag="semantic")
-        if self.n_states > 1:
-            r, jac = res.motion_residual(motion[1:], motion[:-1],
-                                         self.motion_dt, dims,
-                                         self.track.label, jacobians)
-            info_m = self.motion_info
+                               rows["cols"][valid], cfg.huber_scale,
+                               "feature", rows["lm"][valid],
+                               jac["landmark"] * info, block[valid])
+        rows = families["semantic"]
+        if len(rows["block"]):
+            block, slot = rows["block"], rows["slot"]
+            r, jac, hit = res.semantic_residual(
+                rows["edges"], rows["valid"], rows["signs"], rows["rot"],
+                rows["trans"], motion[block, slot, :3], motion[block, slot, 3],
+                dims[block], jacobians)
+            det = np.nonzero(hit)[0]
+            jac_w = cols = None
+            if jacobians:
+                jac_w = np.concatenate([jac["object"], jac["dims"]],
+                                       axis=1)[:, None] / cfg.box_sigma
+                cols = rows["cols"][det]
+            yield RowBatch(r[:, None] / cfg.box_sigma, jac_w, cols,
+                           tag="semantic", block=block[det])
+        rows = families["motion"]
+        if len(rows["block"]):
+            block, slot = rows["block"], rows["slot"]
+            r, jac = res.motion_residual(
+                motion[block, slot + 1], motion[block, slot], rows["dt"],
+                dims[block], rows["label"], jacobians)
+            info = rows["info"]
             jac_w = None
             if jacobians:
-                jac_w = self._jac([jac["cur"], jac["prev"]],
-                                  jac["dims"]) * info_m[:, :, None]
-            yield RowBatch(r * info_m, jac_w, self.motion_cols, tag="motion")
-        if not self.lock_dims:
-            prior = self.track.prior
-            r, _ = res.prior_residual(dims, prior, jacobians=False)
-            info_p = 1.0 / np.asarray(prior.sigma, dtype=float)
-            yield RowBatch((r * info_p)[None], np.diag(info_p)[None],
-                           self.dims_offset + np.arange(3), tag="prior")
+                jac_w = np.concatenate([jac["cur"], jac["prev"], jac["dims"]],
+                                       axis=2) * info[:, :, None]
+            yield RowBatch(r * info, jac_w, rows["cols"], tag="motion",
+                           block=block)
+        rows = families["prior"]
+        if len(rows["block"]):
+            block = rows["block"]
+            r, _ = res.prior_residual(dims[block], rows["mean"],
+                                      jacobians=False)
+            yield RowBatch(r * rows["info"], rows["jac"], rows["cols"],
+                           tag="prior", block=block)
 
-    def linearize(self, state):
-        eq = SchurNormalEquations(self.dense_size, len(self.lm_ids))
-        for batch in self._batches(state, True):
-            eq.add_batch(batch)
-        return eq
+    def retract(self, state, step, blocks):
+        motion, dims, lms = state
+        dense, dx_l = step
+        n = self.n_states
+        motion, dims, lms = motion.copy(), dims.copy(), lms.copy()
+        moved = motion[blocks] + dense[:, :6 * n].reshape(-1, n, 6)
+        moved[:, :, 3] = wrap_angle(moved[:, :, 3])
+        motion[blocks] = moved
+        # locked dims get a zero step
+        dims[blocks] = np.maximum(dims[blocks] + dense[:, 6 * n:], 1e-3)
+        lms[blocks] += dx_l
+        return motion, dims, lms
 
-    def cost(self, state):
-        return batch_cost(self._batches(state, False))
 
-    def retract(self, state, step):
-        states, dims, lms = state
-        new_states = []
-        for i, s in enumerate(states):
-            d = step[6 * i:6 * i + 6]
-            new_states.append(s.replace(position=s.position + d[:3],
-                                        yaw=wrap_angle(s.yaw + d[3]),
-                                        steer=s.steer + d[4],
-                                        speed=s.speed + d[5]))
-        if self.lock_dims:
-            new_dims = dims
-        else:
-            new_dims = np.maximum(
-                dims + step[self.dims_offset:self.dims_offset + 3], 1e-3)
-        new_lms = lms + step[self.dense_size:].reshape(-1, 3)
-        return new_states, new_dims, new_lms
+def solve_objects(tracks, camera_poses, rig: StereoRig,
+                  config: EstimatorConfig = EstimatorConfig()):
+    """Refine the object tracks of one window with the camera poses held
+    fixed, in one LM solve with a block per track.
+
+    Each track fuses its feature and semantic rows, the motion model
+    between its consecutive frames and its dimension prior; tracks share
+    nothing, and each track takes the steps of a solve of that track
+    alone, up to rounding.  When a track covers a single frame with
+    semantic measurements only, the problem cannot constrain its dims:
+    they are locked to the prior mean and the ``under_constrained`` flag
+    is set.  Returns one :class:`ObjectResult` per track; a track whose
+    report is not ``converged`` keeps its input states and landmarks.
+    """
+    if not tracks:
+        return []
+    for track in tracks:
+        if not track.frames:
+            raise ValueError("object track has no frames")
+        for rows in (track.features, track.semantic):
+            if not np.isin(rows.frame, track.frames).all():
+                raise ValueError("row references a frame outside the track")
+        if max(track.frames) >= len(camera_poses):
+            raise ValueError("track references a missing camera pose")
+    under = [len(t.frames) == 1 and not len(t.features.frame)
+             for t in tracks]
+    tracks = [replace(t, states=[s.replace(dims=t.prior.mean)
+                                 for s in t.states]) if lock else t
+              for t, lock in zip(tracks, under)]
+    obj = _ObjectProblem(tracks, camera_poses, rig, config, under)
+    (motion, dims, lms), reports = solve_nls(
+        obj, obj.initial, max_iterations=config.max_iterations)
+    results = []
+    for b, (track, report) in enumerate(zip(tracks, reports)):
+        if not report.converged:
+            results.append(ObjectResult(
+                list(track.states), np.asarray(track.states[0].dims),
+                dict(track.landmarks), report, under[b]))
+            continue
+        states = [ObjectState(position=m[:3].copy(), yaw=m[3],
+                              dims=dims[b], steer=m[4], speed=m[5])
+                  for m in motion[b, :len(track.frames)]]
+        ids = obj.lm_ids[b]
+        results.append(ObjectResult(
+            states, dims[b].copy(), dict(zip(ids.tolist(), lms[b, :len(ids)])),
+            report, under[b]))
+    return results
 
 
 def solve_object(track: ObjectTrack, camera_poses, rig: StereoRig,
                  config: EstimatorConfig = EstimatorConfig()):
-    """Refine one object track with the camera poses held fixed.
-
-    Fuses the track's feature and semantic rows, the motion model between
-    its consecutive frames and its dimension prior.  When the track
-    covers a single frame with semantic measurements only, the problem
-    cannot constrain dims: they are locked to the prior mean and the
-    ``under_constrained`` flag is set.
-    """
-    if not track.frames:
-        raise ValueError("object track has no frames")
-    for rows in (track.features, track.semantic):
-        if not np.isin(rows.frame, track.frames).all():
-            raise ValueError("row references a frame outside the track")
-    if max(track.frames) >= len(camera_poses):
-        raise ValueError("track references a missing camera pose")
-    under = len(track.frames) == 1 and not len(track.features.frame)
-    if under:
-        track = replace(
-            track,
-            states=[s.replace(dims=track.prior.mean) for s in track.states])
-    obj = _ObjectProblem(track, camera_poses, rig, config, lock_dims=under)
-    state, report = solve_nls(obj, obj.initial,
-                              max_iterations=config.max_iterations)
-    if not report.converged:
-        raise NoConvergence("object window failed to converge; "
-                            "state unchanged")
-    states, dims, lms = state
-    states = [s.replace(dims=dims) for s in states]
-    landmarks = dict(zip(obj.lm_ids.tolist(), lms))
-    return ObjectResult(states, dims, landmarks, report, under)
+    """Refine one object track with the camera poses held fixed: the
+    single-track case of :func:`solve_objects`.  Raises
+    :class:`NoConvergence` when the solve does not converge."""
+    (result,) = solve_objects([track], camera_poses, rig, config)
+    _raise_unless_converged(result.report, "object")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -412,60 +491,95 @@ def solve_object(track: ObjectTrack, camera_poses, rig: StereoRig,
 
 
 class _AlignProblem:
-    def __init__(self, world_points, faces, config):
-        self.points = world_points
-        self.faces = faces
+    """Box position and yaw of k objects against their world-frame point
+    clouds, one block per object; state is (positions (k, 3), yaws
+    (k,))."""
+
+    def __init__(self, states, world_points, faces, config):
+        self.n_blocks = len(states)
+        self.block = np.repeat(np.arange(self.n_blocks),
+                               [len(p) for p in world_points])
+        self.points = np.concatenate(world_points)
+        self.faces = np.concatenate(faces)
+        self.dims = np.array([s.dims for s in states])
         self.config = config
+        self.initial = (np.array([s.position for s in states]),
+                        np.array([s.yaw for s in states]))
 
-    def _batch(self, state, jacobians):
+    def equations(self):
+        return DenseNormalEquations(4, self.n_blocks)
+
+    def batches(self, state, blocks, jacobians):
+        position, yaw = state
+        rows = (slice(None) if len(blocks) == self.n_blocks
+                else np.isin(self.block, blocks))
+        block = self.block[rows]
         info = 1.0 / self.config.surface_sigma
-        r, jac = res.point_surface_residual(self.points, state, self.faces,
-                                            jacobians=jacobians)
+        r, jac = res.point_surface_residual(
+            self.points[rows], position[block], yaw[block], self.dims[block],
+            self.faces[rows], jacobians=jacobians)
         jac_w = jac["object"][:, None, :] * info if jacobians else None
-        return RowBatch(r[:, None] * info, jac_w, np.arange(4),
-                        self.config.huber_scale,
-                        tag="point_surface")
+        return [RowBatch(r[:, None] * info, jac_w, np.arange(4),
+                         self.config.huber_scale, "point_surface",
+                         block=block)]
 
-    def linearize(self, state):
-        eq = DenseNormalEquations(4)
-        eq.add_batch(self._batch(state, True))
-        return eq
+    def retract(self, state, step, blocks):
+        position, yaw = state
+        (dense,) = step
+        position, yaw = position.copy(), yaw.copy()
+        position[blocks] += dense[:, :3]
+        yaw[blocks] = wrap_angle(yaw[blocks] + dense[:, 3])
+        return position, yaw
 
-    def cost(self, state):
-        return batch_cost([self._batch(state, False)])
 
-    def retract(self, state, step):
-        return state.replace(position=state.position + step[:3],
-                             yaw=wrap_angle(state.yaw + step[3]))
+def align_point_clouds(states, clouds,
+                       config: EstimatorConfig = EstimatorConfig()):
+    """Snap box poses onto their anchored landmark clouds, in one LM
+    solve with a block per box.
+
+    ``clouds`` are the object-frame landmark estimates of each state.
+    Each point is assigned its nearest box face at entry (assignment
+    fixed during the solve; ties go to the first face in
+    :data:`geometry.FACES` order) and position plus yaw minimize the
+    robust point-to-face distances, dims unchanged.  The ground-plane
+    position is observable only through an x face and a z face of the
+    box: with fewer than 3 points, without a point on each of those two
+    axes, or when the solve does not converge, the input state comes back
+    with the flag False.  Returns a list of (state, applied).
+    """
+    out = [(state, False) for state in states]
+    picked, world, faces = [], [], []
+    for i, (state, points) in enumerate(zip(states, clouds)):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if len(points) < 3:
+            continue
+        face = np.argmin(np.abs(face_offsets(state.dims, points)), axis=1)
+        # FACES pairs each axis's + and - face: face // 2 is the box axis
+        axes = face // 2
+        if not ((axes == 0).any() and (axes == 2).any()):
+            continue
+        picked.append(i)
+        world.append(state.pose.apply(points))
+        faces.append(face)
+    if not picked:
+        return out
+    problem = _AlignProblem([states[i] for i in picked], world, faces,
+                            config)
+    (position, yaw), reports = solve_nls(
+        problem, problem.initial, max_iterations=config.max_iterations)
+    for j, (i, report) in enumerate(zip(picked, reports)):
+        if report.converged:
+            out[i] = (states[i].replace(position=position[j].copy(),
+                                        yaw=yaw[j]), True)
+    return out
 
 
 def align_point_cloud(state: ObjectState, local_points,
                       config: EstimatorConfig = EstimatorConfig()):
-    """Snap a box pose onto its anchored landmark cloud.
-
-    ``local_points`` are object-frame landmark estimates.  Each point is
-    assigned its nearest box face at entry (assignment fixed during the
-    solve; ties go to the first face in :data:`geometry.FACES` order) and
-    position plus yaw minimize the robust point-to-face distances, dims
-    unchanged.  The ground-plane position is observable only through an x
-    face and a z face of the box: with fewer than 3 points, or without a
-    point on each of those two axes, the input state is returned with the
-    flag False.  Returns (state, applied).
-    """
-    local_points = np.atleast_2d(np.asarray(local_points, dtype=float))
-    if len(local_points) < 3:
-        return state, False
-    faces = np.argmin(np.abs(face_offsets(state.dims, local_points)), axis=1)
-    # FACES pairs each axis's + and - face: face // 2 is the box axis
-    axes = faces // 2
-    if not ((axes == 0).any() and (axes == 2).any()):
-        return state, False
-    problem = _AlignProblem(state.pose.apply(local_points), faces, config)
-    new_state, report = solve_nls(problem, state,
-                                  max_iterations=config.max_iterations)
-    if not report.converged:
-        return state, False
-    return new_state, True
+    """Snap one box pose onto its anchored landmark cloud: the
+    single-box case of :func:`align_point_clouds`.  Returns (state,
+    applied)."""
+    return align_point_clouds([state], [local_points], config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +630,6 @@ class WindowTracker:
         self._prev_feature_uv = {}
         self._frame = -1
         self._prev_boxes = {}
-        self.ego_reports = []
 
     # -- helpers
 
@@ -617,7 +730,6 @@ class WindowTracker:
             return
         self.camera_trajectory[start:t + 1] = result.poses
         self.bg_landmarks.update(result.landmarks)
-        self.ego_reports.append(result.report)
 
     def _associate_semantic(self, semantic):
         """Map detections to internal track ids via box similarity."""
@@ -707,8 +819,7 @@ class WindowTracker:
                         track.states[-1].pose.apply_inverse(world)
                 track.feature_obs.append((t, fid, left, right))
 
-        for track_id in sorted(seen_tracks):
-            self._solve_track(self.tracks[track_id])
+        self._solve_tracks([self.tracks[i] for i in sorted(seen_tracks)])
         for track_id in sorted(seen_tracks):
             track = self.tracks[track_id]
             self.object_trajectories[track_id].append(
@@ -728,14 +839,11 @@ class WindowTracker:
         track.states = [s.replace(speed=speed) for s in track.states]
         track.speed_initialized = True
 
-    def _solve_track(self, track):
-        t = self._frame
-        window = self.config.window
-        start = max(0, t - window + 1)
+    def _window_track(self, track, start):
+        """The :class:`ObjectTrack` of ``track`` over the window from frame
+        ``start``, and the indices of its states in the window."""
         keep = [i for i, f in enumerate(track.frames) if f >= start]
-        frames = [track.frames[i] for i in keep]
         self._maybe_init_speed(track)
-        states = [track.states[i] for i in keep]
         # every observation is made at a track frame; those before the
         # window are never read again
         track.feature_obs = [o for o in track.feature_obs if o[0] >= start]
@@ -746,21 +854,35 @@ class WindowTracker:
         semantic = [(f - start, edges, valid, viewpoint)
                     for f, edges, valid, viewpoint in track.semantic_obs]
         window_track = ObjectTrack(
-            track.label, [f - start for f in frames], states,
+            track.label, [track.frames[i] - start for i in keep],
+            [track.states[i] for i in keep],
             {fid: track.landmarks[fid] for _, fid, _, _ in features},
             track.prior, feature_rows(features), semantic_rows(semantic))
-        try:
-            result = solve_object(window_track,
-                                  self.camera_trajectory[start:t + 1],
-                                  self.rig, self.config)
-        except NoConvergence:
-            return
-        for i, s in zip(keep, result.states):
-            track.states[i] = s
-        track.landmarks.update(result.landmarks)
-        if track.landmarks:
-            aligned, applied = align_point_cloud(
-                track.states[-1], np.array(list(track.landmarks.values())),
-                self.config)
+        return window_track, keep
+
+    def _solve_tracks(self, tracks):
+        """Solve the windows of ``tracks`` together, then align the boxes
+        of the converged ones onto their landmark clouds.  A track whose
+        solve does not converge keeps its predicted states."""
+        t = self._frame
+        start = max(0, t - self.config.window + 1)
+        windows = [self._window_track(track, start) for track in tracks]
+        results = solve_objects([w for w, _ in windows],
+                                self.camera_trajectory[start:t + 1],
+                                self.rig, self.config)
+        solved = []
+        for track, (_, keep), result in zip(tracks, windows, results):
+            if not result.report.converged:
+                continue
+            for i, s in zip(keep, result.states):
+                track.states[i] = s
+            track.landmarks.update(result.landmarks)
+            if track.landmarks:
+                solved.append(track)
+        aligned = align_point_clouds(
+            [track.states[-1] for track in solved],
+            [np.array(list(track.landmarks.values())) for track in solved],
+            self.config)
+        for track, (state, applied) in zip(solved, aligned):
             if applied:
-                track.states[-1] = aligned
+                track.states[-1] = state

@@ -320,8 +320,9 @@ def box_vertices(box: Box3D):
 
 def face_offsets(dims, points):
     """Signed offsets (n, 6) of object-frame points from the six face
-    planes of a box of ``dims``, in :data:`FACES` order: each point's
-    coordinate along the face axis minus the plane's coordinate."""
+    planes of a box of ``dims`` ((3,), or (n, 3) one box per point), in
+    :data:`FACES` order: each point's coordinate along the face axis minus
+    the plane's coordinate."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     dims = np.asarray(dims, dtype=float)
-    return points[:, _FACE_AXIS] - _FACE_SIGN * dims[_FACE_AXIS] / 2.0
+    return points[:, _FACE_AXIS] - _FACE_SIGN * dims[..., _FACE_AXIS] / 2.0

@@ -1,29 +1,34 @@
 """Sparse nonlinear least-squares machinery.
 
-A problem object exposes ``linearize(state)`` returning a linearization
-that can produce damped Gauss-Newton steps, plus ``cost(state)`` and
-``retract(state, step)``.  :func:`solve_nls` runs Levenberg-Marquardt on
-top of that interface.
+A problem is a batch of independent blocks (for example the object
+tracks of one frame), each with its own dense parameters and landmarks.
+It exposes ``n_blocks``, ``equations()`` (an empty normal-equation
+accumulator sized for every block), ``batches(state, blocks,
+jacobians)`` (the whitened :class:`RowBatch` arrays of the listed
+blocks, with Jacobians or cost-only) and ``retract(state, step,
+blocks)``.  :func:`solve_nls` runs Levenberg-Marquardt on every block in
+lockstep: one evaluation serves all blocks still running, while damping,
+acceptance and the stopping tests stay per block.  A single problem is
+the case of one block.
 
-Problems hand their residuals over as :class:`RowBatch` arrays, already
-whitened.  Two normal-equation accumulators take them through one
+Two normal-equation accumulators take the batches through one
 ``add_batch`` entry point: a plain dense one, and a Schur-complement
-variant that eliminates a block-diagonal landmark block (the standard
+variant that eliminates the block-diagonal landmark blocks (the standard
 trick for bundle-adjustment style problems where the number of 3D points
-dwarfs the number of poses).  :func:`batch_cost` evaluates the same
-batches without Jacobians.
+dwarfs the number of poses).  Both keep each block's terms apart, padded
+to a common size, and solve the damped systems of many blocks as one
+stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Protocol
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalFailure
-
 MAX_DAMPING = 1e8
+NUMERICAL_FAILURE = "numerical_failure"
 
 
 class RowBatch(NamedTuple):
@@ -31,11 +36,12 @@ class RowBatch(NamedTuple):
 
     ``residuals`` is (n, k): n independent rows of k components each,
     robustified one row at a time when ``huber_delta`` is set.  ``jac``
-    is (n, k, p) over the dense columns ``cols``, given per row (n, p) or
-    shared (p,); a row does not touch a column whose index is negative.
-    ``jac`` is None for a cost-only batch.  ``lm_indices`` (n,) and
-    ``lm_jac`` (n, k, lm_dim) attach each row to one eliminated landmark;
-    an index may repeat, and the terms of its rows add up.
+    is (n, k, p) over the block's dense columns ``cols``, given per row
+    (n, p) or shared (p,); a row does not touch a column whose index is
+    negative.  ``jac`` is None for a cost-only batch.  ``lm_indices``
+    (n,) and ``lm_jac`` (n, k, lm_dim) attach each row to one eliminated
+    landmark of its block; an index may repeat, and the terms of its rows
+    add up.  ``block`` (n,) is the block of each row, None for block 0.
     """
 
     residuals: np.ndarray
@@ -45,6 +51,7 @@ class RowBatch(NamedTuple):
     tag: str | None = None
     lm_indices: np.ndarray | None = None
     lm_jac: np.ndarray | None = None
+    block: np.ndarray | None = None
 
 
 def huber(r_w, delta):
@@ -54,7 +61,7 @@ def huber(r_w, delta):
     row norm (0.5 * norm^2 inside the delta band, linear outside).
     ``delta`` None disables the loss.
     """
-    norms = np.linalg.norm(r_w, axis=1)
+    norms = np.sqrt(np.add.reduce(r_w * r_w, axis=1))
     weight = np.ones(len(norms))
     rho = 0.5 * norms ** 2
     if delta is not None:
@@ -64,189 +71,274 @@ def huber(r_w, delta):
     return weight, rho
 
 
-def batch_cost(batches):
-    """Total robust cost of an iterable of :class:`RowBatch`."""
-    return sum(float(huber(b.residuals, b.huber_delta)[1].sum())
-               for b in batches)
+class CostTerms:
+    """Robust cost of row batches per block, in total and per tag."""
+
+    def __init__(self, n_blocks=1):
+        self.n_blocks = n_blocks
+        self.cost = np.zeros(n_blocks)
+        self.cost_by_tag = {}
+
+    def add_batch(self, batch: RowBatch):
+        """Add a batch's robust cost."""
+        self._book(batch)
+
+    def _book(self, batch):
+        """Add a batch's robust cost; return its IRLS weights."""
+        weight, rho = huber(batch.residuals, batch.huber_delta)
+        if batch.block is None:
+            cost = np.zeros(self.n_blocks)
+            cost[0] = rho.sum()
+        else:
+            cost = np.bincount(batch.block, rho, minlength=self.n_blocks)
+        self.cost += cost
+        if batch.tag is not None:
+            self.cost_by_tag[batch.tag] = \
+                self.cost_by_tag.get(batch.tag, 0.0) + cost
+        return weight
+
+    def _weighted(self, batch):
+        """Book a batch's cost; return its IRLS-weighted residuals and
+        dense Jacobian, and the per-row scale."""
+        scale = np.sqrt(self._book(batch))
+        return (batch.residuals * scale[:, None],
+                batch.jac * scale[:, None, None], scale)
 
 
-def _book(eq, batch):
-    """Add a batch's robust cost to ``eq``; return its IRLS-weighted
-    residuals and dense Jacobian, and the per-row scale."""
-    weight, rho = huber(batch.residuals, batch.huber_delta)
-    cost = float(rho.sum())
-    eq.cost += cost
-    if batch.tag is not None:
-        eq.cost_by_tag[batch.tag] = eq.cost_by_tag.get(batch.tag, 0.0) + cost
-    scale = np.sqrt(weight)
-    return (batch.residuals * scale[:, None],
-            batch.jac * scale[:, None, None], scale)
+def batch_cost(batches, n_blocks=1):
+    """:class:`CostTerms` of an iterable of :class:`RowBatch`."""
+    terms = CostTerms(n_blocks)
+    for batch in batches:
+        terms.add_batch(batch)
+    return terms
 
 
-def _dense_terms(r_w, jac_w, cols, size):
-    """Gradient (size,) and Gauss-Newton block (size, size) of weighted
-    rows over their dense columns; also the per-row columns (n, p) with
-    every negative index sent to a sink column ``size``, which the
-    returned terms leave out.  Rows that share a column add up."""
+def _block_of(batch):
+    return (np.zeros(len(batch.residuals), dtype=int) if batch.block is None
+            else batch.block)
+
+
+def _gram(jac):
+    """J^T J of each row's Jacobian (n, k, p), summed over the k
+    components in reverse: on a reversed view matmul takes its own loop,
+    several times faster on small blocks than the per-matrix BLAS call it
+    makes for a buffer times its own transpose, and with no copy."""
+    flip = jac[:, ::-1]
+    return flip.transpose(0, 2, 1) @ flip
+
+
+def _dense_terms(r_w, jac_w, cols, block, n_blocks, size):
+    """Gradient (n_blocks, size) and Gauss-Newton blocks (n_blocks, size,
+    size) of weighted rows over their dense columns; also the per-row
+    columns (n, p) with every negative index sent to a sink column
+    ``size``, which the returned terms leave out.  Rows that share a
+    column add up."""
     n, _, p = jac_w.shape
     cols = np.broadcast_to(np.where(cols < 0, size, cols), (n, p))
     wide = size + 1
-    grad = np.bincount(cols.ravel(),
+    rows = (block * wide)[:, None] + cols
+    grad = np.bincount(rows.ravel(),
                        np.einsum("nij,ni->nj", jac_w, r_w).ravel(),
-                       minlength=wide)[:size]
-    h_mat = np.bincount((cols[:, :, None] * wide + cols[:, None, :]).ravel(),
-                        (jac_w.transpose(0, 2, 1) @ jac_w).ravel(),
-                        minlength=wide * wide).reshape(wide, wide)
-    return grad, h_mat[:size, :size], cols
+                       minlength=n_blocks * wide).reshape(n_blocks, wide)
+    h_mat = np.bincount((rows[:, :, None] * wide + cols[:, None, :]).ravel(),
+                        _gram(jac_w).ravel(),
+                        minlength=n_blocks * wide * wide
+                        ).reshape(n_blocks, wide, wide)
+    return grad[:, :size], h_mat[:, :size, :size], cols
 
 
 def _damped(h_mat, damping):
-    diag = np.maximum(np.diag(h_mat), 1e-12)
-    return h_mat + damping * np.diag(diag)
+    """LM damping of stacked systems (m, d, d), one factor per system:
+    each diagonal entry grows by ``damping`` times itself."""
+    out = h_mat.copy()
+    diag = np.arange(h_mat.shape[-1])
+    out[..., diag, diag] += damping[:, None] * np.maximum(
+        h_mat[..., diag, diag], 1e-12)
+    return out
 
 
-def _try_cholesky_solve(h_mat, rhs):
+def _factor(h_mat, solved):
+    """Cholesky factors of stacked systems.  A system that is not positive
+    definite, or whose factor is not finite, clears its ``solved`` entry
+    and gets the identity as its factor."""
     try:
         low = np.linalg.cholesky(h_mat)
     except np.linalg.LinAlgError:
-        return None
-    y = np.linalg.solve(low, rhs)
-    return np.linalg.solve(low.T, y)
+        low = np.full_like(h_mat, np.nan)
+        for i, h in enumerate(h_mat):
+            try:
+                low[i] = np.linalg.cholesky(h)
+            except np.linalg.LinAlgError:
+                pass
+    bad = ~np.isfinite(low).all(axis=(1, 2))
+    low[bad] = np.eye(h_mat.shape[-1])
+    solved &= ~bad
+    return low
 
 
-@dataclass
-class DenseNormalEquations:
-    """Accumulator for H dx = -g over a single dense parameter vector."""
+def _cholesky_solve(h_mat, rhs, solved):
+    """Solve the stacked systems h_mat (m, d, d) x = rhs (m, d); systems
+    that cannot be factored clear their ``solved`` entry."""
+    low = _factor(h_mat, solved)
+    y = np.linalg.solve(low, rhs[:, :, None])
+    return np.linalg.solve(low.transpose(0, 2, 1), y)[:, :, 0]
 
-    size: int
-    cost: float = 0.0
-    cost_by_tag: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.h_mat = np.zeros((self.size, self.size))
-        self.grad = np.zeros(self.size)
+def _inverse(h_mat, solved):
+    """Inverses of the stacked landmark blocks (m, n, k, k) of m systems;
+    a system with a singular block clears its ``solved`` entry."""
+    try:
+        return np.linalg.inv(h_mat)
+    except np.linalg.LinAlgError:
+        out = np.empty_like(h_mat)
+        for i, h in enumerate(h_mat):
+            try:
+                out[i] = np.linalg.inv(h)
+            except np.linalg.LinAlgError:
+                out[i] = 0.0
+                solved[i] = False
+        return out
+
+
+class DenseNormalEquations(CostTerms):
+    """Accumulator for H dx = -g, one dense system of ``size`` per block."""
+
+    def __init__(self, size, n_blocks=1):
+        super().__init__(n_blocks)
+        self.size = size
+        self.h_mat = np.zeros((n_blocks, size, size))
+        self.grad = np.zeros((n_blocks, size))
 
     def add_batch(self, batch: RowBatch):
         """Add the rows of one :class:`RowBatch` (no landmarks)."""
-        grad, h_mat, _ = _dense_terms(*_book(self, batch)[:2], batch.cols,
+        r_w, jac_w, _ = self._weighted(batch)
+        grad, h_mat, _ = _dense_terms(r_w, jac_w, batch.cols,
+                                      _block_of(batch), self.n_blocks,
                                       self.size)
         self.grad += grad
         self.h_mat += h_mat
 
     @property
     def gradient_norm(self):
-        return float(np.abs(self.grad).max())
+        """Gradient infinity norm per block."""
+        return np.abs(self.grad).max(axis=1, initial=0.0)
 
-    def solve(self, damping):
-        return _try_cholesky_solve(_damped(self.h_mat, damping), -self.grad)
+    def solve(self, damping, blocks):
+        """Damped steps of ``blocks`` (m,) at ``damping`` (m,): the tuple
+        (dense (m, size),) and the solved mask (m,)."""
+        solved = np.ones(len(blocks), dtype=bool)
+        step = _cholesky_solve(_damped(self.h_mat[blocks], damping),
+                               -self.grad[blocks], solved)
+        return (step,), solved
 
 
-@dataclass
-class SchurNormalEquations:
-    """Normal equations with a dense block and eliminated landmark blocks.
+class SchurNormalEquations(CostTerms):
+    """Normal equations with dense blocks and eliminated landmark blocks.
 
-    The parameter vector is (dense params, landmark 0, landmark 1, ...)
-    with every landmark of dimension ``lm_dim``.  Solving forms the Schur
-    complement onto the dense block and back-substitutes the landmarks.
+    Each block's parameter vector is (dense params, landmark 0, landmark
+    1, ...) with ``dense_size`` dense columns and ``n_landmarks``
+    landmarks of dimension ``lm_dim``.  ``used`` (n_blocks, dense_size)
+    marks the dense columns each block uses, None for all; the others are
+    padding, their diagonal is set to 1 in the reduced system, and they
+    get no step.  So do unobserved landmarks.  Solving forms each block's
+    Schur complement onto its dense columns and back-substitutes the
+    landmarks.
     """
 
-    dense_size: int
-    n_landmarks: int
-    lm_dim: int = 3
-    cost: float = 0.0
-    cost_by_tag: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.h_dd = np.zeros((self.dense_size, self.dense_size))
-        self.g_d = np.zeros(self.dense_size)
-        self.h_ll = np.zeros((self.n_landmarks, self.lm_dim, self.lm_dim))
-        self.g_l = np.zeros((self.n_landmarks, self.lm_dim))
-        self.h_dl = np.zeros((self.dense_size, self.n_landmarks * self.lm_dim))
+    def __init__(self, dense_size, n_landmarks, lm_dim=3, n_blocks=1,
+                 used=None):
+        super().__init__(n_blocks)
+        k, d, n, dim = n_blocks, dense_size, n_landmarks, lm_dim
+        self.dense_size, self.n_landmarks, self.lm_dim = d, n, dim
+        self.h_dd = np.zeros((k, d, d))
+        self.g_d = np.zeros((k, d))
+        self.h_ll = np.zeros((k, n, dim, dim))
+        self.g_l = np.zeros((k, n, dim))
+        self.h_dl = np.zeros((k, d, n * dim))
+        self.used = (np.ones((k, d), dtype=bool) if used is None
+                     else np.asarray(used, dtype=bool))
 
     def add_batch(self, batch: RowBatch):
-        """Add the rows of one :class:`RowBatch`, each touching the dense
-        block and, when ``lm_indices`` is set, one landmark."""
-        r_w, jac_d, scale = _book(self, batch)
-        g_d, h_dd, cols = _dense_terms(r_w, jac_d, batch.cols,
-                                       self.dense_size)
+        """Add the rows of one :class:`RowBatch`, each touching its block's
+        dense columns and, when ``lm_indices`` is set, one landmark."""
+        k, d, dim = self.n_blocks, self.dense_size, self.lm_dim
+        block = _block_of(batch)
+        r_w, jac_d, scale = self._weighted(batch)
+        g_d, h_dd, cols = _dense_terms(r_w, jac_d, batch.cols, block, k, d)
         self.g_d += g_d
         self.h_dd += h_dd
         if batch.lm_indices is None:
             return
-        dim = self.lm_dim
         width = self.n_landmarks * dim
         jac_l = batch.lm_jac * scale[:, None, None]
-        lm = np.asarray(batch.lm_indices)[:, None]
+        # the landmark's columns within its block, then over all blocks
+        lm_cols = batch.lm_indices[:, None] * dim + np.arange(dim)
+        all_cols = (block * width)[:, None] + lm_cols
         # bincount adds up the terms of rows that share a landmark
         self.h_ll += np.bincount(
-            (lm * dim * dim + np.arange(dim * dim)).ravel(),
-            (jac_l.transpose(0, 2, 1) @ jac_l).ravel(),
-            minlength=width * dim).reshape(self.h_ll.shape)
-        lm_cols = lm * dim + np.arange(dim)
+            (all_cols[:, :, None] * dim + np.arange(dim)).ravel(),
+            _gram(jac_l).ravel(),
+            minlength=k * width * dim).reshape(self.h_ll.shape)
         self.g_l += np.bincount(
-            lm_cols.ravel(), np.einsum("nij,ni->nj", jac_l, r_w).ravel(),
-            minlength=width).reshape(self.g_l.shape)
+            all_cols.ravel(), np.einsum("nij,ni->nj", jac_l, r_w).ravel(),
+            minlength=k * width).reshape(self.g_l.shape)
+        # rows (block, dense column incl. the sink), columns (landmark)
+        rows = (block * (d + 1))[:, None] + cols
         self.h_dl += np.bincount(
-            (cols[:, :, None] * width + lm_cols[:, None, :]).ravel(),
+            (rows[:, :, None] * width + lm_cols[:, None, :]).ravel(),
             (jac_d.transpose(0, 2, 1) @ jac_l).ravel(),
-            minlength=(self.dense_size + 1) * width
-        ).reshape(-1, width)[:self.dense_size]
+            minlength=k * (d + 1) * width
+        ).reshape(k, d + 1, width)[:, :d]
 
     @property
     def gradient_norm(self):
-        parts = []
-        if self.dense_size:
-            parts.append(np.abs(self.g_d).max())
-        if self.n_landmarks:
-            parts.append(np.abs(self.g_l).max())
-        return float(max(parts)) if parts else 0.0
+        """Gradient infinity norm per block."""
+        return np.maximum(
+            np.abs(self.g_d).max(axis=1, initial=0.0),
+            np.abs(self.g_l).reshape(self.n_blocks, -1).max(axis=1,
+                                                            initial=0.0))
 
-    def solve(self, damping):
+    def solve(self, damping, blocks):
+        """Damped steps of ``blocks`` (m,) at ``damping`` (m,): the tuple
+        (dense (m, dense_size), landmarks (m, n_landmarks, lm_dim)) and
+        the solved mask (m,)."""
+        m, d, n, dim = len(blocks), self.dense_size, self.n_landmarks, \
+            self.lm_dim
+        solved = np.ones(m, dtype=bool)
         # damp the landmark blocks as _damped does, all at once, and
         # invert them
-        h_ll = self.h_ll.copy()
-        diag = np.arange(self.lm_dim)
-        h_ll[:, diag, diag] += damping * np.maximum(h_ll[:, diag, diag],
-                                                    1e-12)
-        try:
-            h_ll_inv = np.linalg.inv(h_ll) if self.n_landmarks else h_ll
-        except np.linalg.LinAlgError:
-            return None
-        # reduced system on the dense block
-        w_mat = self.h_dl.reshape(self.dense_size, self.n_landmarks,
-                                  self.lm_dim)
-        w_inv = np.einsum("dki,kij->dkj", w_mat, h_ll_inv)
-        h_red = (_damped(self.h_dd, damping)
-                 - np.einsum("dkj,ekj->de", w_inv, w_mat))
-        g_red = self.g_d - np.einsum("dkj,kj->d", w_inv, self.g_l)
-        dx_d = _try_cholesky_solve(h_red, -g_red)
-        if dx_d is None:
-            return None
+        h_ll = self.h_ll[blocks]
+        diag = np.arange(dim)
+        h_ll[..., diag, diag] += damping[:, None, None] * np.maximum(
+            h_ll[..., diag, diag], 1e-12)
+        h_ll_inv = _inverse(h_ll, solved) if n else h_ll
+        # reduced system on each block's dense columns: with W the
+        # coupling (m, d, n * dim) and V = W blockdiag(H_ll^-1),
+        # H_red = H_dd - V W^T and g_red = g_d - V g_l
+        every = m == self.n_blocks
+        w_mat = self.h_dl if every else self.h_dl[blocks]
+        g_l = self.g_l if every else self.g_l[blocks]
+        # written straight into V's layout, which saves a copy of V
+        v_mat = np.empty((m, d, n, dim))
+        np.matmul(w_mat.reshape(m, d, n, dim).transpose(0, 2, 1, 3),
+                  h_ll_inv, out=v_mat.transpose(0, 2, 1, 3))
+        v_mat = v_mat.reshape(m, d, n * dim)
+        h_red = (_damped(self.h_dd[blocks], damping)
+                 - v_mat @ w_mat.transpose(0, 2, 1))
+        g_red = self.g_d[blocks] - (v_mat @ g_l.reshape(m, -1, 1))[:, :, 0]
+        pad = np.nonzero(~self.used[blocks])
+        h_red[pad[0], pad[1], pad[1]] = 1.0
+        dx_d = _cholesky_solve(h_red, -g_red, solved)
         # back-substitute the landmarks
-        rhs = -self.g_l - np.einsum("dkj,d->kj", w_mat, dx_d)
-        dx_l = np.einsum("kij,kj->ki", h_ll_inv, rhs)
-        return np.concatenate([dx_d, dx_l.ravel()])
-
-
-class Linearization(Protocol):
-    cost: float
-
-    @property
-    def gradient_norm(self) -> float: ...
-
-    def solve(self, damping) -> np.ndarray | None: ...
-
-
-class Problem(Protocol):
-    def linearize(self, state) -> Linearization: ...
-
-    def cost(self, state) -> float: ...
-
-    def retract(self, state, step): ...
+        rhs = -g_l - (dx_d[:, None, :] @ w_mat).reshape(m, n, dim)
+        dx_l = (h_ll_inv @ rhs[..., None])[..., 0]
+        return (dx_d, dx_l), solved
 
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of the LM iterations of one block."""
+
     initial_cost: float
     final_cost: float
     iterations: int
@@ -255,67 +347,125 @@ class SolveReport:
     cost_by_tag: dict
 
 
+class SolveReports(tuple):
+    """The :class:`SolveReport` of every block of one solve, in order."""
+
+    @property
+    def iterations(self):
+        """LM iterations summed over the blocks."""
+        return sum(r.iterations for r in self)
+
+
+def _step_norms(step):
+    """Infinity norm of each block's step over all of its parts."""
+    return np.max([np.abs(part).reshape(len(part), -1).max(axis=1,
+                                                            initial=0.0)
+                   for part in step], axis=0)
+
+
+def _linearize(problem, state, blocks):
+    eq = problem.equations()
+    for batch in problem.batches(state, blocks, True):
+        eq.add_batch(batch)
+    return eq
+
+
 def solve_nls(problem, state, max_iterations=50, cost_tol=1e-8,
               gradient_tol=1e-10, step_tol=1e-12, initial_damping=1e-4):
-    """Levenberg-Marquardt with multiplicative diagonal damping.
+    """Levenberg-Marquardt with multiplicative diagonal damping, run on
+    every block of ``problem`` in lockstep.
 
-    Steps are accepted only when they strictly lower the cost.  Stops on
-    relative cost decrease below ``cost_tol``, gradient infinity norm
-    below ``gradient_tol``, accepted step norm below ``step_tol`` (the
-    relative-decrease test is meaningless once the cost sits at machine
-    noise), or ``max_iterations``.  Raises
-    :class:`NumericalFailure` when the normal equations stay unsolvable
-    up to the damping cap.
+    Each round linearizes the blocks still running in one evaluation,
+    then tries damped steps until every one of them has lowered its cost
+    or run out of damping; each trial costs the blocks it moves in one
+    evaluation.  Per block, steps are accepted only when they strictly
+    lower the cost.  A block stops on relative cost decrease below
+    ``cost_tol``, gradient infinity norm below ``gradient_tol``, accepted
+    step norm below ``step_tol`` (the relative-decrease test is
+    meaningless once the cost sits at machine noise), or
+    ``max_iterations``; a stopped block's rows are not evaluated again.
+    A block whose normal equations stay unsolvable up to the damping cap
+    stops unconverged with reason :data:`NUMERICAL_FAILURE`.  Returns the
+    state and the :class:`SolveReports`.
     """
-    damping = initial_damping
-    lin = problem.linearize(state)
-    initial_cost = lin.cost
-    cost = initial_cost
-    reason = "max_iterations"
-    converged = False
-    iteration = 0
-    while iteration < max_iterations:
-        iteration += 1
-        if lin.gradient_norm < gradient_tol:
-            reason = "gradient"
-            converged = True
-            break
-        accepted = False
-        while damping <= MAX_DAMPING:
-            step = lin.solve(damping)
-            if step is None:
-                damping *= 10.0
-                continue
-            trial = problem.retract(state, step)
-            trial_cost = problem.cost(trial)
-            if np.isfinite(trial_cost) and trial_cost < cost:
-                accepted = True
-                break
-            damping *= 10.0
-        if not accepted:
-            if lin.solve(MAX_DAMPING) is None:
-                raise NumericalFailure(
-                    "normal equations unsolvable at maximum damping")
-            # solvable but no descent direction left: stalled minimum
-            reason = "stalled"
-            converged = True
-            break
-        rel_drop = (cost - trial_cost) / max(cost, 1e-300)
-        step_norm = float(np.abs(step).max())
-        state = trial
-        cost = trial_cost
-        damping = max(damping / 10.0, 1e-12)
-        lin = problem.linearize(state)
-        if rel_drop < cost_tol:
-            reason = "cost"
-            converged = True
-            break
-        if step_norm < step_tol:
-            reason = "step"
-            converged = True
-            break
-    report = SolveReport(initial_cost=initial_cost, final_cost=cost,
-                         iterations=iteration, converged=converged,
-                         reason=reason,
-                         cost_by_tag=dict(getattr(lin, "cost_by_tag", {})))
-    return state, report
+    n_blocks = problem.n_blocks
+    running = np.arange(n_blocks)
+    lin = _linearize(problem, state, running)
+    if max_iterations < 1:
+        running = running[:0]
+    initial_cost = lin.cost.copy()
+    cost = lin.cost.copy()
+    by_tag = {tag: c.copy() for tag, c in lin.cost_by_tag.items()}
+    damping = np.full(n_blocks, float(initial_damping))
+    iterations = np.zeros(n_blocks, dtype=int)
+    converged = np.zeros(n_blocks, dtype=bool)
+    reason = ["max_iterations"] * n_blocks
+
+    def stop(blocks, why, done):
+        for b in blocks:
+            reason[b] = why
+        converged[blocks] = done
+
+    while len(running):
+        iterations[running] += 1
+        flat = lin.gradient_norm[running] < gradient_tol
+        stop(running[flat], "gradient", True)
+        pending = running[~flat]
+        accepted = np.zeros(n_blocks, dtype=bool)
+        rel_drop, step_norm = np.zeros(n_blocks), np.zeros(n_blocks)
+        while len(pending):
+            step, solved = lin.solve(damping[pending], pending)
+            moved = pending[solved]
+            won = np.zeros(len(pending), dtype=bool)
+            if len(moved):
+                step = tuple(part[solved] for part in step)
+                trial = problem.retract(state, step, moved)
+                terms = batch_cost(problem.batches(trial, moved, False),
+                                   n_blocks)
+                trial_cost = terms.cost[moved]
+                better = np.isfinite(trial_cost) & (trial_cost < cost[moved])
+                won[solved] = better
+                wins = moved[better]
+                if len(wins):
+                    state = trial if better.all() else problem.retract(
+                        state, tuple(part[better] for part in step), wins)
+                    rel_drop[wins] = ((cost[wins] - trial_cost[better])
+                                      / np.maximum(cost[wins], 1e-300))
+                    step_norm[wins] = _step_norms(step)[better]
+                    cost[wins] = trial_cost[better]
+                    for tag, c in terms.cost_by_tag.items():
+                        by_tag.setdefault(tag, np.zeros(n_blocks))[wins] = \
+                            c[wins]
+                    damping[wins] = np.maximum(damping[wins] / 10.0, 1e-12)
+                    accepted[wins] = True
+            lost = pending[~won]
+            damping[lost] *= 10.0
+            spent = lost[damping[lost] > MAX_DAMPING]
+            if len(spent):
+                _, solvable = lin.solve(np.full(len(spent), MAX_DAMPING),
+                                        spent)
+                # solvable but no descent direction left: stalled minimum
+                stop(spent[solvable], "stalled", True)
+                stop(spent[~solvable], NUMERICAL_FAILURE, False)
+            pending = lost[damping[lost] <= MAX_DAMPING]
+        # the stopping tests come before the next linearization, which a
+        # stopped block does not need
+        running = np.nonzero(accepted)[0]
+        done = rel_drop[running] < cost_tol
+        stop(running[done], "cost", True)
+        running = running[~done]
+        done = step_norm[running] < step_tol
+        stop(running[done], "step", True)
+        running = running[~done]
+        running = running[iterations[running] < max_iterations]
+        if len(running):
+            lin = _linearize(problem, state, running)
+    reports = SolveReports(
+        SolveReport(initial_cost=float(initial_cost[b]),
+                    final_cost=float(cost[b]),
+                    iterations=int(iterations[b]),
+                    converged=bool(converged[b]), reason=reason[b],
+                    cost_by_tag={tag: float(c[b])
+                                 for tag, c in by_tag.items()})
+        for b in range(n_blocks))
+    return state, reports

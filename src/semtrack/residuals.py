@@ -16,9 +16,9 @@ Residual conventions:
 Jacobian layouts follow the state orderings used by the solvers: camera
 pose (translation 3, rotation-vector 3, applied as t += dt,
 R <- R exp(dphi)); object state (position 3, yaw, steer, speed); dims 3.
-Every family but the prior is evaluated for a whole batch of rows in one
-call, each row with its own camera pose (and object pose, where it has
-one), so one call covers a whole window.
+Every family is evaluated for a whole batch of rows in one call, each
+row with its own camera pose and object box where it has them, so one
+call covers a whole window, or the windows of many objects.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry as geom
-from .geometry import (ObjectState, StereoRig, drot_y, face_offsets,
-                       rot_y, wrap_angle)
+from .geometry import StereoRig, face_offsets, wrap_angle
 from .simulate import CAR_WHEELBASE_RATIO
 
 # order mapping from selection rows (u_min, u_max, v_min, v_max) to the
@@ -82,7 +81,8 @@ def feature_residuals_batch(obs_left, obs_right, cam_rotation,
     # derivative of the four rows by the left-camera point, then by the
     # world point
     d_left = np.concatenate([proj_jac(p_l), proj_jac(p_r) @ rot_ext], axis=1)
-    d_world = d_left @ cam_rotation[valid].transpose(0, 2, 1)
+    # a contiguous transpose keeps matmul off its slow strided path
+    d_world = d_left @ cam_rotation[valid].transpose(0, 2, 1).copy()
     sk = np.zeros((n, 3, 3))
     sk[:, 0, 1] = -p_l[:, 2]
     sk[:, 0, 2] = p_l[:, 1]
@@ -97,8 +97,8 @@ def feature_residuals_batch(obs_left, obs_right, cam_rotation,
     c, s = c[valid], s[valid]
     x, z = x[valid], z[valid]
     # drot_y(yaw) @ landmark, and d_world @ rot_y(yaw)
-    d_yaw = np.einsum("nij,nj->ni", d_world[:, :, ::2],
-                      np.column_stack([c * z - s * x, -c * x - s * z]))
+    d_yaw = (d_world[:, :, 0] * (c * z - s * x)[:, None]
+             - d_world[:, :, 2] * (c * x + s * z)[:, None])
     jac["object"] = np.concatenate([d_world, d_yaw[:, :, None]], axis=2)
     jac["landmark"] = np.stack(
         [c[:, None] * d_world[:, :, 0] - s[:, None] * d_world[:, :, 2],
@@ -116,24 +116,22 @@ def semantic_residual(box_edges, valid_edges, signs, cam_rotation,
     v_min, u_max, v_max), ``valid_edges`` (n, 4) its validity flags in the
     same order, ``signs`` (n, 4, 3) the selection-set vertex signs,
     ``cam_rotation`` (n, 3, 3) and ``cam_translation`` (n, 3) the camera
-    pose, ``position`` (n, 3) and ``yaw`` (n,) the object pose; ``dims``
-    (3,) is shared.  Residual rows run (u_min, u_max, v_min, v_max) per
-    detection; invalid (truncated) rows drop out, and so does every row of
-    a detection with a selected vertex behind the camera.  Returns
-    (residual (m,), jac dict with "object" (m, 4) and "dims" (m, 3),
-    row mask (n, 4)).
+    pose, ``position`` (n, 3), ``yaw`` (n,) and ``dims`` (n, 3), or (3,)
+    shared, the object box.  Residual rows run (u_min, u_max, v_min,
+    v_max) per detection; invalid (truncated) rows drop out, and so does
+    every row of a detection with a selected vertex behind the camera.
+    Returns (residual (m,), jac dict with "object" (m, 4) and "dims" (m,
+    3), row mask (n, 4)).
     """
     box_edges = np.asarray(box_edges, dtype=float)[:, _EDGE_INDEX]
     valid = np.asarray(valid_edges, dtype=bool)[:, _EDGE_INDEX]
-    c, s = np.cos(yaw), np.sin(yaw)
-    zero, one = np.zeros_like(c), np.ones_like(c)
-    rot_obj = np.stack([np.stack([c, zero, s], -1),
-                        np.stack([zero, one, zero], -1),
-                        np.stack([-s, zero, c], -1)], -2)
-    offset = signs * (np.asarray(dims, dtype=float) / 2.0)
-    world = np.einsum("nij,nkj->nki", rot_obj, offset) + position[:, None]
-    p_cam = np.einsum("nkj,nji->nki", world - cam_translation[:, None],
-                      cam_rotation)
+    c, s = np.cos(yaw)[:, None], np.sin(yaw)[:, None]
+    offset = signs * (np.asarray(dims, dtype=float)[..., None, :] / 2.0)
+    o_x, o_z = offset[:, :, 0], offset[:, :, 2]
+    # the selected vertices: rot_y(yaw) @ offset + position
+    world = np.stack([c * o_x + s * o_z, offset[:, :, 1], c * o_z - s * o_x],
+                     axis=2) + position[:, None]
+    p_cam = (world - cam_translation[:, None]) @ cam_rotation
     z = p_cam[:, :, 2]
     in_front = z > geom.EPS_Z
     mask = valid & np.all(in_front | ~valid, axis=1)[:, None]
@@ -147,15 +145,16 @@ def semantic_residual(box_edges, valid_edges, signs, cam_rotation,
     grad = np.zeros(p_cam.shape)
     grad[:, rows, axis] = 1.0 / z
     grad[:, :, 2] = -coord / z ** 2
-    d_world = np.einsum("nki,nji->nkj", grad, cam_rotation)
-    d_rot = np.stack([np.stack([-s, zero, c], -1),
-                      np.zeros(c.shape + (3,)),
-                      np.stack([-c, zero, -s], -1)], -2)
-    d_yaw = np.einsum("nkj,nji,nki->nk", d_world, d_rot, offset)
+    # a contiguous transpose keeps matmul off its slow strided path
+    d_world = grad @ cam_rotation.transpose(0, 2, 1).copy()
+    w_x, w_z = d_world[:, :, 0], d_world[:, :, 2]
+    # d_world @ drot_y(yaw) @ offset, and d_world @ rot_y(yaw)
+    d_yaw = (-s * w_x - c * w_z) * o_x + (c * w_x - s * w_z) * o_z
+    d_dims = np.stack([c * w_x - s * w_z, d_world[:, :, 1], s * w_x + c * w_z],
+                      axis=2) * signs / 2.0
     jac = {"object": np.concatenate([d_world, d_yaw[:, :, None]],
                                     axis=2)[mask],
-           "dims": (np.einsum("nkj,nji->nki", d_world, rot_obj)
-                    * signs / 2.0)[mask]}
+           "dims": d_dims[mask]}
     return res, jac, mask
 
 
@@ -163,12 +162,13 @@ def motion_residual(cur, prev, dt, dims, label="car", jacobians=True):
     """State-transition residuals of n consecutive state pairs.
 
     ``cur`` and ``prev`` are (n, 6) motion states (position x, y, z, yaw,
-    steer, speed), ``dt`` scalar or (n,), ``dims`` (3,) the shared box
-    size.  The prediction follows the same kinematics as the simulator:
-    cars use the single-track model with wheelbase 0.6 * length,
-    pedestrians move at constant velocity (their steer row and its
-    Jacobians are zero).  Returns (residual (n, 6), jac dict with "cur"
-    (n, 6, 6), "prev" (n, 6, 6), "dims" (n, 6, 3)).
+    steer, speed), ``dt`` scalar or (n,), ``dims`` the box size, (3,)
+    shared or (n, 3), and ``label`` the class, shared or (n,).  The
+    prediction follows the same kinematics as the simulator: cars use the
+    single-track model with wheelbase 0.6 * length, pedestrians move at
+    constant velocity (their steer row and its Jacobians are zero).
+    Returns (residual (n, 6), jac dict with "cur" (n, 6, 6), "prev" (n,
+    6, 6), "dims" (n, 6, 3)).
     """
     cur = np.asarray(cur, dtype=float)
     prev = np.asarray(prev, dtype=float)
@@ -178,61 +178,70 @@ def motion_residual(cur, prev, dt, dims, label="car", jacobians=True):
     yaw, steer, speed = prev[:, 3], prev[:, 4], prev[:, 5]
     head = np.stack([np.cos(yaw), np.zeros_like(yaw), -np.sin(yaw)], -1)
     pred_pos = prev[:, :3] + head * speed[:, None] * dt[:, None]
-    is_car = label == "car"
-    if is_car:
-        wheelbase = CAR_WHEELBASE_RATIO * dims[0]
-        pred_yaw = yaw + np.tan(steer) * speed * dt / wheelbase
-    else:
-        pred_yaw = yaw
+    is_car = np.asarray(label) == "car"
+    wheelbase = CAR_WHEELBASE_RATIO * np.asarray(dims, dtype=float)[..., 0]
+    tan = np.tan(steer)
+    pred_yaw = np.where(is_car, yaw + tan * speed * dt / wheelbase, yaw)
     res = np.empty((len(prev), 6))
     res[:, :3] = cur[:, :3] - pred_pos
     res[:, 3] = wrap_angle(cur[:, 3] - pred_yaw)
-    res[:, 4] = (cur[:, 4] - steer) if is_car else 0.0
+    res[:, 4] = np.where(is_car, cur[:, 4] - steer, 0.0)
     res[:, 5] = cur[:, 5] - speed
     if not jacobians:
         return res, {}
 
     n = len(prev)
     jac_cur = np.broadcast_to(np.eye(6), (n, 6, 6)).copy()
+    jac_cur[:, 4, 4] = np.where(is_car, 1.0, 0.0)
     jac_prev = -jac_cur
     dhead = np.stack([-np.sin(yaw), np.zeros_like(yaw), -np.cos(yaw)], -1)
     jac_prev[:, :3, 3] = -dhead * speed[:, None] * dt[:, None]
     jac_prev[:, :3, 5] = -head * dt[:, None]
+    jac_prev[:, 3, 4] = np.where(
+        is_car, -speed * dt / (np.cos(steer) ** 2 * wheelbase), 0.0)
+    jac_prev[:, 3, 5] = np.where(is_car, -tan * dt / wheelbase, 0.0)
     jac_dims = np.zeros((n, 6, 3))
-    if is_car:
-        jac_prev[:, 3, 4] = -speed * dt / (np.cos(steer) ** 2 * wheelbase)
-        jac_prev[:, 3, 5] = -np.tan(steer) * dt / wheelbase
-        jac_dims[:, 3, 0] = (np.tan(steer) * speed * dt
-                             * CAR_WHEELBASE_RATIO / wheelbase ** 2)
-    else:
-        jac_cur[:, 4, 4] = 0.0
-        jac_prev[:, 4, 4] = 0.0
+    jac_dims[:, 3, 0] = np.where(
+        is_car, tan * speed * dt * CAR_WHEELBASE_RATIO / wheelbase ** 2, 0.0)
     return res, {"cur": jac_cur, "prev": jac_prev, "dims": jac_dims}
 
 
-def prior_residual(dims, prior, jacobians=True):
+def prior_residual(dims, mean, jacobians=True):
     """Dimension-prior residual d - mean; Jacobian is the identity."""
-    res = np.asarray(dims, dtype=float) - prior.mean
+    res = np.asarray(dims, dtype=float) - mean
     if not jacobians:
         return res, {}
     return res, {"dims": np.eye(3)}
 
 
-def point_surface_residual(world_points, obj: ObjectState, faces,
+def point_surface_residual(world_points, position, yaw, dims, faces,
                            jacobians=True):
     """Signed offsets of n world points from their assigned box face planes.
 
-    ``faces`` (n,) indexes :data:`geometry.FACES`, whose order pairs each
-    axis's + and - face.  Returns (residual (n,), jac dict with "object"
-    (n, 4): position 3 + yaw).
+    Each point is measured against the box at ``position`` (n, 3) with
+    ``yaw`` (n,) and ``dims`` (n, 3), or one box shared by all points
+    ((3,), scalar, (3,)).  ``faces`` (n,) indexes :data:`geometry.FACES`,
+    whose order pairs each axis's + and - face.  Returns (residual (n,),
+    jac dict with "object" (n, 4): position 3 + yaw).
     """
     faces = np.asarray(faces)
+    n = len(faces)
     axis = faces // 2
-    rows = np.arange(len(faces))
-    rot_obj = rot_y(obj.yaw)
-    diff = np.asarray(world_points, dtype=float) - obj.position
-    res = face_offsets(obj.dims, diff @ rot_obj)[rows, faces]
+    rows = np.arange(n)
+    c = np.broadcast_to(np.cos(yaw), n)
+    s = np.broadcast_to(np.sin(yaw), n)
+    dx, dy, dz = (np.asarray(world_points, dtype=float) - position).T
+    # the points in the box frame, and their derivative by the yaw
+    local = np.column_stack([c * dx - s * dz, dy, s * dx + c * dz])
+    res = face_offsets(dims, local)[rows, faces]
     if not jacobians:
         return res, {}
-    d_yaw = (diff @ drot_y(obj.yaw))[rows, axis]
-    return res, {"object": np.column_stack([-rot_obj.T[axis], d_yaw])}
+    d_local = np.column_stack([-s * dx - c * dz, np.zeros(n),
+                               c * dx - s * dz])
+    zero, one = np.zeros(n), np.ones(n)
+    # the box axes in world frame, one row each
+    box_axes = np.stack([np.column_stack([c, zero, -s]),
+                         np.column_stack([zero, one, zero]),
+                         np.column_stack([s, zero, c])], axis=1)
+    return res, {"object": np.column_stack([-box_axes[rows, axis],
+                                            d_local[rows, axis]])}

@@ -6,10 +6,11 @@ import pytest
 from dataclasses import replace
 
 from semtrack import estimator as est
+from semtrack import nls
 from semtrack import residuals as res
 from semtrack import simulate as sim
 from semtrack.boxinfer import DEFAULT_PRIORS, infer_pose
-from semtrack.errors import NoConvergence
+from semtrack.errors import NoConvergence, NumericalFailure
 from semtrack.geometry import ObjectState, Pose, StereoRig, rot_y, so3_exp
 
 FORWARD = -np.pi / 2  # heading along the camera optical axis
@@ -24,6 +25,26 @@ def make_scenario(n_frames=10, objects=(), seed=1, **extra):
 
 def car(x, z, v=8.0, yaw=FORWARD):
     return {"class": "car", "init": {"x": x, "z": z, "yaw": yaw, "v": v}}
+
+
+def pedestrian(x, z, v=1.2, yaw=FORWARD):
+    return {"class": "pedestrian",
+            "init": {"x": x, "z": z, "yaw": yaw, "v": v}}
+
+
+def linearize(problem, state):
+    """The normal equations of every block of ``problem`` at ``state``."""
+    eq = problem.equations()
+    for batch in problem.batches(state, np.arange(problem.n_blocks), True):
+        eq.add_batch(batch)
+    return eq
+
+
+def block_costs(problem, state):
+    """The cost of every block of ``problem`` at ``state``."""
+    return nls.batch_cost(
+        problem.batches(state, np.arange(problem.n_blocks), False),
+        problem.n_blocks).cost
 
 
 def ego_problem(scenario, frames, rng=None, pose_noise=(0.0, 0.0),
@@ -149,8 +170,8 @@ class TestSolveEgo:
             [transform.compose(p) for p in poses],
             {k: transform.apply(v) for k, v in landmarks.items()}, rows,
             scenario.rig, est.EstimatorConfig())
-        cost_a = ego_a.cost(ego_a.initial)
-        cost_b = ego_b.cost(ego_b.initial)
+        cost_a = block_costs(ego_a, ego_a.initial)[0]
+        cost_b = block_costs(ego_b, ego_b.initial)[0]
         assert cost_a == pytest.approx(cost_b, rel=1e-9)
 
 
@@ -256,6 +277,114 @@ class TestSolveObject:
         with pytest.raises(ValueError):
             est.solve_object(track, [Pose.identity()],
                              StereoRig.horizontal(0.54))
+
+
+def assert_same_solve(got, solo):
+    """A track's result in a batch against its solve alone: the same LM
+    decisions, and states within 1e-8 m and 1e-10 rad."""
+    for key in ("iterations", "reason", "converged"):
+        assert getattr(got.report, key) == getattr(solo.report, key)
+    assert got.report.final_cost == pytest.approx(solo.report.final_cost,
+                                                  rel=1e-12)
+    for a, b in zip(got.states, solo.states):
+        assert np.abs(a.position - b.position).max() < 1e-8
+        assert abs(est.wrap_angle(a.yaw - b.yaw)) < 1e-10
+    assert np.abs(got.dims - solo.dims).max() < 1e-8
+
+
+class TestBatchedObjectSolve:
+    """The object tracks of a window are solved in one LM, a block per
+    track, with each track's decisions those of solving it alone."""
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        # four cars and a pedestrian ahead of a camera on a curve, five
+        # frames; every track starts from perturbed states and landmarks
+        scenario = make_scenario(
+            5, [car(-10.0, 18.0), car(0.4, 25.0), car(14.0, 20.0),
+                car(-4.0, 32.0, v=6.0), pedestrian(-6.0, 12.0)], seed=1,
+            camera={"speed": 10.0, "yaw_rate": 0.125},
+            landmarks={"background_n": 150, "per_object_n": 16})
+        frames = [sim.synthesize_frame(scenario, t) for t in range(5)]
+        rng = np.random.default_rng(41)
+        tracks = [object_problem(scenario, frames, i, rng, (0.1, 0.02), 0.05,
+                                 0.05)[0][0] for i in range(5)]
+        cars = tracks[:4]
+        keep = np.unique(cars[1].features.landmark)[:3]
+        rows = cars[1].features
+        few = replace(cars[1], landmarks={
+            lm: cars[1].landmarks[lm] for lm in keep.tolist()},
+            features=est.FeatureRows(*(a[np.isin(rows.landmark, keep)]
+                                       for a in rows)))
+        (locked, _), _ = object_problem(scenario, frames[:1], 0,
+                                        with_features=False)
+        # without box rows nothing pins the offset of the anchored points,
+        # and LM creeps along it until the iteration cap
+        capped = replace(cars[0], semantic=est.semantic_rows([]))
+        windows = {"car": cars[0], "pedestrian": tracks[4],
+                   "three_landmarks": few, "locked": locked,
+                   "capped": capped}
+        return scenario, cars, windows, list(scenario.camera[:5])
+
+    def test_batch_matches_solo_solves(self, windows):
+        scenario, cars, cases, cams = windows
+        tracks = cars + list(cases.values())
+        batch = est.solve_objects(tracks, cams, scenario.rig)
+        results = dict(zip(cases, batch[len(cars):]))
+        assert cases["pedestrian"].label == "pedestrian"
+        assert len(cases["three_landmarks"].landmarks) == 3
+        assert results["locked"].under_constrained
+        assert results["capped"].report.reason == "max_iterations"
+        assert results["capped"].report.iterations == 50
+        assert all(r.report.converged for r in batch[:len(cars)])
+        for track, got in zip(tracks, batch):
+            (solo,) = est.solve_objects([track], cams, scenario.rig)
+            assert_same_solve(got, solo)
+            if solo.report.converged:
+                est.solve_object(track, cams, scenario.rig)
+            else:
+                with pytest.raises(NoConvergence):
+                    est.solve_object(track, cams, scenario.rig)
+                # a track that did not converge keeps its input states
+                assert got.states == list(track.states)
+
+    def test_degenerate_track_leaves_the_others(self, windows):
+        # a state that is not finite leaves a track's normal equations
+        # unsolvable at every damping: that track fails, the others finish
+        scenario, cars, _, cams = windows
+        bad = replace(cars[1], states=[cars[1].states[0].replace(
+            speed=np.nan)] + cars[1].states[1:])
+        tracks = [cars[0], bad, cars[2], cars[3]]
+        batch = est.solve_objects(tracks, cams, scenario.rig)
+        assert batch[1].report.reason == nls.NUMERICAL_FAILURE
+        assert not batch[1].report.converged
+        assert batch[1].states == bad.states
+        with pytest.raises(NumericalFailure):
+            est.solve_object(bad, cams, scenario.rig)
+        for i in (0, 2, 3):
+            (solo,) = est.solve_objects([tracks[i]], cams, scenario.rig)
+            assert_same_solve(batch[i], solo)
+
+    def test_one_linearization_per_round(self, windows, monkeypatch):
+        # a four-track frame linearizes no more often than its slowest
+        # track does alone
+        scenario, cars, _, cams = windows
+        calls = []
+        batches = est._ObjectProblem.batches
+
+        def counted(self, state, blocks, jacobians):
+            calls.append(jacobians)
+            return batches(self, state, blocks, jacobians)
+
+        monkeypatch.setattr(est._ObjectProblem, "batches", counted)
+        est.solve_objects(cars, cams, scenario.rig)
+        batched = sum(calls)
+        solo = []
+        for track in cars:
+            calls.clear()
+            est.solve_objects([track], cams, scenario.rig)
+            solo.append(sum(calls))
+        assert batched <= max(solo) < sum(solo)
 
 
 def assemble_rows(rows, width):
@@ -377,27 +506,32 @@ def reference_object(track, camera_poses, rig, config, lock_dims, state):
 
 
 def assert_matches_reference(eq, reference, n_dense, tol=1e-10):
-    """The Schur accumulator against the full-width reference, to ``tol``
-    relative to the largest entry of the reference H and g."""
+    """The one-block Schur accumulator against the full-width reference, to
+    ``tol`` relative to the largest entry of the reference H and g.  Dense
+    columns past ``n_dense`` (the dims of a locked track) are padding and
+    must have no terms."""
     (h_ref, g_ref, cost_ref) = reference
     n_lm = eq.n_landmarks
     h_scale, g_scale = np.abs(h_ref).max(), np.abs(g_ref).max()
+    h_dd, h_dl, g_d = eq.h_dd[0], eq.h_dl[0], eq.g_d[0]
 
     def close(a, b, scale):
         assert a.shape == b.shape
         assert np.abs(a - b).max(initial=0.0) <= tol * scale
 
-    close(eq.h_dd, h_ref[:n_dense, :n_dense], h_scale)
-    close(eq.h_dl, h_ref[:n_dense, n_dense:], h_scale)
+    assert not (h_dd[n_dense:].any() or h_dd[:, n_dense:].any()
+                or h_dl[n_dense:].any() or g_d[n_dense:].any())
+    close(h_dd[:n_dense, :n_dense], h_ref[:n_dense, :n_dense], h_scale)
+    close(h_dl[:n_dense], h_ref[:n_dense, n_dense:], h_scale)
     h_ll = h_ref[n_dense:, n_dense:].reshape(n_lm, 3, n_lm, 3)
     blocks = h_ll[np.arange(n_lm), :, np.arange(n_lm), :]
-    close(eq.h_ll, blocks, h_scale)
+    close(eq.h_ll[0], blocks, h_scale)
     # landmarks couple only through the dense block
     h_ll[np.arange(n_lm), :, np.arange(n_lm), :] = 0.0
     assert not h_ll.any()
-    close(eq.g_d, g_ref[:n_dense], g_scale)
-    close(eq.g_l.ravel(), g_ref[n_dense:], g_scale)
-    assert eq.cost == pytest.approx(cost_ref, rel=tol)
+    close(g_d[:n_dense], g_ref[:n_dense], g_scale)
+    close(eq.g_l[0].ravel(), g_ref[n_dense:], g_scale)
+    assert eq.cost[0] == pytest.approx(cost_ref, rel=tol)
 
 
 class TestOnePassProblems:
@@ -414,24 +548,24 @@ class TestOnePassProblems:
             landmarks={"background_n": 150, "per_object_n": 16})
         config = est.EstimatorConfig(dt=scenario.dt, window=5)
         ego_calls, object_calls = [], []
-        solve_ego, solve_object = est.solve_ego, est.solve_object
+        solve_ego, solve_objects = est.solve_ego, est.solve_objects
 
         def capture_ego(*args):
             ego_calls.append(args)
             return solve_ego(*args)
 
-        def capture_object(*args):
-            object_calls.append(args)
-            return solve_object(*args)
+        def capture_objects(tracks, *args):
+            object_calls.extend((track, *args) for track in tracks)
+            return solve_objects(tracks, *args)
 
         tracker = est.WindowTracker(scenario.rig, config,
                                     initial_pose=scenario.camera[0])
-        est.solve_ego, est.solve_object = capture_ego, capture_object
+        est.solve_ego, est.solve_objects = capture_ego, capture_objects
         try:
             for t in range(scenario.n_frames):
                 tracker.process(sim.synthesize_frame(scenario, t))
         finally:
-            est.solve_ego, est.solve_object = solve_ego, solve_object
+            est.solve_ego, est.solve_objects = solve_ego, solve_objects
         return scenario, config, ego_calls, object_calls
 
     def check_ego(self, poses, landmarks, rows, rig, config, state=None):
@@ -439,18 +573,25 @@ class TestOnePassProblems:
         state = problem.initial if state is None else state
         ref, n_dense, dropped = reference_ego(poses, landmarks, rows, state,
                                               rig, config)
-        assert_matches_reference(problem.linearize(state), ref, n_dense)
-        assert problem.cost(state) == pytest.approx(ref[2], rel=1e-10)
+        assert_matches_reference(linearize(problem, state), ref, n_dense)
+        assert block_costs(problem, state)[0] == pytest.approx(ref[2],
+                                                               rel=1e-10)
         return dropped
 
     def check_object(self, track, camera_poses, rig, config, lock_dims=False):
-        problem = est._ObjectProblem(track, camera_poses, rig, config,
-                                     lock_dims)
+        problem = est._ObjectProblem([track], camera_poses, rig, config,
+                                     [lock_dims])
         state = problem.initial
+        motion, dims, lms = state
+        states = [s.replace(position=m[:3], yaw=m[3], steer=m[4],
+                            speed=m[5]) for s, m in zip(track.states,
+                                                        motion[0])]
         ref, n_dense, dropped = reference_object(
-            track, camera_poses, rig, config, lock_dims, state)
-        assert_matches_reference(problem.linearize(state), ref, n_dense)
-        assert problem.cost(state) == pytest.approx(ref[2], rel=1e-10)
+            track, camera_poses, rig, config, lock_dims,
+            (states, dims[0], lms[0]))
+        assert_matches_reference(linearize(problem, state), ref, n_dense)
+        assert block_costs(problem, state)[0] == pytest.approx(ref[2],
+                                                               rel=1e-10)
         return dropped
 
     def test_captured_ego_window_with_gauge_rows(self, captured):
@@ -585,6 +726,29 @@ class TestAlignPointCloud:
         assert set(faces.tolist()) == {2, 3, 4}  # +y, -y, +z
         aligned, applied = est.align_point_cloud(state, pts)
         assert not applied and aligned is state
+
+    def test_batch_matches_single_solves(self):
+        # boxes aligned together come out as they do one at a time; a box
+        # whose cloud fails the face gate stays as it is
+        rng = np.random.default_rng(11)
+        states, clouds = [], []
+        for k in range(3):
+            true = ObjectState(position=np.array([2.0 * k, -0.85, 20.0]),
+                               yaw=0.3 * k, dims=np.array([3.9, 1.6, 1.7]))
+            shifted = true.replace(position=true.position
+                                   + rng.normal(0.0, 0.2, 3))
+            world = true.pose.apply(self.surface_cloud(true.dims, rng))
+            states.append(shifted)
+            clouds.append(shifted.pose.apply_inverse(world))
+        clouds[1] = clouds[1][:2]
+        batch = est.align_point_clouds(states, clouds)
+        assert [applied for _, applied in batch] == [True, False, True]
+        assert batch[1][0] is states[1]
+        for (got, applied), state, cloud in zip(batch, states, clouds):
+            alone, applied_alone = est.align_point_cloud(state, cloud)
+            assert applied == applied_alone
+            assert np.abs(got.position - alone.position).max() < 1e-12
+            assert abs(got.yaw - alone.yaw) < 1e-12
 
     def test_too_few_points_no_op(self):
         state = ObjectState(position=np.zeros(3), yaw=0.0,

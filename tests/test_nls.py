@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 
 from semtrack import nls
-from semtrack.errors import NumericalFailure
+
+
+def flat_step(eq, damping):
+    """The damped step of a one-block system as one vector, or None."""
+    step, solved = eq.solve(np.array([damping]), np.array([0]))
+    if not solved[0]:
+        return None
+    return np.concatenate([part[0].ravel() for part in step])
 
 
 class QuadraticProblem:
-    """0.5 || A x - b ||^2 over a plain vector state."""
+    """0.5 || A x - b ||^2 over a plain vector state, as one block."""
+
+    n_blocks = 1
 
     def __init__(self, a_mat, b):
         self.a_mat = a_mat
@@ -17,37 +26,74 @@ class QuadraticProblem:
     def residual(self, x):
         return self.a_mat @ x - self.b
 
-    def linearize(self, x):
-        eq = nls.DenseNormalEquations(len(x))
-        eq.add_batch(nls.RowBatch(self.residual(x)[None], self.a_mat[None],
-                                  np.arange(len(x)), tag="quad"))
-        return eq
+    def equations(self):
+        return nls.DenseNormalEquations(self.a_mat.shape[1])
+
+    def batches(self, x, blocks, jacobians):
+        return [nls.RowBatch(self.residual(x)[None],
+                             self.a_mat[None] if jacobians else None,
+                             np.arange(len(x)), tag="quad")]
 
     def cost(self, x):
         r = self.residual(x)
         return 0.5 * float(r @ r)
 
-    def retract(self, x, step):
-        return x + step
+    def retract(self, x, step, blocks):
+        return x + step[0][0]
 
 
 class RosenbrockProblem:
-    def residual(self, x):
-        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    """Rosenbrock's function in k independent blocks; state (k, 2)."""
 
-    def linearize(self, x):
-        eq = nls.DenseNormalEquations(2)
-        jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
-        eq.add_batch(nls.RowBatch(self.residual(x)[None], jac[None],
-                                  np.arange(2)))
-        return eq
+    def __init__(self, n_blocks=1):
+        self.n_blocks = n_blocks
+
+    def residual(self, x):
+        x = np.reshape(x, (-1, 2))
+        return np.column_stack([10.0 * (x[:, 1] - x[:, 0] ** 2),
+                                1.0 - x[:, 0]])
+
+    def equations(self):
+        return nls.DenseNormalEquations(2, self.n_blocks)
+
+    def batches(self, x, blocks, jacobians):
+        x = np.reshape(x, (-1, 2))[blocks]
+        jac = None
+        if jacobians:
+            jac = np.zeros((len(blocks), 2, 2))
+            jac[:, 0, 0] = -20.0 * x[:, 0]
+            jac[:, 0, 1] = 10.0
+            jac[:, 1, 0] = -1.0
+        return [nls.RowBatch(self.residual(x), jac, np.arange(2),
+                             block=blocks)]
 
     def cost(self, x):
         r = self.residual(x)
-        return 0.5 * float(r @ r)
+        return 0.5 * float(np.sum(r * r))
 
-    def retract(self, x, step):
-        return x + step
+    def retract(self, x, step, blocks):
+        x = np.array(x, dtype=float).reshape(-1, 2)
+        x[blocks] += step[0]
+        return x
+
+
+class Unsolvable(RosenbrockProblem):
+    """Rosenbrock blocks whose normal equations no damping makes solvable
+    in the blocks listed in ``bad``."""
+
+    def __init__(self, n_blocks, bad):
+        super().__init__(n_blocks)
+        self.bad = bad
+
+    def equations(self):
+        bad = self.bad
+
+        class Equations(nls.DenseNormalEquations):
+            def solve(self, damping, blocks):
+                step, solved = super().solve(damping, blocks)
+                return step, solved & ~np.isin(blocks, bad)
+
+        return Equations(2, self.n_blocks)
 
 
 class TestSolveNls:
@@ -56,8 +102,8 @@ class TestSolveNls:
         a_mat = rng.normal(size=(8, 4))
         b = rng.normal(size=8)
         problem = QuadraticProblem(a_mat, b)
-        x, report = nls.solve_nls(problem, np.zeros(4),
-                                  initial_damping=1e-12)
+        x, (report,) = nls.solve_nls(problem, np.zeros(4),
+                                     initial_damping=1e-12)
         x_star, *_ = np.linalg.lstsq(a_mat, b, rcond=None)
         assert np.allclose(x, x_star, atol=1e-8)
         assert report.converged
@@ -65,8 +111,8 @@ class TestSolveNls:
         assert "quad" in report.cost_by_tag
 
     def test_rosenbrock_converges(self):
-        x, report = nls.solve_nls(RosenbrockProblem(),
-                                  np.array([-1.2, 1.0]))
+        x, (report,) = nls.solve_nls(RosenbrockProblem(),
+                                     np.array([-1.2, 1.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-6)
         assert report.converged
 
@@ -75,30 +121,19 @@ class TestSolveNls:
         problem = RosenbrockProblem()
         for _ in range(25):
             x0 = rng.uniform(-3.0, 3.0, 2)
-            x, report = nls.solve_nls(problem, x0, max_iterations=12)
+            x, (report,) = nls.solve_nls(problem, x0, max_iterations=12)
             assert problem.cost(x) <= problem.cost(x0) + 1e-15
             assert report.final_cost == pytest.approx(problem.cost(x))
 
-    def test_unsolvable_raises(self):
-        class Bad:
-            def linearize(self, x):
-                class Lin:
-                    cost = 1.0
-                    gradient_norm = 1.0
-
-                    def solve(self, damping):
-                        return None
-
-                return Lin()
-
-            def cost(self, x):
-                return 1.0
-
-            def retract(self, x, step):
-                return x
-
-        with pytest.raises(NumericalFailure):
-            nls.solve_nls(Bad(), np.zeros(2))
+    def test_unsolvable_block_fails(self):
+        # normal equations that no damping makes solvable: the block stops
+        # unconverged instead of raising
+        x0 = np.array([-1.2, 1.0])
+        x, (report,) = nls.solve_nls(Unsolvable(1, bad=[0]), x0)
+        assert not report.converged
+        assert report.reason == nls.NUMERICAL_FAILURE
+        assert report.iterations == 1
+        assert np.array_equal(x, x0)
 
     def test_already_optimal_stops_on_gradient(self):
         rng = np.random.default_rng(23)
@@ -106,8 +141,38 @@ class TestSolveNls:
         b = rng.normal(size=6)
         problem = QuadraticProblem(a_mat, b)
         x_star, *_ = np.linalg.lstsq(a_mat, b, rcond=None)
-        _, report = nls.solve_nls(problem, x_star)
+        _, (report,) = nls.solve_nls(problem, x_star)
         assert report.converged and report.iterations <= 2
+
+    def test_blocks_match_solo_solves(self):
+        # each block of a batched solve takes the decisions of its solo
+        # solve: the same states, iterations and stop reasons
+        rng = np.random.default_rng(29)
+        starts = rng.uniform(-3.0, 3.0, (6, 2))
+        for cap in (4, 50):
+            x, reports = nls.solve_nls(RosenbrockProblem(6), starts,
+                                       max_iterations=cap)
+            for start, got, report in zip(starts, x, reports):
+                solo, (solo_report,) = nls.solve_nls(
+                    RosenbrockProblem(), start, max_iterations=cap)
+                assert np.array_equal(got, solo[0])
+                assert report == solo_report
+            assert reports.iterations == sum(r.iterations for r in reports)
+            assert any(r.reason == "max_iterations" for r in reports) == \
+                (cap == 4)
+
+    def test_failed_block_leaves_the_others(self):
+        # one block fails numerically; the others finish as they would
+        # alone
+        starts = np.array([[-1.2, 1.0], [0.5, 0.5], [2.0, -1.0]])
+        x, reports = nls.solve_nls(Unsolvable(3, bad=[1]), starts)
+        assert reports[1].reason == nls.NUMERICAL_FAILURE
+        assert np.array_equal(x[1], starts[1])
+        for b in (0, 2):
+            solo, (solo_report,) = nls.solve_nls(RosenbrockProblem(),
+                                                 starts[b])
+            assert np.array_equal(x[b], solo[0])
+            assert reports[b] == solo_report
 
 
 class TestHuber:
@@ -164,8 +229,8 @@ class TestSchurEquivalence:
             schur, dense = self.assemble(obs, n_dense, n_lm, huber, info)
             assert schur.cost == pytest.approx(dense.cost)
             for damping in (1e-6, 1e-2, 1.0):
-                step_s = schur.solve(damping)
-                step_d = dense.solve(damping)
+                step_s = flat_step(schur, damping)
+                step_d = flat_step(dense, damping)
                 assert step_s is not None and step_d is not None
                 assert np.allclose(step_s, step_d, atol=1e-8)
 
@@ -195,46 +260,52 @@ class TestSchurEquivalence:
             dense = nls.DenseNormalEquations(n_dense + 3 * n_lm)
             dense.add_batch(nls.RowBatch(r, full, np.arange(full.shape[2]),
                                          huber))
-            h_full = dense.h_mat
+            h_full, grad = dense.h_mat[0], dense.grad[0]
             assert schur.cost == pytest.approx(dense.cost, rel=1e-12)
-            assert np.allclose(schur.h_dd, h_full[:n_dense, :n_dense],
+            assert np.allclose(schur.h_dd[0], h_full[:n_dense, :n_dense],
                                rtol=1e-12, atol=1e-12)
-            assert np.allclose(schur.h_dl, h_full[:n_dense, n_dense:],
+            assert np.allclose(schur.h_dl[0], h_full[:n_dense, n_dense:],
                                rtol=1e-12, atol=1e-12)
             for k in range(n_lm):
                 sl = slice(n_dense + 3 * k, n_dense + 3 * k + 3)
-                assert np.allclose(schur.h_ll[k], h_full[sl, sl],
+                assert np.allclose(schur.h_ll[0, k], h_full[sl, sl],
                                    rtol=1e-12, atol=1e-12)
-                assert np.allclose(schur.g_l[k], dense.grad[sl],
+                assert np.allclose(schur.g_l[0, k], grad[sl],
                                    rtol=1e-12, atol=1e-12)
-            assert np.allclose(schur.g_d, dense.grad[:n_dense],
+            assert np.allclose(schur.g_d[0], grad[:n_dense],
                                rtol=1e-12, atol=1e-12)
-            assert np.allclose(schur.solve(1e-3), dense.solve(1e-3),
-                               atol=1e-8)
+            assert np.allclose(flat_step(schur, 1e-3),
+                               flat_step(dense, 1e-3), atol=1e-8)
 
     def test_block_damping_matches_per_block_reference(self):
-        # the landmark blocks are damped all at once; the per-block loop
-        # with _damped gives the same bits
+        # the landmark blocks are damped all at once; damping them one at
+        # a time, with the rest of the solve unchanged, gives the same bits
         def reference_solve(eq, damping):
+            n, d = eq.n_landmarks, eq.dense_size
             h_ll = eq.h_ll.copy()
-            for k in range(eq.n_landmarks):
-                h_ll[k] = nls._damped(h_ll[k], damping)
+            for k in range(n):
+                h_ll[0, k] += damping * np.diag(np.maximum(np.diag(h_ll[0, k]),
+                                                           1e-12))
             h_ll_inv = np.linalg.inv(h_ll)
-            w_mat = eq.h_dl.reshape(eq.dense_size, eq.n_landmarks, eq.lm_dim)
-            w_inv = np.einsum("dki,kij->dkj", w_mat, h_ll_inv)
-            h_red = (nls._damped(eq.h_dd, damping)
-                     - np.einsum("dkj,ekj->de", w_inv, w_mat))
-            g_red = eq.g_d - np.einsum("dkj,kj->d", w_inv, eq.g_l)
-            dx_d = nls._try_cholesky_solve(h_red, -g_red)
-            rhs = -eq.g_l - np.einsum("dkj,d->kj", w_mat, dx_d)
-            dx_l = np.einsum("kij,kj->ki", h_ll_inv, rhs)
-            return np.concatenate([dx_d, dx_l.ravel()])
+            v_mat = np.empty((1, d, n, 3))
+            np.matmul(eq.h_dl.reshape(1, d, n, 3).transpose(0, 2, 1, 3),
+                      h_ll_inv, out=v_mat.transpose(0, 2, 1, 3))
+            v_mat = v_mat.reshape(1, d, 3 * n)
+            h_red = (nls._damped(eq.h_dd, np.array([damping]))
+                     - v_mat @ eq.h_dl.transpose(0, 2, 1))
+            g_red = eq.g_d - (v_mat @ eq.g_l.reshape(1, -1, 1))[:, :, 0]
+            low = np.linalg.cholesky(h_red)
+            y = np.linalg.solve(low, -g_red[:, :, None])
+            dx_d = np.linalg.solve(low.transpose(0, 2, 1), y)[:, :, 0]
+            rhs = -eq.g_l - (dx_d[:, None, :] @ eq.h_dl).reshape(1, n, 3)
+            dx_l = (h_ll_inv @ rhs[..., None])[..., 0]
+            return np.concatenate([dx_d[0], dx_l[0].ravel()])
 
         rng = np.random.default_rng(27)
         # 20 landmarks for 12 observations: some blocks stay empty
         schur, _ = self.assemble(self.build_problem(rng, 7, 20, 12), 7, 20)
         for damping in (1e-4, 1e-2, 1.0, 1e3):
-            step = schur.solve(damping)
+            step = flat_step(schur, damping)
             assert step is not None
             assert step.tobytes() == reference_solve(schur, damping).tobytes()
 
@@ -250,7 +321,7 @@ class TestSchurEquivalence:
         schur.add_batch(nls.RowBatch(np.ones((1, 2)), np.eye(2)[None],
                                      np.arange(2), lm_indices=np.array([0]),
                                      lm_jac=np.ones((1, 2, 3))))
-        step = schur.solve(1e-4)
+        step = flat_step(schur, 1e-4)
         assert step is not None and len(step) == 8
         assert np.allclose(step[5:], 0.0)
 
@@ -263,6 +334,8 @@ class TestSchurEquivalence:
         eq = nls.DenseNormalEquations(3)
         for batch in batches:
             eq.add_batch(batch)
-        assert nls.batch_cost(batches) == eq.cost
+        terms = nls.batch_cost(batches)
+        assert terms.cost[0] == eq.cost[0]
+        assert terms.cost_by_tag == eq.cost_by_tag
         assert eq.cost_by_tag["a"] + eq.cost_by_tag["b"] == \
             pytest.approx(eq.cost)

@@ -374,14 +374,16 @@ class TestMotionResidual:
 class TestPriorResidual:
     def test_value_and_jacobian(self):
         prior = DEFAULT_PRIORS["car"]
-        r0, jac = res.prior_residual(prior.mean + [0.1, -0.2, 0.05], prior)
+        r0, jac = res.prior_residual(prior.mean + [0.1, -0.2, 0.05],
+                                     prior.mean)
         assert np.allclose(r0, [0.1, -0.2, 0.05])
         assert np.array_equal(jac["dims"], np.eye(3))
 
 
 def surface_one(world, obj, face, jacobians=True):
     """One point-surface row: (residual (1,), jac dict of (1, 4))."""
-    return res.point_surface_residual(world[None], obj, [FACES.index(face)],
+    return res.point_surface_residual(world[None], obj.position, obj.yaw,
+                                      obj.dims, [FACES.index(face)],
                                       jacobians)
 
 
