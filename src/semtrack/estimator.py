@@ -27,11 +27,12 @@ from . import residuals as res
 from .associate import associate_objects, reject_outliers
 from .boxinfer import (DEFAULT_PRIORS, DimensionPrior, infer_pose,
                        selection_set)
-from .errors import DegenerateGroup, NoConvergence, NumericalFailure
+from .errors import (ConfigError, DegenerateGroup, NoConvergence,
+                     NumericalFailure)
 from .geometry import (ObjectState, Pose, StereoRig, face_offsets,
                        project_rotation, rot_y, so3_exp, wrap_angle)
 from .nls import (NUMERICAL_FAILURE, DenseNormalEquations, RowBatch,
-                  SchurNormalEquations, SolveReport, solve_nls)
+                  SchurNormalEquations, SolveReport, scatter_plan, solve_nls)
 
 MIN_PARALLAX_DEG = 0.5
 
@@ -130,13 +131,6 @@ class ObjectResult:
     under_constrained: bool
 
 
-def _camera_rows(poses, frames):
-    """Per-row camera rotations (n, 3, 3) and translations (n, 3) of the
-    window ``poses`` at ``frames``."""
-    return (np.array([p.rotation for p in poses])[frames],
-            np.array([p.translation for p in poses])[frames])
-
-
 # ---------------------------------------------------------------------------
 # ego-motion window
 
@@ -144,11 +138,14 @@ def _camera_rows(poses, frames):
 class _EgoProblem:
     """Adapter exposing the ego window to the NLS engine, as one block.
 
-    State is (poses, landmark array); the oldest pose is the gauge and
-    stays constant.  Only landmarks observed in at least two frames are
-    optimized; rows of other landmarks carry no information about the
-    relative poses beyond a stereo depth and are dropped.  Each
-    evaluation is one feature batch over the whole window.
+    State is (rotations (F, 3, 3), translations (F, 3), landmarks (L,
+    3)); the oldest pose is the gauge and stays constant.  Only landmarks
+    observed in at least two frames are optimized; rows of other
+    landmarks carry no information about the relative poses beyond a
+    stereo depth and are dropped.  The rows stay the same for the whole
+    solve (a row behind a camera adds zero), so their scatter plan is
+    built once.  Each evaluation is one feature batch over the whole
+    window.
     """
 
     n_blocks = 1
@@ -165,17 +162,20 @@ class _EgoProblem:
         self.slot = slot = np.searchsorted(self.lm_ids, rows.landmark[keep])
         self.left, self.right = rows.left[keep], rows.right[keep]
         # rows of the gauge frame touch the landmark columns only
-        self.cols = np.where(frame[:, None] > 0,
-                             6 * (frame[:, None] - 1) + np.arange(6), -1)
+        cols = np.where(frame[:, None] > 0,
+                        6 * (frame[:, None] - 1) + np.arange(6), -1)
+        self.plan = scatter_plan(np.zeros(len(frame), dtype=int), cols, 1,
+                                 6 * (self.n_poses - 1), slot,
+                                 len(self.lm_ids))
         lms = np.array([landmarks[lm] for lm in self.lm_ids]).reshape(-1, 3)
-        self.initial = (list(poses), lms)
+        centers = np.array([p.translation for p in poses])
+        self.initial = (np.array([p.rotation for p in poses]), centers, lms)
         # parallax: mean ray angle between the first and last observation
         # of each optimized landmark
         first = np.full(len(lms), self.n_poses)
         last = np.full(len(lms), -1)
         np.minimum.at(first, slot, frame)
         np.maximum.at(last, slot, frame)
-        centers = np.array([p.translation for p in poses])
         ray_a, ray_b = lms - centers[first], lms - centers[last]
         denom = np.linalg.norm(ray_a, axis=1) * np.linalg.norm(ray_b, axis=1)
         ok = denom >= 1e-12
@@ -187,27 +187,26 @@ class _EgoProblem:
         return SchurNormalEquations(6 * (self.n_poses - 1), len(self.lm_ids))
 
     def batches(self, state, blocks, jacobians):
-        poses, lms = state
+        rot, trans, lms = state
         info = 1.0 / self.config.feature_sigma
-        r, jac, valid = res.feature_residuals_batch(
-            self.left, self.right, *_camera_rows(poses, self.frame),
+        r, jac, _ = res.feature_residuals_batch(
+            self.left, self.right, rot[self.frame], trans[self.frame],
             lms[self.slot], self.rig, jacobians=jacobians)
         if not jacobians:
             return [RowBatch(r * info, huber_delta=self.config.huber_scale,
                              tag="feature")]
-        return [RowBatch(r * info, jac["camera"] * info, self.cols[valid],
-                         self.config.huber_scale, "feature",
-                         self.slot[valid], jac["landmark"] * info)]
+        return [RowBatch(r * info, jac["camera"] * info,
+                         huber_delta=self.config.huber_scale, tag="feature",
+                         lm_jac=jac["landmark"] * info, plan=self.plan)]
 
     def retract(self, state, step, blocks):
-        poses, lms = state
+        rot, trans, lms = state
         dense, dx_l = step
-        new_poses = [poses[0]]
-        for f, pose in enumerate(poses[1:]):
-            d = dense[0, 6 * f:6 * f + 6]
-            rot = project_rotation(pose.rotation @ so3_exp(d[3:]))
-            new_poses.append(Pose(rot, pose.translation + d[:3]))
-        return new_poses, lms + dx_l[0]
+        d = dense[0].reshape(-1, 6)
+        rot, trans = rot.copy(), trans.copy()
+        rot[1:] = project_rotation(rot[1:] @ so3_exp(d[:, 3:]))
+        trans[1:] += d[:, :3]
+        return rot, trans, lms + dx_l[0]
 
 
 def solve_ego(poses, landmarks, rows: FeatureRows, rig: StereoRig,
@@ -227,12 +226,11 @@ def solve_ego(poses, landmarks, rows: FeatureRows, rig: StereoRig,
         raise ValueError("feature row references a missing frame")
     ego = _EgoProblem(poses, landmarks, rows, rig, config)
     flag = ego.parallax < math.radians(MIN_PARALLAX_DEG)
-    state, (report,) = solve_nls(ego, ego.initial,
-                                 max_iterations=config.max_iterations)
+    (rot, trans, lms), (report,) = solve_nls(
+        ego, ego.initial, max_iterations=config.max_iterations)
     _raise_unless_converged(report, "ego")
-    poses, lms = state
-    return EgoResult(poses, dict(zip(ego.lm_ids.tolist(), lms)), report,
-                     flag)
+    return EgoResult([Pose(r, t) for r, t in zip(rot, trans)],
+                     dict(zip(ego.lm_ids.tolist(), lms)), report, flag)
 
 
 def _raise_unless_converged(report, what):
@@ -265,8 +263,8 @@ class _ObjectProblem:
     dims at column 6n.  Slots past a track's own states are padding, and
     so are the dims of a track whose dims are locked (under-constrained
     tracks).  Each evaluation is one batch per residual family over the
-    listed tracks; each row carries its track and the dense columns it
-    touches.
+    listed tracks; each row carries its track and the scatter plan of the
+    columns and landmark it touches, built once per solve.
     """
 
     def __init__(self, tracks, camera_poses, rig, config, locked):
@@ -336,6 +334,10 @@ class _ObjectProblem:
         self.rows = {"feature": _stack_rows(feat),
                      "semantic": _stack_rows(sem),
                      "motion": _stack_rows(mot), "prior": _stack_rows(prior)}
+        for rows in self.rows.values():
+            rows["plan"] = scatter_plan(rows["block"], rows.pop("cols"), k,
+                                        6 * n + 3, rows.get("lm"),
+                                        self.n_landmarks)
         self._taken = (None, None)
         dims = np.array([t.states[0].dims for t in tracks], dtype=float)
         self.initial = (motion, dims, lms)
@@ -365,18 +367,18 @@ class _ObjectProblem:
         if len(rows["block"]):
             info = 1.0 / cfg.feature_sigma
             block, slot = rows["block"], rows["slot"]
-            r, jac, valid = res.feature_residuals_batch(
+            r, jac, _ = res.feature_residuals_batch(
                 rows["left"], rows["right"], rows["rot"], rows["trans"],
                 lms[block, rows["lm"]], self.rig, motion[block, slot, :3],
                 motion[block, slot, 3], jacobians)
             if not jacobians:
                 yield RowBatch(r * info, huber_delta=cfg.huber_scale,
-                               tag="feature", block=block[valid])
+                               tag="feature", block=block)
             else:
                 yield RowBatch(r * info, jac["object"] * info,
-                               rows["cols"][valid], cfg.huber_scale,
-                               "feature", rows["lm"][valid],
-                               jac["landmark"] * info, block[valid])
+                               huber_delta=cfg.huber_scale, tag="feature",
+                               lm_jac=jac["landmark"] * info, block=block,
+                               plan=rows["plan"])
         rows = families["semantic"]
         if len(rows["block"]):
             block, slot = rows["block"], rows["slot"]
@@ -385,13 +387,13 @@ class _ObjectProblem:
                 rows["trans"], motion[block, slot, :3], motion[block, slot, 3],
                 dims[block], jacobians)
             det = np.nonzero(hit)[0]
-            jac_w = cols = None
+            jac_w = plan = None
             if jacobians:
                 jac_w = np.concatenate([jac["object"], jac["dims"]],
                                        axis=1)[:, None] / cfg.box_sigma
-                cols = rows["cols"][det]
-            yield RowBatch(r[:, None] / cfg.box_sigma, jac_w, cols,
-                           tag="semantic", block=block[det])
+                plan = rows["plan"][det]
+            yield RowBatch(r[:, None] / cfg.box_sigma, jac_w, tag="semantic",
+                           block=block[det], plan=plan)
         rows = families["motion"]
         if len(rows["block"]):
             block, slot = rows["block"], rows["slot"]
@@ -403,15 +405,15 @@ class _ObjectProblem:
             if jacobians:
                 jac_w = np.concatenate([jac["cur"], jac["prev"], jac["dims"]],
                                        axis=2) * info[:, :, None]
-            yield RowBatch(r * info, jac_w, rows["cols"], tag="motion",
-                           block=block)
+            yield RowBatch(r * info, jac_w, tag="motion", block=block,
+                           plan=rows["plan"])
         rows = families["prior"]
         if len(rows["block"]):
             block = rows["block"]
             r, _ = res.prior_residual(dims[block], rows["mean"],
                                       jacobians=False)
-            yield RowBatch(r * rows["info"], rows["jac"], rows["cols"],
-                           tag="prior", block=block)
+            yield RowBatch(r * rows["info"], rows["jac"], tag="prior",
+                           block=block, plan=rows["plan"])
 
     def retract(self, state, step, blocks):
         motion, dims, lms = state
@@ -502,6 +504,7 @@ class _AlignProblem:
         self.points = np.concatenate(world_points)
         self.faces = np.concatenate(faces)
         self.dims = np.array([s.dims for s in states])
+        self.plan = scatter_plan(self.block, np.arange(4), self.n_blocks, 4)
         self.config = config
         self.initial = (np.array([s.position for s in states]),
                         np.array([s.yaw for s in states]))
@@ -519,9 +522,10 @@ class _AlignProblem:
             self.points[rows], position[block], yaw[block], self.dims[block],
             self.faces[rows], jacobians=jacobians)
         jac_w = jac["object"][:, None, :] * info if jacobians else None
-        return [RowBatch(r[:, None] * info, jac_w, np.arange(4),
-                         self.config.huber_scale, "point_surface",
-                         block=block)]
+        return [RowBatch(r[:, None] * info, jac_w,
+                         huber_delta=self.config.huber_scale,
+                         tag="point_surface", block=block,
+                         plan=self.plan[rows])]
 
     def retract(self, state, step, blocks):
         position, yaw = state
@@ -676,17 +680,47 @@ class WindowTracker:
 
     # -- per-frame stages
 
+    def _frame_points(self, frame_measurements):
+        """Left and right image points (n, 2) of the features of the next
+        frame.  Raises :class:`ConfigError` naming the frame when a point
+        is not a 2-vector, and naming the feature or detection as well
+        when a point or a box edge is not finite."""
+        where = f"frame {self._frame + 1}"
+        features = frame_measurements.features
+        semantic = frame_measurements.semantic
+        try:
+            points = np.array([(f.left, f.right) for f in features],
+                              dtype=float).reshape(len(features), 2, 2)
+        except ValueError as exc:
+            raise ConfigError(where, "a feature point is not a 2-vector") \
+                from exc
+        bad = ~np.isfinite(points).all(axis=(1, 2))
+        if bad.any():
+            fid = features[int(np.argmax(bad))].feature_id
+            raise ConfigError(where,
+                              f"feature {fid} has a non-finite image point")
+        boxes = np.array([s.box.as_array() for s in semantic]).reshape(-1, 4)
+        bad = ~np.isfinite(boxes).all(axis=1)
+        if bad.any():
+            det = semantic[int(np.argmax(bad))].object_id
+            raise ConfigError(where,
+                              f"detection {det} has a non-finite box edge")
+        return points[:, 0], points[:, 1]
+
     def process(self, frame_measurements):
+        """Track one frame.  A frame with a malformed or non-finite feature
+        point or box edge raises :class:`ConfigError` and changes
+        nothing."""
+        features = frame_measurements.features
+        left, right = self._frame_points(frame_measurements)
         self._frame += 1
         t = self._frame
-        features = frame_measurements.features
         groups = {}
-        for f in features:
+        for f, uv_l, uv_r in zip(features, left, right):
             # anchor 0 marks static background in the measurement stream
             anchor = None if self.object_blind or f.anchor_id == 0 \
                 else f.anchor_id
-            groups.setdefault(anchor, []).append(
-                (f.feature_id, np.asarray(f.left), np.asarray(f.right)))
+            groups.setdefault(anchor, []).append((f.feature_id, uv_l, uv_r))
         for key in groups:
             groups[key] = self._filter_group(groups[key])
 
@@ -698,8 +732,8 @@ class WindowTracker:
         if not self.object_blind:
             self._update_object_tracks(frame_measurements, groups, pose)
 
-        self._prev_feature_uv = {f.feature_id: np.asarray(f.left)
-                                 for f in features}
+        self._prev_feature_uv = {f.feature_id: uv
+                                 for f, uv in zip(features, left)}
 
     def _solve_ego_window(self, bg_obs):
         t = self._frame
@@ -712,9 +746,12 @@ class WindowTracker:
                 self.bg_landmarks[fid] = point
             self.bg_obs.setdefault(fid, []).append((t, left, right))
         start = max(0, t - self.config.window + 1)
-        # observations before the window are never read again
+        # observations before the window are never read again, nor is a
+        # landmark without observations in it
         self.bg_obs = {fid: kept for fid, obs in self.bg_obs.items()
                        if (kept := [o for o in obs if o[0] >= start])}
+        self.bg_landmarks = {fid: self.bg_landmarks[fid]
+                             for fid in self.bg_obs}
         if t - start < 1:
             return
         rows = [(f - start, fid, left, right)
@@ -726,7 +763,8 @@ class WindowTracker:
             result = solve_ego(self.camera_trajectory[start:t + 1],
                                self.bg_landmarks, feature_rows(rows),
                                self.rig, self.config)
-        except NoConvergence:
+        except (NoConvergence, NumericalFailure):
+            # the window keeps its predicted poses
             return
         self.camera_trajectory[start:t + 1] = result.poses
         self.bg_landmarks.update(result.landmarks)

@@ -43,23 +43,26 @@ def wrap_angle(theta):
 
 
 def skew(w):
+    """Cross-product matrices (..., 3, 3) of vectors (..., 3)."""
     w = np.asarray(w, dtype=float)
-    return np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0],
-    ])
+    out = np.zeros(w.shape + (3,))
+    out[..., 0, 1], out[..., 0, 2] = -w[..., 2], w[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = w[..., 2], -w[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -w[..., 1], w[..., 0]
+    return out
 
 
 def so3_exp(w):
-    """Rotation matrix from a rotation vector (Rodrigues)."""
+    """Rotation matrices (..., 3, 3) from rotation vectors (..., 3)
+    (Rodrigues); below an angle of 1e-12 the first-order map I + [w]x."""
     w = np.asarray(w, dtype=float)
-    angle = np.linalg.norm(w)
-    if angle < 1e-12:
-        return np.eye(3) + skew(w)
-    axis = w / angle
-    k = skew(axis)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    # the norm summed as a one-vector np.linalg.norm sums it, so that a
+    # stack rounds as its members do one at a time
+    angle = np.sqrt(w[..., None, :] @ w[..., :, None])
+    small = angle < 1e-12
+    k = skew(w / np.where(small, 1.0, angle)[..., 0])
+    rot = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    return np.where(small, np.eye(3) + skew(w), rot)
 
 
 def so3_log(rot):
@@ -126,13 +129,16 @@ def quaternion_to_rotation(q):
 
 
 def project_rotation(rot):
-    """Nearest orthonormal matrix with determinant +1 (Frobenius sense).
+    """Nearest orthonormal matrices with determinant +1 (Frobenius sense)
+    of matrices (..., 3, 3).
 
     Keeps repeatedly updated rotations from drifting off the group.
     """
     u, _, vt = np.linalg.svd(np.asarray(rot, dtype=float))
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    # flip the last singular direction of a reflection
+    scale = np.ones(u.shape[:-1])
+    scale[..., 2] = np.sign(np.linalg.det(u @ vt))
+    return (u * scale[..., None, :]) @ vt
 
 
 def rot_y(theta):

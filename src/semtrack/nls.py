@@ -17,12 +17,15 @@ variant that eliminates the block-diagonal landmark blocks (the standard
 trick for bundle-adjustment style problems where the number of 3D points
 dwarfs the number of poses).  Both keep each block's terms apart, padded
 to a common size, and solve the damped systems of many blocks as one
-stack.
+stack.  Where each row's terms land is a :class:`ScatterPlan`, which a
+problem builds once per solve and hands over with every batch, so the
+accumulators compute no indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -36,22 +39,72 @@ class RowBatch(NamedTuple):
 
     ``residuals`` is (n, k): n independent rows of k components each,
     robustified one row at a time when ``huber_delta`` is set.  ``jac``
-    is (n, k, p) over the block's dense columns ``cols``, given per row
-    (n, p) or shared (p,); a row does not touch a column whose index is
-    negative.  ``jac`` is None for a cost-only batch.  ``lm_indices``
-    (n,) and ``lm_jac`` (n, k, lm_dim) attach each row to one eliminated
-    landmark of its block; an index may repeat, and the terms of its rows
-    add up.  ``block`` (n,) is the block of each row, None for block 0.
+    (n, k, p) holds each row's derivatives by p dense columns of its
+    block and ``lm_jac`` (n, k, lm_dim), when set, by the one eliminated
+    landmark the row touches; ``plan`` is the :class:`ScatterPlan` that
+    names those columns and landmarks.  ``jac`` and ``plan`` are None for
+    a cost-only batch.  ``block`` (n,) is the block of each row, None for
+    block 0.
     """
 
     residuals: np.ndarray
     jac: np.ndarray | None = None
-    cols: np.ndarray | None = None
+    plan: ScatterPlan | None = None
     huber_delta: float | None = None
     tag: str | None = None
-    lm_indices: np.ndarray | None = None
     lm_jac: np.ndarray | None = None
     block: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class ScatterPlan:
+    """Where the terms of each of n rows land in the normal equations.
+
+    Flat indices, per row, into the arrays of every block: ``grad`` (n, p)
+    into the dense gradients (n_blocks, size + 1) and ``hess`` (n, p, p)
+    into the dense blocks (n_blocks, size + 1, size + 1), where column
+    ``size`` is a sink for the negative columns of a row.  Rows with a
+    landmark add ``lm_grad`` (n, dim) into the landmark gradients
+    (n_blocks, n_landmarks * dim), ``lm_hess`` (n, dim, dim) into the
+    landmark blocks (n_blocks, n_landmarks * dim, dim) and ``coupling``
+    (n, p, dim) into the coupling (n_blocks, size + 1, n_landmarks *
+    dim).  A problem builds the plan of its rows once per solve
+    (:func:`scatter_plan`); ``plan[rows]`` is the plan of a subset of
+    them.
+    """
+
+    grad: np.ndarray
+    hess: np.ndarray
+    lm_grad: np.ndarray | None = None
+    lm_hess: np.ndarray | None = None
+    coupling: np.ndarray | None = None
+
+    def __getitem__(self, rows):
+        return ScatterPlan(*(None if (a := getattr(self, f.name)) is None
+                             else a[rows] for f in fields(self)))
+
+
+def scatter_plan(block, cols, n_blocks, size, lm_indices=None,
+                 n_landmarks=0, lm_dim=3):
+    """The :class:`ScatterPlan` of rows of ``block`` (n,) that touch the
+    dense ``cols`` ((n, p), or (p,) shared; a negative column is none) of
+    systems with ``size`` dense columns and, when ``lm_indices`` (n,) is
+    set, one of ``n_landmarks`` landmarks of dimension ``lm_dim`` each.
+    Rows may share a column or a landmark; their terms add up."""
+    block = np.asarray(block)
+    wide = size + 1
+    cols = np.broadcast_to(np.where(cols < 0, size, cols),
+                           (len(block), np.shape(cols)[-1]))
+    grad = (block * wide)[:, None] + cols
+    hess = grad[:, :, None] * wide + cols[:, None, :]
+    if lm_indices is None:
+        return ScatterPlan(grad, hess)
+    width = n_landmarks * lm_dim
+    lm_cols = lm_indices[:, None] * lm_dim + np.arange(lm_dim)
+    lm_grad = (block * width)[:, None] + lm_cols
+    return ScatterPlan(grad, hess, lm_grad,
+                       lm_grad[:, :, None] * lm_dim + np.arange(lm_dim),
+                       grad[:, :, None] * width + lm_cols[:, None, :])
 
 
 def huber(r_w, delta):
@@ -113,11 +166,6 @@ def batch_cost(batches, n_blocks=1):
     return terms
 
 
-def _block_of(batch):
-    return (np.zeros(len(batch.residuals), dtype=int) if batch.block is None
-            else batch.block)
-
-
 def _gram(jac):
     """J^T J of each row's Jacobian (n, k, p), summed over the k
     components in reverse: on a reversed view matmul takes its own loop,
@@ -127,24 +175,22 @@ def _gram(jac):
     return flip.transpose(0, 2, 1) @ flip
 
 
-def _dense_terms(r_w, jac_w, cols, block, n_blocks, size):
+def _scatter(index, values, shape):
+    """Sum ``values`` into an array of ``shape`` at the flat ``index``;
+    entries that share an index add up."""
+    return np.bincount(index.ravel(), values.ravel(),
+                       minlength=math.prod(shape)).reshape(shape)
+
+
+def _dense_terms(r_w, jac_w, plan, n_blocks, size):
     """Gradient (n_blocks, size) and Gauss-Newton blocks (n_blocks, size,
-    size) of weighted rows over their dense columns; also the per-row
-    columns (n, p) with every negative index sent to a sink column
-    ``size``, which the returned terms leave out.  Rows that share a
-    column add up."""
-    n, _, p = jac_w.shape
-    cols = np.broadcast_to(np.where(cols < 0, size, cols), (n, p))
+    size) of weighted rows placed by ``plan``; the sink column is left
+    out."""
     wide = size + 1
-    rows = (block * wide)[:, None] + cols
-    grad = np.bincount(rows.ravel(),
-                       np.einsum("nij,ni->nj", jac_w, r_w).ravel(),
-                       minlength=n_blocks * wide).reshape(n_blocks, wide)
-    h_mat = np.bincount((rows[:, :, None] * wide + cols[:, None, :]).ravel(),
-                        _gram(jac_w).ravel(),
-                        minlength=n_blocks * wide * wide
-                        ).reshape(n_blocks, wide, wide)
-    return grad[:, :size], h_mat[:, :size, :size], cols
+    grad = _scatter(plan.grad, np.einsum("nij,ni->nj", jac_w, r_w),
+                    (n_blocks, wide))
+    h_mat = _scatter(plan.hess, _gram(jac_w), (n_blocks, wide, wide))
+    return grad[:, :size], h_mat[:, :size, :size]
 
 
 def _damped(h_mat, damping):
@@ -212,9 +258,8 @@ class DenseNormalEquations(CostTerms):
     def add_batch(self, batch: RowBatch):
         """Add the rows of one :class:`RowBatch` (no landmarks)."""
         r_w, jac_w, _ = self._weighted(batch)
-        grad, h_mat, _ = _dense_terms(r_w, jac_w, batch.cols,
-                                      _block_of(batch), self.n_blocks,
-                                      self.size)
+        grad, h_mat = _dense_terms(r_w, jac_w, batch.plan, self.n_blocks,
+                                   self.size)
         self.grad += grad
         self.h_mat += h_mat
 
@@ -260,35 +305,24 @@ class SchurNormalEquations(CostTerms):
 
     def add_batch(self, batch: RowBatch):
         """Add the rows of one :class:`RowBatch`, each touching its block's
-        dense columns and, when ``lm_indices`` is set, one landmark."""
-        k, d, dim = self.n_blocks, self.dense_size, self.lm_dim
-        block = _block_of(batch)
+        dense columns and, when ``lm_jac`` is set, one landmark."""
+        k, d, plan = self.n_blocks, self.dense_size, batch.plan
         r_w, jac_d, scale = self._weighted(batch)
-        g_d, h_dd, cols = _dense_terms(r_w, jac_d, batch.cols, block, k, d)
+        g_d, h_dd = _dense_terms(r_w, jac_d, plan, k, d)
         self.g_d += g_d
         self.h_dd += h_dd
-        if batch.lm_indices is None:
+        if batch.lm_jac is None:
             return
-        width = self.n_landmarks * dim
+        width = self.n_landmarks * self.lm_dim
         jac_l = batch.lm_jac * scale[:, None, None]
-        # the landmark's columns within its block, then over all blocks
-        lm_cols = batch.lm_indices[:, None] * dim + np.arange(dim)
-        all_cols = (block * width)[:, None] + lm_cols
-        # bincount adds up the terms of rows that share a landmark
-        self.h_ll += np.bincount(
-            (all_cols[:, :, None] * dim + np.arange(dim)).ravel(),
-            _gram(jac_l).ravel(),
-            minlength=k * width * dim).reshape(self.h_ll.shape)
-        self.g_l += np.bincount(
-            all_cols.ravel(), np.einsum("nij,ni->nj", jac_l, r_w).ravel(),
-            minlength=k * width).reshape(self.g_l.shape)
-        # rows (block, dense column incl. the sink), columns (landmark)
-        rows = (block * (d + 1))[:, None] + cols
-        self.h_dl += np.bincount(
-            (rows[:, :, None] * width + lm_cols[:, None, :]).ravel(),
-            (jac_d.transpose(0, 2, 1) @ jac_l).ravel(),
-            minlength=k * (d + 1) * width
-        ).reshape(k, d + 1, width)[:, :d]
+        self.h_ll += _scatter(plan.lm_hess, _gram(jac_l),
+                              (k, width, self.lm_dim)).reshape(self.h_ll.shape)
+        self.g_l += _scatter(plan.lm_grad,
+                             np.einsum("nij,ni->nj", jac_l, r_w),
+                             (k, width)).reshape(self.g_l.shape)
+        self.h_dl += _scatter(plan.coupling,
+                              jac_d.transpose(0, 2, 1) @ jac_l,
+                              (k, d + 1, width))[:, :d]
 
     @property
     def gradient_norm(self):

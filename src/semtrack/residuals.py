@@ -43,11 +43,13 @@ def feature_residuals_batch(obs_left, obs_right, cam_rotation,
     image points, ``cam_rotation`` (n, 3, 3) and ``cam_translation`` (n, 3)
     the camera pose and ``landmarks`` (n, 3) the point.  Background points
     (``position`` None) are in world frame; anchored points are in the
-    frame of an object at ``position`` (n, 3) with ``yaw`` (n,).  Rows
-    with a point behind either camera are dropped.  Returns (residuals
-    (m, 4), jac dict, valid mask (n,)) where m = mask.sum(); the jac keys
-    are "camera" (m, 4, 6), "object" (m, 4, 4, anchored only) and
-    "landmark" (m, 4, 3).
+    frame of an object at ``position`` (n, 3) with ``yaw`` (n,).  Every
+    row comes back, so a caller's row structure stays fixed: a row with
+    its point behind either camera is not ``valid`` and has a zero
+    residual and zero Jacobians, so it adds nothing to a cost or to
+    normal equations.  Returns (residuals (n, 4), jac dict, valid mask
+    (n,)); the jac keys are "camera" (n, 4, 6), "object" (n, 4, 4,
+    anchored only) and "landmark" (n, 4, 3).
     """
     landmarks = np.asarray(landmarks, dtype=float).reshape(-1, 3)
     anchored = position is not None
@@ -62,11 +64,14 @@ def feature_residuals_batch(obs_left, obs_right, cam_rotation,
     p_l = np.einsum("nji,nj->ni", cam_rotation, world - cam_translation)
     p_r = p_l @ rot_ext.T + rig.extrinsic.translation
     valid = (p_l[:, 2] > geom.EPS_Z) & (p_r[:, 2] > geom.EPS_Z)
-    p_l, p_r = p_l[valid], p_r[valid]
+    invalid = ~valid
+    # any positive depth keeps the arithmetic of those rows finite
+    p_l[invalid] = p_r[invalid] = (0.0, 0.0, 1.0)
     n = len(p_l)
     obs = np.hstack([np.reshape(obs_left, (-1, 2)),
-                     np.reshape(obs_right, (-1, 2))])[valid]
+                     np.reshape(obs_right, (-1, 2))])
     res = np.hstack([p_l[:, :2] / p_l[:, 2:], p_r[:, :2] / p_r[:, 2:]]) - obs
+    res[invalid] = 0.0
     if not jacobians:
         return res, {}, valid
 
@@ -79,10 +84,11 @@ def feature_residuals_batch(obs_left, obs_right, cam_rotation,
         return out
 
     # derivative of the four rows by the left-camera point, then by the
-    # world point
+    # world point; zero on the rows that are not valid
     d_left = np.concatenate([proj_jac(p_l), proj_jac(p_r) @ rot_ext], axis=1)
+    d_left[invalid] = 0.0
     # a contiguous transpose keeps matmul off its slow strided path
-    d_world = d_left @ cam_rotation[valid].transpose(0, 2, 1).copy()
+    d_world = d_left @ cam_rotation.transpose(0, 2, 1).copy()
     sk = np.zeros((n, 3, 3))
     sk[:, 0, 1] = -p_l[:, 2]
     sk[:, 0, 2] = p_l[:, 1]
@@ -94,8 +100,6 @@ def feature_residuals_batch(obs_left, obs_right, cam_rotation,
     if not anchored:
         jac["landmark"] = d_world
         return res, jac, valid
-    c, s = c[valid], s[valid]
-    x, z = x[valid], z[valid]
     # drot_y(yaw) @ landmark, and d_world @ rot_y(yaw)
     d_yaw = (d_world[:, :, 0] * (c * z - s * x)[:, None]
              - d_world[:, :, 2] * (c * x + s * z)[:, None])

@@ -7,10 +7,11 @@ from dataclasses import replace
 
 from semtrack import estimator as est
 from semtrack import nls
+from semtrack import pipeline
 from semtrack import residuals as res
 from semtrack import simulate as sim
-from semtrack.boxinfer import DEFAULT_PRIORS, infer_pose
-from semtrack.errors import NoConvergence, NumericalFailure
+from semtrack.boxinfer import DEFAULT_PRIORS, BBox2D, infer_pose
+from semtrack.errors import ConfigError, NoConvergence, NumericalFailure
 from semtrack.geometry import ObjectState, Pose, StereoRig, rot_y, so3_exp
 
 FORWARD = -np.pi / 2  # heading along the camera optical axis
@@ -416,18 +417,19 @@ def one_feature(left, right, cam, lm, rig, obj=None):
 
 def reference_ego(poses, landmarks, rows, state, rig, config):
     """Full-width whitened rows of the ego window, one row at a time, and
-    the number of dropped rows.  The gauge frame has no pose columns."""
+    the number of dropped rows.  The gauge frame has no pose columns;
+    ``state`` is (rotations, translations, landmarks)."""
     ids, counts = np.unique(rows.landmark, return_counts=True)
     lm_ids = [lm for lm, n in zip(ids, counts) if n >= 2 and lm in landmarks]
     n_dense = 6 * (len(poses) - 1)
     width = n_dense + 3 * len(lm_ids)
-    cams, lms = state
+    rot, trans, lms = state
     out, dropped = [], 0
     for f, lm, left, right in zip(*rows):
         if lm not in lm_ids:
             continue
         k = lm_ids.index(lm)
-        row = one_feature(left, right, cams[f], lms[k], rig)
+        row = one_feature(left, right, Pose(rot[f], trans[f]), lms[k], rig)
         if row is None:
             dropped += 1
             continue
@@ -617,6 +619,23 @@ class TestOnePassProblems:
         behind = int(rows.landmark[rows.frame == 0][0])
         landmarks[behind] = poses[0].apply(np.array([0.5, 0.0, -4.0]))
         assert self.check_ego(poses, landmarks, rows, rig, config) > 0
+        # a zero-weight row leaves the normal equations exactly as leaving
+        # the row out of the batch does
+        problem = est._EgoProblem(poses, landmarks, rows, rig, config)
+        rot, trans, lms = problem.initial
+        valid = res.feature_residuals_batch(
+            problem.left, problem.right, rot[problem.frame],
+            trans[problem.frame], lms[problem.slot], rig)[2]
+        assert not valid.all()
+        (batch,) = problem.batches(problem.initial, np.arange(1), True)
+        dropped = problem.equations()
+        dropped.add_batch(batch._replace(
+            residuals=batch.residuals[valid], jac=batch.jac[valid],
+            lm_jac=batch.lm_jac[valid], plan=problem.plan[valid]))
+        kept = linearize(problem, problem.initial)
+        for name in ("h_dd", "g_d", "h_ll", "g_l", "h_dl"):
+            assert np.array_equal(getattr(kept, name), getattr(dropped, name))
+        assert kept.cost[0] == pytest.approx(dropped.cost[0], rel=1e-14)
         track, camera_poses, rig, _ = max(
             object_calls, key=lambda c: len(c[0].features.frame))
         f, lm = track.features.frame[0], int(track.features.landmark[0])
@@ -759,6 +778,16 @@ class TestAlignPointCloud:
         assert not applied
 
 
+def track_frames(scenario, frames):
+    """A tracker with the default settings that has processed ``frames``."""
+    tracker = est.WindowTracker(scenario.rig,
+                                est.EstimatorConfig(dt=scenario.dt),
+                                initial_pose=scenario.camera[0])
+    for frame in frames:
+        tracker.process(frame)
+    return tracker
+
+
 class TestWindowTracker:
     def run_tracker(self, scenario, noise=None, **kwargs):
         tracker = est.WindowTracker(scenario.rig,
@@ -828,6 +857,90 @@ class TestWindowTracker:
             assert min(held) >= t - window + 1
         assert len(tracker.tracks) == 1
         assert len(tracker.object_trajectories[0]) == scenario.n_frames
+
+    def test_non_finite_feature_refused_without_state_change(self):
+        # NaN on the left u of a frame-0 background feature at frame 5
+        config = pipeline.demo_config()
+        config["scenario"]["n_frames"] = 8
+        scenario = sim.generate_scenario(config["scenario"], config["seed"])
+        frames = sim.synthesize_all(scenario)
+        background = {f.feature_id for f in frames[0].features
+                      if f.anchor_id == 0}
+        features = list(frames[5].features)
+        i = next(i for i, f in enumerate(features)
+                 if f.feature_id in background)
+        bad = features[i]
+        features[i] = replace(bad, left=np.array([np.nan, bad.left[1]]))
+        frames[5] = replace(frames[5], features=tuple(features))
+        tracker = track_frames(scenario, frames[:5])
+        with pytest.raises(ConfigError,
+                           match=f"frame 5: feature {bad.feature_id} "):
+            tracker.process(frames[5])
+        assert len(tracker.camera_trajectory) == 5
+        for n, frame in enumerate(frames[6:], start=6):
+            tracker.process(frame)
+            assert len(tracker.camera_trajectory) == n
+
+    def test_non_finite_box_refused_without_state_change(self):
+        scenario = make_scenario(4, [car(-10.0, 18.0)])
+        frames = [sim.synthesize_frame(scenario, t) for t in range(4)]
+        det = frames[2].semantic[0]
+        box = BBox2D(np.nan, det.box.v_min, det.box.u_max, det.box.v_max)
+        frames[2] = replace(frames[2],
+                            semantic=(replace(det, box=box),))
+        tracker = track_frames(scenario, frames[:2])
+        with pytest.raises(ConfigError,
+                           match=f"frame 2: detection {det.object_id} "):
+            tracker.process(frames[2])
+        assert len(tracker.camera_trajectory) == 2
+        assert [t for t, _ in tracker.object_trajectories[0]] == [0, 1]
+        tracker.process(frames[3])
+        assert len(tracker.camera_trajectory) == 3
+
+    def test_malformed_feature_point_refused(self):
+        scenario = make_scenario(3, [car(-10.0, 18.0)])
+        frames = [sim.synthesize_frame(scenario, t) for t in range(3)]
+        bad = frames[1].features[0]
+        frames[1] = replace(frames[1], features=(
+            replace(bad, left=np.append(bad.left, 1.0)),
+            *frames[1].features[1:]))
+        tracker = track_frames(scenario, frames[:1])
+        with pytest.raises(ConfigError, match="frame 1: .* not a 2-vector"):
+            tracker.process(frames[1])
+        assert len(tracker.camera_trajectory) == 1
+        tracker.process(frames[2])
+        assert len(tracker.camera_trajectory) == 2
+
+    def test_background_landmarks_bounded_by_window(self):
+        scenario = make_scenario(40, [car(-10.0, 18.0)],
+                                 camera={"speed": 10.0, "yaw_rate": 0.1})
+        tracker = est.WindowTracker(
+            scenario.rig, est.EstimatorConfig(dt=scenario.dt, window=5),
+            initial_pose=scenario.camera[0])
+        seen = set()
+        for t in range(scenario.n_frames):
+            tracker.process(sim.synthesize_frame(scenario, t))
+            assert set(tracker.bg_landmarks) == set(tracker.bg_obs)
+            seen |= set(tracker.bg_landmarks)
+        assert len(tracker.bg_landmarks) < len(seen)
+
+    def test_ego_numerical_failure_keeps_predicted_window(self, monkeypatch):
+        scenario = make_scenario(4, [car(-10.0, 18.0)])
+        frames = [sim.synthesize_frame(scenario, t) for t in range(4)]
+        tracker = track_frames(scenario, frames[:3])
+        before = list(tracker.camera_trajectory)
+        predicted = before[2].compose(before[1].inverse().compose(before[2]))
+
+        def unsolvable(*args, **kwargs):
+            raise NumericalFailure("normal equations unsolvable")
+
+        monkeypatch.setattr(est, "solve_ego", unsolvable)
+        tracker.process(frames[3])
+        assert len(tracker.camera_trajectory) == 4
+        assert all(a is b for a, b in zip(tracker.camera_trajectory, before))
+        assert np.array_equal(tracker.camera_trajectory[3].translation,
+                              predicted.translation)
+        assert [t for t, _ in tracker.object_trajectories[0]] == [0, 1, 2, 3]
 
     def test_object_blind_ignores_objects(self):
         scenario = make_scenario(6, [car(-10.0, 18.0)])

@@ -85,6 +85,47 @@ class TestRotations:
             # sign of the axis is ambiguous exactly at pi; compare rotations
             assert np.allclose(so3_exp(w_back), r, atol=1e-6)
 
+    def test_stacked_exp_matches_per_vector_loop(self):
+        # one stacked call against the per-vector formula, including the
+        # first-order branch below an angle of 1e-12
+        rng = np.random.default_rng(13)
+        w = rng.normal(size=(4, 5, 3))
+        w[0, :3] *= 1e-13
+        w[1, 0] = 0.0
+        w[2, 0] = [np.pi - 1e-9, 0.0, 0.0]
+
+        def rodrigues(v):
+            angle = np.linalg.norm(v)
+            if angle < 1e-12:
+                return np.eye(3) + geom.skew(v)
+            k = geom.skew(v / angle)
+            return (np.eye(3) + np.sin(angle) * k
+                    + (1.0 - np.cos(angle)) * (k @ k))
+
+        stacked = so3_exp(w)
+        assert stacked.shape == (4, 5, 3, 3)
+        loop = np.array([rodrigues(v) for v in w.reshape(-1, 3)])
+        assert np.abs(stacked.reshape(-1, 3, 3) - loop).max() <= 1e-15
+        assert np.array_equal(so3_exp(w[0, 0]), stacked[0, 0])
+
+    def test_stacked_projection_matches_per_matrix_loop(self):
+        rng = np.random.default_rng(14)
+        mats = so3_exp(rng.normal(size=(40, 3))) + rng.normal(
+            scale=1e-3, size=(40, 3, 3))
+        mats[:10] *= -1.0  # reflections
+        mats[10] = np.eye(3)
+
+        def nearest(m):
+            u, _, vt = np.linalg.svd(m)
+            d = np.sign(np.linalg.det(u @ vt))
+            return u @ np.diag([1.0, 1.0, d]) @ vt
+
+        stacked = geom.project_rotation(mats)
+        loop = np.array([nearest(m) for m in mats])
+        assert np.abs(stacked - loop).max() <= 1e-15
+        assert np.allclose(np.linalg.det(stacked), 1.0, atol=1e-12)
+        assert np.array_equal(stacked[10], np.eye(3))
+        assert np.array_equal(geom.project_rotation(mats[0]), stacked[0])
 
     def test_quaternion_round_trip(self):
         rng = np.random.default_rng(41)

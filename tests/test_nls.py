@@ -6,6 +6,12 @@ import pytest
 from semtrack import nls
 
 
+def one_block_plan(n_rows, cols, size, lm=None, n_lm=0):
+    """The scatter plan of ``n_rows`` rows of block 0."""
+    return nls.scatter_plan(np.zeros(n_rows, dtype=int), cols, 1, size, lm,
+                            n_lm)
+
+
 def flat_step(eq, damping):
     """The damped step of a one-block system as one vector, or None."""
     step, solved = eq.solve(np.array([damping]), np.array([0]))
@@ -32,7 +38,8 @@ class QuadraticProblem:
     def batches(self, x, blocks, jacobians):
         return [nls.RowBatch(self.residual(x)[None],
                              self.a_mat[None] if jacobians else None,
-                             np.arange(len(x)), tag="quad")]
+                             one_block_plan(1, np.arange(len(x)), len(x)),
+                             tag="quad")]
 
     def cost(self, x):
         r = self.residual(x)
@@ -64,7 +71,9 @@ class RosenbrockProblem:
             jac[:, 0, 0] = -20.0 * x[:, 0]
             jac[:, 0, 1] = 10.0
             jac[:, 1, 0] = -1.0
-        return [nls.RowBatch(self.residual(x), jac, np.arange(2),
+        return [nls.RowBatch(self.residual(x), jac,
+                             nls.scatter_plan(blocks, np.arange(2),
+                                              self.n_blocks, 2),
                              block=blocks)]
 
     def cost(self, x):
@@ -210,13 +219,16 @@ class TestSchurEquivalence:
         for i, (lm, jac_d, jac_l, r) in enumerate(obs):
             schur.add_batch(nls.RowBatch(
                 sqrt_info * r[None], sqrt_info * jac_d[None],
-                np.arange(n_dense), huber,
-                lm_indices=np.array([lm]), lm_jac=sqrt_info * jac_l[None]))
+                one_block_plan(1, np.arange(n_dense), n_dense,
+                               np.array([lm]), n_lm),
+                huber, lm_jac=sqrt_info * jac_l[None]))
             full[i, :, :n_dense] = jac_d
             full[i, :, n_dense + 3 * lm:n_dense + 3 * lm + 3] = jac_l
         residuals = np.array([r for *_, r in obs])
-        dense.add_batch(nls.RowBatch(sqrt_info * residuals, sqrt_info * full,
-                                     np.arange(n_dense + 3 * n_lm), huber))
+        width = n_dense + 3 * n_lm
+        dense.add_batch(nls.RowBatch(
+            sqrt_info * residuals, sqrt_info * full,
+            one_block_plan(len(obs), np.arange(width), width), huber))
         return schur, dense
 
     def test_step_matches_dense_assembly(self):
@@ -255,11 +267,14 @@ class TestSchurEquivalence:
             full[i, :, n_dense + 3 * lm[i]:n_dense + 3 * lm[i] + 3] = jac_l[i]
         for huber in (None, 1.0):
             schur = nls.SchurNormalEquations(n_dense, n_lm, 3)
-            schur.add_batch(nls.RowBatch(r, jac_d, cols, huber,
-                                         lm_indices=lm, lm_jac=jac_l))
-            dense = nls.DenseNormalEquations(n_dense + 3 * n_lm)
-            dense.add_batch(nls.RowBatch(r, full, np.arange(full.shape[2]),
-                                         huber))
+            schur.add_batch(nls.RowBatch(
+                r, jac_d, one_block_plan(n_obs, cols, n_dense, lm, n_lm),
+                huber, lm_jac=jac_l))
+            width = full.shape[2]
+            dense = nls.DenseNormalEquations(width)
+            dense.add_batch(nls.RowBatch(
+                r, full, one_block_plan(n_obs, np.arange(width), width),
+                huber))
             h_full, grad = dense.h_mat[0], dense.grad[0]
             assert schur.cost == pytest.approx(dense.cost, rel=1e-12)
             assert np.allclose(schur.h_dd[0], h_full[:n_dense, :n_dense],
@@ -309,6 +324,39 @@ class TestSchurEquivalence:
             assert step is not None
             assert step.tobytes() == reference_solve(schur, damping).tobytes()
 
+    def test_plan_of_row_subset(self):
+        # the plan of a solve, cut to a subset of its rows, places them as
+        # a plan built for that subset alone does
+        rng = np.random.default_rng(29)
+        k, n_dense, n_lm, n_obs = 3, 6, 4, 50
+        block = rng.integers(0, k, n_obs)
+        lm = rng.integers(0, n_lm, n_obs)
+        cols = np.array([rng.choice(n_dense, 3, replace=False)
+                         for _ in range(n_obs)])
+        cols[::4, 0] = -1
+        r = rng.normal(size=(n_obs, 2))
+        jac_d = rng.normal(size=(n_obs, 2, 3))
+        jac_l = rng.normal(size=(n_obs, 2, 3))
+        rows = rng.random(n_obs) < 0.5
+        plans = (nls.scatter_plan(block, cols, k, n_dense, lm, n_lm)[rows],
+                 nls.scatter_plan(block[rows], cols[rows], k, n_dense,
+                                  lm[rows], n_lm))
+        schur = [nls.SchurNormalEquations(n_dense, n_lm, n_blocks=k)
+                 for _ in plans]
+        dense = [nls.DenseNormalEquations(n_dense, k) for _ in plans]
+        for plan, s_eq, d_eq in zip(plans, schur, dense):
+            s_eq.add_batch(nls.RowBatch(r[rows], jac_d[rows], plan, 1.0,
+                                        lm_jac=jac_l[rows],
+                                        block=block[rows]))
+            d_eq.add_batch(nls.RowBatch(r[rows], jac_d[rows], plan,
+                                        block=block[rows]))
+        for name in ("h_dd", "g_d", "h_ll", "g_l", "h_dl", "cost"):
+            assert np.array_equal(getattr(schur[0], name),
+                                  getattr(schur[1], name))
+        assert np.array_equal(dense[0].h_mat, dense[1].h_mat)
+        assert np.array_equal(dense[0].grad, dense[1].grad)
+        assert schur[0].h_dd.any() and schur[0].h_dl.any()
+
     def test_gradient_norm_matches(self):
         rng = np.random.default_rng(25)
         obs = self.build_problem(rng)
@@ -318,9 +366,10 @@ class TestSchurEquivalence:
     def test_unobserved_landmark_still_solvable(self):
         # damping keeps an empty landmark block invertible
         schur = nls.SchurNormalEquations(2, 2, 3)
-        schur.add_batch(nls.RowBatch(np.ones((1, 2)), np.eye(2)[None],
-                                     np.arange(2), lm_indices=np.array([0]),
-                                     lm_jac=np.ones((1, 2, 3))))
+        schur.add_batch(nls.RowBatch(
+            np.ones((1, 2)), np.eye(2)[None],
+            one_block_plan(1, np.arange(2), 2, np.array([0]), 2),
+            lm_jac=np.ones((1, 2, 3))))
         step = flat_step(schur, 1e-4)
         assert step is not None and len(step) == 8
         assert np.allclose(step[5:], 0.0)
@@ -328,8 +377,9 @@ class TestSchurEquivalence:
     def test_batch_cost_matches_accumulated_cost(self):
         rng = np.random.default_rng(26)
         batches = [nls.RowBatch(rng.normal(size=(5, 2)),
-                                rng.normal(size=(5, 2, 3)), np.arange(3),
-                                delta, tag)
+                                rng.normal(size=(5, 2, 3)),
+                                one_block_plan(5, np.arange(3), 3), delta,
+                                tag)
                    for delta, tag in ((None, "a"), (0.5, "b"), (2.0, "a"))]
         eq = nls.DenseNormalEquations(3)
         for batch in batches:

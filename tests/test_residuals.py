@@ -197,14 +197,28 @@ class TestFeatureResidual:
                 ref = np.concatenate([p[1][key] for p in per_frame])
                 assert np.allclose(jac[key], ref, rtol=1e-12, atol=1e-12)
 
-    def test_behind_camera_dropped(self):
+    def test_behind_camera_rows_zeroed(self):
+        # every row comes back; one behind either camera has a zero
+        # residual and zero Jacobians, and leaves the others as they are
         rig = StereoRig.horizontal(0.54)
-        lms = np.array([[0.0, 0.0, -5.0], [0.0, 0.0, 5.0]])
-        r, jac, valid = res.feature_residuals_batch(
-            np.zeros((2, 2)), np.zeros((2, 2)),
-            *feature_rows(Pose.identity(), None, 2)[0], lms, rig)
-        assert list(valid) == [False, True]
-        assert r.shape == (1, 4) and jac["landmark"].shape == (1, 4, 3)
+        obs = np.full((3, 2), 0.1)
+        for obj in (None, ObjectState(position=np.zeros(3), yaw=0.3,
+                                      dims=np.ones(3))):
+            lms = np.array([[0.0, 0.0, -5.0], [1.0, 0.5, 5.0],
+                            [0.0, 0.0, 0.0]])
+            cam_args, obj_args = feature_rows(Pose.identity(), obj, 3)
+            r, jac, valid = res.feature_residuals_batch(
+                obs, obs, *cam_args, lms, rig, **obj_args)
+            assert list(valid) == [False, True, False]
+            assert r.shape == (3, 4) and jac["landmark"].shape == (3, 4, 3)
+            assert not r[~valid].any()
+            assert not any(v[~valid].any() for v in jac.values())
+            assert np.isfinite(r).all()
+            one_r, one_jac = feature_one(obs[1], obs[1], Pose.identity(),
+                                         obj, lms[1], rig)
+            assert np.array_equal(r[1], one_r)
+            for key, value in one_jac.items():
+                assert np.array_equal(jac[key][1], value)
 
 
 class TestSemanticResidual:
