@@ -7,17 +7,16 @@ the four edge-vertex constraints and compare against the truth.
 
 import numpy as np
 
-from semtrack import (DEFAULT_PRIORS, Viewpoint, classify_viewpoint,
-                      infer_pose, infer_pose_candidates, selection_set,
-                      tight_bbox)
-from semtrack.boxinfer import sample_camera_frame_box
+from semtrack import (DEFAULT_PRIORS, Box3D, classify_viewpoint, infer_pose,
+                      infer_pose_candidates, selection_set, tight_bbox)
 
-# draw a camera-frame car inside the validity regime of the rear-left
-# diagonal view: there the selected vertices really attain the 2D
+# a camera-frame car inside the validity regime of the rear-left diagonal
+# view, seen level: there the selected vertices really attain the 2D
 # extremes, which is what makes the constraints invertible
 dims = DEFAULT_PRIORS["car"].mean
-rng = np.random.default_rng(5)
-truth = sample_camera_frame_box(Viewpoint(3, 0), rng, dims=dims)
+truth = Box3D(
+    [-1.9339937110565084, -0.021455785458998844, 49.237192657404314],
+    -2.185844783958137, dims)
 print("ground truth")
 print(f"  center {truth.center}, yaw {truth.yaw:.3f}, dims {truth.dims}")
 

@@ -16,8 +16,7 @@ from .boxinfer import (BBox2D, DEFAULT_PRIORS, DimensionPrior, SelectionSet,
 from .simulate import (FrameMeasurements, NoiseSpec, Scenario,
                        generate_scenario, propagate_object, read_measurements,
                        synthesize_all, synthesize_frame, write_measurements)
-from .associate import (associate_objects, box_similarity, match_stereo,
-                        reject_outliers)
+from .associate import associate_objects, box_similarity, reject_outliers
 from .estimator import (EstimatorConfig, FeatureRows, ObjectTrack,
                         SemanticRows, WindowTracker, align_point_cloud,
                         align_point_clouds, feature_rows, semantic_rows,
@@ -35,7 +34,7 @@ __all__ = [
     "FrameMeasurements", "NoiseSpec", "Scenario", "generate_scenario",
     "propagate_object", "read_measurements", "synthesize_all",
     "synthesize_frame", "write_measurements",
-    "associate_objects", "box_similarity", "match_stereo", "reject_outliers",
+    "associate_objects", "box_similarity", "reject_outliers",
     "EstimatorConfig", "FeatureRows", "ObjectTrack", "SemanticRows",
     "WindowTracker", "align_point_cloud", "align_point_clouds",
     "feature_rows", "semantic_rows", "solve_ego", "solve_object",

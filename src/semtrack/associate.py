@@ -1,97 +1,21 @@
 """Data association over abstract measurements.
 
-Stereo matching by epipolar search with a depth-bounded disparity window,
-temporal object association by 2D-box similarity voting, and per-group
+Temporal object association by 2D-box similarity voting, and per-group
 fundamental-matrix RANSAC outlier rejection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .boxinfer import BBox2D
 from .errors import DegenerateGroup
-from .geometry import StereoRig, skew
 
-DEFAULT_SIMILARITY_THRESHOLD = 0.3
+SIMILARITY_THRESHOLD = 0.3
 CENTER_WEIGHT = 20.0  # exponent scale on center distance (normalized units)
 SHAPE_WEIGHT = 4.0  # exponent scale on relative size change
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One image observation offered for matching."""
-
-    feature_id: int
-    uv: np.ndarray
-    anchor_hint: int | None = None
-
-    def __post_init__(self):
-        uv = np.asarray(self.uv, dtype=float).reshape(2)
-        if not np.all(np.isfinite(uv)):
-            raise ValueError("candidate coordinates must be finite")
-        object.__setattr__(self, "uv", uv)
-
-
-def fundamental_from_rig(rig: StereoRig):
-    """Fundamental matrix of the rig in normalized coordinates
-    (right^T F left = 0) from the left-to-right extrinsic."""
-    rot = rig.extrinsic.rotation
-    t = rig.extrinsic.translation
-    return skew(t) @ rot
-
-
-def _epipolar_distance(f_mat, left_uv, right_uv):
-    l_h = np.array([left_uv[0], left_uv[1], 1.0])
-    line = f_mat @ l_h
-    norm = np.hypot(line[0], line[1])
-    if norm < 1e-15:
-        return np.inf
-    r_h = np.array([right_uv[0], right_uv[1], 1.0])
-    return abs(line @ r_h) / norm
-
-
-def match_stereo(left, right, rig: StereoRig, depth_range=(2.0, 80.0),
-                 feature_sigma=0.5 / 700.0):
-    """One-to-one stereo pairs by epipolar search.
-
-    A right candidate is admissible for a left candidate when it lies
-    within 2 * feature_sigma of the left point's epipolar line and the
-    disparity falls inside the window implied by ``depth_range``.  Among
-    admissible pairs, matching is mutual-nearest by image distance.
-    Returns a list of (left Candidate, right Candidate) pairs.
-    """
-    if depth_range[0] <= 0:
-        raise ValueError("minimum depth must be positive")
-    if not left or not right:
-        return []
-    # small floor keeps zero-noise input matchable
-    eps_epi = max(2.0 * feature_sigma, 1e-9)
-    f_mat = fundamental_from_rig(rig)
-    baseline = rig.baseline
-    disp_lo = baseline / depth_range[1] - eps_epi
-    disp_hi = baseline / depth_range[0] + eps_epi
-
-    cost = np.full((len(left), len(right)), np.inf)
-    for i, l in enumerate(left):
-        for j, r in enumerate(right):
-            disparity = l.uv[0] - r.uv[0]
-            if not disp_lo <= disparity <= disp_hi:
-                continue
-            if _epipolar_distance(f_mat, l.uv, r.uv) > eps_epi:
-                continue
-            cost[i, j] = np.linalg.norm(l.uv - r.uv)
-
-    pairs = []
-    for i in range(len(left)):
-        j = int(np.argmin(cost[i]))
-        if not np.isfinite(cost[i, j]):
-            continue
-        if int(np.argmin(cost[:, j])) == i:
-            pairs.append((left[i], right[j]))
-    return pairs
+RANSAC_MAX_ITERATIONS = 200
+RANSAC_CONFIDENCE = 0.99
 
 
 def box_similarity(prev: BBox2D, cur: BBox2D, rot_rel=None):
@@ -115,20 +39,20 @@ def box_similarity(prev: BBox2D, cur: BBox2D, rot_rel=None):
                  * np.exp(-SHAPE_WEIGHT * d_shape))
 
 
-def associate_objects(prev_boxes: dict, cur_boxes: dict, rot_rel=None,
-                      threshold=DEFAULT_SIMILARITY_THRESHOLD):
+def associate_objects(prev_boxes: dict, cur_boxes: dict, rot_rel=None):
     """Greedy temporal assignment of object detections.
 
     ``prev_boxes`` and ``cur_boxes`` map object/track id to BBox2D.
     Returns (matches, lost, new): matches maps prev id to cur id; lost is
     the set of unmatched prev ids; new the set of unmatched cur ids.
-    Pairs are taken in descending similarity, ties broken by lowest ids.
+    Pairs scoring at least 0.3 are taken in descending similarity, ties
+    broken by lowest ids.
     """
     scored = []
     for pid in sorted(prev_boxes):
         for cid in sorted(cur_boxes):
             score = box_similarity(prev_boxes[pid], cur_boxes[cid], rot_rel)
-            if score >= threshold:
+            if score >= SIMILARITY_THRESHOLD:
                 scored.append((-score, pid, cid))
     scored.sort()
     matches = {}
@@ -217,14 +141,14 @@ def _fit_sampson(prev, cur):
     return f_mat
 
 
-def reject_outliers(prev_pts, cur_pts, feature_sigma=0.5 / 700.0, seed=0,
-                    max_iterations=200, confidence=0.99):
+def reject_outliers(prev_pts, cur_pts, feature_sigma=0.5 / 700.0, seed=0):
     """RANSAC inlier mask for one rigid group of temporal pairs.
 
     Fits fundamental matrices to 8-point samples and scores by Sampson
-    distance below 3 * feature_sigma.  Fewer than 8 pairs cannot support
-    the model: the group passes through unfiltered with the second return
-    value set.  Returns (mask, passthrough_flag).
+    distance below 3 * feature_sigma, drawing samples until a consensus
+    set is found with 99% confidence (at most 200).  Fewer than 8 pairs
+    cannot support the model: the group passes through unfiltered with
+    the second return value set.  Returns (mask, passthrough_flag).
     """
     prev_pts = np.atleast_2d(np.asarray(prev_pts, dtype=float))
     cur_pts = np.atleast_2d(np.asarray(cur_pts, dtype=float))
@@ -238,17 +162,13 @@ def reject_outliers(prev_pts, cur_pts, feature_sigma=0.5 / 700.0, seed=0,
     rng = np.random.default_rng(seed)
     best_mask = None
     best_count = -1
-    iterations = max_iterations
-    attempted = 0
-    degenerate = 0
+    iterations = RANSAC_MAX_ITERATIONS
     i = 0
-    while i < iterations and i < max_iterations:
+    while i < iterations:
         i += 1
         sample = rng.choice(n, size=8, replace=False)
-        attempted += 1
         f_mat = _eight_point(prev_pts[sample], cur_pts[sample])
         if f_mat is None:
-            degenerate += 1
             continue
         mask = _sampson_distances(f_mat, prev_pts, cur_pts) < eps
         count = int(mask.sum())
@@ -257,8 +177,8 @@ def reject_outliers(prev_pts, cur_pts, feature_sigma=0.5 / 700.0, seed=0,
             best_mask = mask
             ratio = count / n
             denom = np.log(np.clip(1.0 - ratio ** 8, 1e-12, 1.0 - 1e-12))
-            iterations = min(max_iterations,
-                             int(np.ceil(np.log(1.0 - confidence) / denom)))
+            iterations = min(RANSAC_MAX_ITERATIONS, int(np.ceil(
+                np.log(1.0 - RANSAC_CONFIDENCE) / denom)))
     if best_mask is None:
         raise DegenerateGroup("all RANSAC samples were rank-deficient")
 

@@ -28,13 +28,16 @@ from .associate import associate_objects, reject_outliers
 from .boxinfer import (DEFAULT_PRIORS, DimensionPrior, infer_pose,
                        selection_set)
 from .errors import (ConfigError, DegenerateGroup, NoConvergence,
-                     NumericalFailure)
+                     NumericalFailure, SemtrackError)
 from .geometry import (ObjectState, Pose, StereoRig, face_offsets,
                        project_rotation, rot_y, so3_exp, wrap_angle)
 from .nls import (NUMERICAL_FAILURE, DenseNormalEquations, RowBatch,
                   SchurNormalEquations, SolveReport, scatter_plan, solve_nls)
+from .simulate import propagate_object
 
 MIN_PARALLAX_DEG = 0.5
+# stereo depths (m) outside which a new feature is not triangulated
+MIN_DEPTH, MAX_DEPTH = 1.0, 160.0
 
 
 @dataclass(frozen=True)
@@ -610,18 +613,12 @@ class WindowTracker:
     the per-frame camera pose history from :attr:`camera_trajectory` and
     the object tracks from :attr:`object_trajectories` (internal track id
     to list of (frame index, ObjectState)).
-
-    ``object_blind`` treats every feature as static background and skips
-    object tracking; it exists as a degraded baseline for comparison.
     """
 
     def __init__(self, rig: StereoRig, config: EstimatorConfig = None,
-                 initial_pose: Pose = None, object_blind=False,
-                 depth_range=(2.0, 80.0)):
+                 initial_pose: Pose = None):
         self.rig = rig
         self.config = config if config is not None else EstimatorConfig()
-        self.object_blind = object_blind
-        self.depth_range = depth_range
         self.initial_pose = (initial_pose if initial_pose is not None
                              else Pose.identity())
         self.camera_trajectory = []
@@ -642,7 +639,7 @@ class WindowTracker:
         if disparity <= 1e-9:
             return None
         z = self.rig.baseline / disparity
-        if not self.depth_range[0] * 0.5 <= z <= self.depth_range[1] * 2.0:
+        if not MIN_DEPTH <= z <= MAX_DEPTH:
             return None
         return pose.apply(np.array([left[0] * z, left[1] * z, z]))
 
@@ -718,8 +715,7 @@ class WindowTracker:
         groups = {}
         for f, uv_l, uv_r in zip(features, left, right):
             # anchor 0 marks static background in the measurement stream
-            anchor = None if self.object_blind or f.anchor_id == 0 \
-                else f.anchor_id
+            anchor = None if f.anchor_id == 0 else f.anchor_id
             groups.setdefault(anchor, []).append((f.feature_id, uv_l, uv_r))
         for key in groups:
             groups[key] = self._filter_group(groups[key])
@@ -729,8 +725,7 @@ class WindowTracker:
         self._solve_ego_window(groups.get(None, []))
         pose = self.camera_trajectory[t]
 
-        if not self.object_blind:
-            self._update_object_tracks(frame_measurements, groups, pose)
+        self._update_object_tracks(frame_measurements, groups, pose)
 
         self._prev_feature_uv = {f.feature_id: uv
                                  for f, uv in zip(features, left)}
@@ -806,7 +801,7 @@ class WindowTracker:
         try:
             p_cam, yaw_cam, _ = infer_pose(meas.box, meas.viewpoint,
                                            prior.mean)
-        except Exception:
+        except SemtrackError:
             return None
         state = ObjectState(position=pose.apply(p_cam),
                             yaw=self._world_yaw(pose, yaw_cam),
@@ -820,7 +815,6 @@ class WindowTracker:
         return track
 
     def _predict_state(self, track):
-        from .simulate import propagate_object
         state = track.states[-1]
         gap = self._frame - track.frames[-1]
         for _ in range(gap):

@@ -65,29 +65,6 @@ def so3_exp(w):
     return np.where(small, np.eye(3) + skew(w), rot)
 
 
-def so3_log(rot):
-    """Rotation vector from a rotation matrix."""
-    cos_angle = np.clip((np.trace(rot) - 1.0) / 2.0, -1.0, 1.0)
-    angle = np.arccos(cos_angle)
-    if angle < 1e-9:
-        return np.array([rot[2, 1] - rot[1, 2],
-                         rot[0, 2] - rot[2, 0],
-                         rot[1, 0] - rot[0, 1]]) / 2.0
-    if np.pi - angle < 1e-6:
-        # near pi: use the symmetric part
-        sym = (rot + np.eye(3)) / 2.0
-        axis = np.sqrt(np.clip(np.diag(sym), 0.0, None))
-        # fix signs from the off-diagonal entries
-        i = int(np.argmax(axis))
-        axis = sym[:, i] / axis[i]
-        axis = axis / np.linalg.norm(axis)
-        return angle * axis
-    axis = np.array([rot[2, 1] - rot[1, 2],
-                     rot[0, 2] - rot[2, 0],
-                     rot[1, 0] - rot[0, 1]]) / (2.0 * np.sin(angle))
-    return angle * axis
-
-
 def _unit_quaternion(q):
     # (x, y, z, w) order, squares summed in sequence: written trajectory
     # files keep the digits they had with SciPy's Rotation
@@ -206,10 +183,6 @@ class Pose:
     def inverse(self) -> "Pose":
         return Pose(self.rotation.T, -self.rotation.T @ self.translation)
 
-    def perturbed(self, dt, dphi) -> "Pose":
-        """Local update: t += dt, R <- R @ exp(dphi)."""
-        return Pose(self.rotation @ so3_exp(dphi), self.translation + np.asarray(dt))
-
 
 def project(p):
     """Project camera-frame point(s) to the normalized image plane.
@@ -260,12 +233,11 @@ class ObjectState:
 
 @dataclass(frozen=True)
 class Box3D:
-    """Oriented 3D box: center, yaw about vertical, dims; frame is a tag."""
+    """Oriented 3D box: center, yaw about the vertical, dims."""
 
     center: np.ndarray
     yaw: float
     dims: np.ndarray
-    frame: str = "world"
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float).reshape(3)

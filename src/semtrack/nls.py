@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 MAX_DAMPING = 1e8
+LM_DIM = 3  # landmarks are 3D points
 NUMERICAL_FAILURE = "numerical_failure"
 
 
@@ -40,7 +41,7 @@ class RowBatch(NamedTuple):
     ``residuals`` is (n, k): n independent rows of k components each,
     robustified one row at a time when ``huber_delta`` is set.  ``jac``
     (n, k, p) holds each row's derivatives by p dense columns of its
-    block and ``lm_jac`` (n, k, lm_dim), when set, by the one eliminated
+    block and ``lm_jac`` (n, k, 3), when set, by the one eliminated
     landmark the row touches; ``plan`` is the :class:`ScatterPlan` that
     names those columns and landmarks.  ``jac`` and ``plan`` are None for
     a cost-only batch.  ``block`` (n,) is the block of each row, None for
@@ -64,13 +65,12 @@ class ScatterPlan:
     into the dense gradients (n_blocks, size + 1) and ``hess`` (n, p, p)
     into the dense blocks (n_blocks, size + 1, size + 1), where column
     ``size`` is a sink for the negative columns of a row.  Rows with a
-    landmark add ``lm_grad`` (n, dim) into the landmark gradients
-    (n_blocks, n_landmarks * dim), ``lm_hess`` (n, dim, dim) into the
-    landmark blocks (n_blocks, n_landmarks * dim, dim) and ``coupling``
-    (n, p, dim) into the coupling (n_blocks, size + 1, n_landmarks *
-    dim).  A problem builds the plan of its rows once per solve
-    (:func:`scatter_plan`); ``plan[rows]`` is the plan of a subset of
-    them.
+    landmark add ``lm_grad`` (n, 3) into the landmark gradients
+    (n_blocks, n_landmarks * 3), ``lm_hess`` (n, 3, 3) into the landmark
+    blocks (n_blocks, n_landmarks * 3, 3) and ``coupling`` (n, p, 3) into
+    the coupling (n_blocks, size + 1, n_landmarks * 3).  A problem builds
+    the plan of its rows once per solve (:func:`scatter_plan`);
+    ``plan[rows]`` is the plan of a subset of them.
     """
 
     grad: np.ndarray
@@ -85,12 +85,12 @@ class ScatterPlan:
 
 
 def scatter_plan(block, cols, n_blocks, size, lm_indices=None,
-                 n_landmarks=0, lm_dim=3):
+                 n_landmarks=0):
     """The :class:`ScatterPlan` of rows of ``block`` (n,) that touch the
     dense ``cols`` ((n, p), or (p,) shared; a negative column is none) of
     systems with ``size`` dense columns and, when ``lm_indices`` (n,) is
-    set, one of ``n_landmarks`` landmarks of dimension ``lm_dim`` each.
-    Rows may share a column or a landmark; their terms add up."""
+    set, one of ``n_landmarks`` 3D landmarks.  Rows may share a column or
+    a landmark; their terms add up."""
     block = np.asarray(block)
     wide = size + 1
     cols = np.broadcast_to(np.where(cols < 0, size, cols),
@@ -99,11 +99,11 @@ def scatter_plan(block, cols, n_blocks, size, lm_indices=None,
     hess = grad[:, :, None] * wide + cols[:, None, :]
     if lm_indices is None:
         return ScatterPlan(grad, hess)
-    width = n_landmarks * lm_dim
-    lm_cols = lm_indices[:, None] * lm_dim + np.arange(lm_dim)
+    width = n_landmarks * LM_DIM
+    lm_cols = lm_indices[:, None] * LM_DIM + np.arange(LM_DIM)
     lm_grad = (block * width)[:, None] + lm_cols
     return ScatterPlan(grad, hess, lm_grad,
-                       lm_grad[:, :, None] * lm_dim + np.arange(lm_dim),
+                       lm_grad[:, :, None] * LM_DIM + np.arange(LM_DIM),
                        grad[:, :, None] * width + lm_cols[:, None, :])
 
 
@@ -281,20 +281,18 @@ class SchurNormalEquations(CostTerms):
     """Normal equations with dense blocks and eliminated landmark blocks.
 
     Each block's parameter vector is (dense params, landmark 0, landmark
-    1, ...) with ``dense_size`` dense columns and ``n_landmarks``
-    landmarks of dimension ``lm_dim``.  ``used`` (n_blocks, dense_size)
-    marks the dense columns each block uses, None for all; the others are
-    padding, their diagonal is set to 1 in the reduced system, and they
-    get no step.  So do unobserved landmarks.  Solving forms each block's
-    Schur complement onto its dense columns and back-substitutes the
-    landmarks.
+    1, ...) with ``dense_size`` dense columns and ``n_landmarks`` 3D
+    landmarks.  ``used`` (n_blocks, dense_size) marks the dense columns
+    each block uses, None for all; the others are padding, their diagonal
+    is set to 1 in the reduced system, and they get no step.  So do
+    unobserved landmarks.  Solving forms each block's Schur complement
+    onto its dense columns and back-substitutes the landmarks.
     """
 
-    def __init__(self, dense_size, n_landmarks, lm_dim=3, n_blocks=1,
-                 used=None):
+    def __init__(self, dense_size, n_landmarks, n_blocks=1, used=None):
         super().__init__(n_blocks)
-        k, d, n, dim = n_blocks, dense_size, n_landmarks, lm_dim
-        self.dense_size, self.n_landmarks, self.lm_dim = d, n, dim
+        k, d, n, dim = n_blocks, dense_size, n_landmarks, LM_DIM
+        self.dense_size, self.n_landmarks = d, n
         self.h_dd = np.zeros((k, d, d))
         self.g_d = np.zeros((k, d))
         self.h_ll = np.zeros((k, n, dim, dim))
@@ -313,10 +311,10 @@ class SchurNormalEquations(CostTerms):
         self.h_dd += h_dd
         if batch.lm_jac is None:
             return
-        width = self.n_landmarks * self.lm_dim
+        width = self.n_landmarks * LM_DIM
         jac_l = batch.lm_jac * scale[:, None, None]
         self.h_ll += _scatter(plan.lm_hess, _gram(jac_l),
-                              (k, width, self.lm_dim)).reshape(self.h_ll.shape)
+                              (k, width, LM_DIM)).reshape(self.h_ll.shape)
         self.g_l += _scatter(plan.lm_grad,
                              np.einsum("nij,ni->nj", jac_l, r_w),
                              (k, width)).reshape(self.g_l.shape)
@@ -334,10 +332,9 @@ class SchurNormalEquations(CostTerms):
 
     def solve(self, damping, blocks):
         """Damped steps of ``blocks`` (m,) at ``damping`` (m,): the tuple
-        (dense (m, dense_size), landmarks (m, n_landmarks, lm_dim)) and
-        the solved mask (m,)."""
-        m, d, n, dim = len(blocks), self.dense_size, self.n_landmarks, \
-            self.lm_dim
+        (dense (m, dense_size), landmarks (m, n_landmarks, 3)) and the
+        solved mask (m,)."""
+        m, d, n, dim = len(blocks), self.dense_size, self.n_landmarks, LM_DIM
         solved = np.ones(m, dtype=bool)
         # damp the landmark blocks as _damped does, all at once, and
         # invert them

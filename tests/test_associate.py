@@ -1,4 +1,4 @@
-"""Tests for stereo matching, box-similarity association and RANSAC."""
+"""Tests for box-similarity association and RANSAC."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from semtrack import associate as assoc
 from semtrack import simulate as sim
 from semtrack.boxinfer import BBox2D
 from semtrack.errors import DegenerateGroup
-from semtrack.geometry import Pose, StereoRig, rot_y
+from semtrack.geometry import Pose, rot_y
 
 
 def scenario_fixture(seed=6, **overrides):
@@ -21,68 +21,6 @@ def scenario_fixture(seed=6, **overrides):
     }
     config.update(overrides)
     return sim.generate_scenario(config, seed=seed)
-
-
-def frame_candidates(frame):
-    left = [assoc.Candidate(f.feature_id, f.left, f.anchor_id)
-            for f in frame.features]
-    right = [assoc.Candidate(f.feature_id, f.right, f.anchor_id)
-             for f in frame.features]
-    return left, right
-
-
-class TestMatchStereo:
-    def test_zero_noise_full_recall_no_false_pairs(self):
-        scenario = scenario_fixture()
-        frame = sim.synthesize_frame(scenario, 0, sim.NoiseSpec.zero())
-        left, right = frame_candidates(frame)
-        rng = np.random.default_rng(0)
-        rng.shuffle(right)
-        pairs = assoc.match_stereo(left, right, scenario.rig,
-                                   feature_sigma=0.0)
-        matched = {(l.feature_id, r.feature_id) for l, r in pairs}
-        expected = {(f.feature_id, f.feature_id) for f in frame.features}
-        assert matched == expected
-
-    def test_empty_right_set(self):
-        scenario = scenario_fixture()
-        frame = sim.synthesize_frame(scenario, 0, sim.NoiseSpec.zero())
-        left, _ = frame_candidates(frame)
-        assert assoc.match_stereo(left, [], scenario.rig) == []
-
-    def test_far_off_epipolar_line_unmatched(self):
-        rig = StereoRig.horizontal(0.5)
-        sigma = 0.5 / 700.0
-        left = [assoc.Candidate(1, np.array([0.1, 0.05]))]
-        # right candidate displaced vertically by 10 * the gate
-        right = [assoc.Candidate(2, np.array([0.08, 0.05 + 20.0 * sigma]))]
-        assert assoc.match_stereo(left, right, rig,
-                                  feature_sigma=sigma) == []
-
-    def test_disparity_window_enforced(self):
-        rig = StereoRig.horizontal(0.5)
-        left = [assoc.Candidate(1, np.array([0.1, 0.0]))]
-        # perfect epipolar geometry but disparity implies depth 1 m
-        right = [assoc.Candidate(2, np.array([0.1 - 0.5, 0.0]))]
-        assert assoc.match_stereo(left, right, rig,
-                                  depth_range=(2.0, 80.0)) == []
-
-    def test_matching_is_injective(self):
-        scenario = scenario_fixture()
-        noise = sim.NoiseSpec(seed=3)
-        frame = sim.synthesize_frame(scenario, 1, noise)
-        left, right = frame_candidates(frame)
-        pairs = assoc.match_stereo(left, right, scenario.rig,
-                                   feature_sigma=noise.feature_sigma)
-        lids = [l.feature_id for l, _ in pairs]
-        rids = [r.feature_id for _, r in pairs]
-        assert len(lids) == len(set(lids))
-        assert len(rids) == len(set(rids))
-
-    def test_rejects_bad_depth_range(self):
-        rig = StereoRig.horizontal(0.5)
-        with pytest.raises(ValueError):
-            assoc.match_stereo([], [], rig, depth_range=(0.0, 10.0))
 
 
 class TestBoxSimilarity:
@@ -114,7 +52,7 @@ class TestBoxSimilarity:
         from semtrack.geometry import Box3D
         box_w = Box3D(far.position, far.yaw, far.dims)
         bb0 = tight_bbox(Box3D(cam0.apply_inverse(box_w.center), box_w.yaw,
-                               box_w.dims, "camera"))
+                               box_w.dims))
         verts1 = cam1.apply_inverse(geom.box_vertices(box_w))
         uv1 = geom.project(verts1)
         bb1 = BBox2D(uv1[:, 0].min(), uv1[:, 1].min(),

@@ -4,6 +4,9 @@ single-box pose inference."""
 import numpy as np
 import pytest
 
+from viewpoints import (REFERENCE_VIEWPOINT, sample_camera_frame_box,
+                        sample_viewpoint_config)
+
 from semtrack import geometry as geom
 from semtrack import boxinfer as bi
 from semtrack.errors import DegenerateGeometry
@@ -40,7 +43,7 @@ class TestClassifyViewpoint:
         rng = np.random.default_rng(21)
         for _ in range(100):
             vp = bi.Viewpoint(int(rng.integers(0, 8)), int(rng.integers(0, 2)))
-            box = bi.sample_camera_frame_box(vp, rng, verify=False)
+            box = sample_camera_frame_box(vp, rng, verify=False)
             state = ObjectState(box.center, box.yaw, box.dims)
             # level camera at the origin, expressed as a world pose
             assert bi.classify_viewpoint_world(Pose.identity(), state) == vp
@@ -50,7 +53,7 @@ class TestClassifyViewpoint:
         rng = np.random.default_rng(22)
         for _ in range(50):
             vp = bi.Viewpoint(int(rng.integers(0, 8)), int(rng.integers(0, 2)))
-            x_cam, state = bi.sample_viewpoint_config(vp, rng)
+            x_cam, state = sample_viewpoint_config(vp, rng)
             assert bi.classify_viewpoint_world(x_cam, state) == vp
 
     def test_viewpoint_validation(self):
@@ -63,7 +66,7 @@ class TestClassifyViewpoint:
 class TestSelectionTable:
     def test_reference_entry_frozen(self):
         # frozen expected value for the rear-left, looking-down viewpoint
-        sel = bi.selection_set(bi.REFERENCE_VIEWPOINT)
+        sel = bi.selection_set(REFERENCE_VIEWPOINT)
         expected = np.array([
             [1.0, 1.0, 1.0],
             [-1.0, 1.0, -1.0],
@@ -101,7 +104,7 @@ class TestSelectionTable:
         rng = np.random.default_rng(23)
         for _ in range(400):
             vp = bi.Viewpoint(int(rng.integers(0, 8)), int(rng.integers(0, 2)))
-            box = bi.sample_camera_frame_box(vp, rng, verify=False)
+            box = sample_camera_frame_box(vp, rng, verify=False)
             idx = bi.brute_force_extremes_camera(box)
             signs = geom.VERTEX_SIGNS[list(idx)].copy()
             signs[0, 1] = signs[1, 1] = 1.0
@@ -114,8 +117,8 @@ class TestSelectionTable:
 
 class TestTightBBox:
     def test_known_axis_aligned_box(self):
-        box = Box3D(np.array([0.0, 0.0, 10.0]), 0.0, np.array([2.0, 2.0, 2.0]),
-                    "camera")
+        box = Box3D(np.array([0.0, 0.0, 10.0]), 0.0,
+                    np.array([2.0, 2.0, 2.0]))
         bb = bi.tight_bbox(box)
         # near face at z=9, half extent 1 -> widest edges at 1/9
         assert bb.u_max == pytest.approx(1.0 / 9.0)
@@ -126,7 +129,7 @@ class TestTightBBox:
         rng = np.random.default_rng(24)
         for _ in range(50):
             vp = bi.Viewpoint(int(rng.integers(0, 8)), int(rng.integers(0, 2)))
-            box = bi.sample_camera_frame_box(vp, rng, verify=False)
+            box = sample_camera_frame_box(vp, rng, verify=False)
             bb = bi.tight_bbox(box)
             uv = geom.project(geom.box_vertices(box))
             assert np.all(uv[:, 0] >= bb.u_min - 1e-12)
@@ -141,7 +144,7 @@ class TestInferPose:
         p = np.array([2.0, 1.0, 15.0])
         theta = 0.3
         dims = np.array([4.0, 1.6, 1.8])
-        box3 = Box3D(p, theta, dims, "camera")
+        box3 = Box3D(p, theta, dims)
         vp = bi.classify_viewpoint(box3)
         sel = bi.selection_set(vp)
         verts = p + sel.vertex_offsets(dims) @ rot_y(theta).T
@@ -156,7 +159,7 @@ class TestInferPose:
         rng = np.random.default_rng(25)
         for _ in range(150):
             vp = bi.Viewpoint(int(rng.integers(0, 8)), int(rng.integers(0, 2)))
-            box3 = bi.sample_camera_frame_box(vp, rng)
+            box3 = sample_camera_frame_box(vp, rng)
             bb = bi.tight_bbox(box3)
             p_hat, theta_hat, residual = bi.infer_pose(bb, vp, box3.dims)
             assert np.linalg.norm(p_hat - box3.center) < 1e-6
@@ -167,7 +170,7 @@ class TestInferPose:
         # object dead ahead, seen exactly broadside: the inferred center
         # must sit on the box's horizontal midline
         dims = np.array([3.9, 1.6, 1.7])
-        box3 = Box3D(np.array([0.0, 0.4, 20.0]), 0.0, dims, "camera")
+        box3 = Box3D(np.array([0.0, 0.4, 20.0]), 0.0, dims)
         vp = bi.classify_viewpoint(box3)
         bb = bi.tight_bbox(box3)
         p_hat, _, _ = bi.infer_pose(bb, vp, dims)
@@ -183,7 +186,7 @@ class TestInferPose:
     def test_candidates_sorted_and_contain_best(self):
         rng = np.random.default_rng(26)
         vp = bi.Viewpoint(1, 0)
-        box3 = bi.sample_camera_frame_box(vp, rng)
+        box3 = sample_camera_frame_box(vp, rng)
         bb = bi.tight_bbox(box3)
         roots = bi.infer_pose_candidates(bb, vp, box3.dims)
         devs = [r[3] for r in roots]
@@ -195,7 +198,7 @@ class TestInferPose:
         rng = np.random.default_rng(27)
         for _ in range(50):
             vp = bi.Viewpoint(int(rng.integers(0, 8)), int(rng.integers(0, 2)))
-            box3 = bi.sample_camera_frame_box(vp, rng)
+            box3 = sample_camera_frame_box(vp, rng)
             _, _, residual = bi.infer_pose(bi.tight_bbox(box3), vp, box3.dims)
             assert residual < 1e-8
 

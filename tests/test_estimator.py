@@ -788,12 +788,18 @@ def track_frames(scenario, frames):
     return tracker
 
 
+def object_blind(frame):
+    """``frame`` as an object-blind tracker sees it: every feature static
+    background, no detections."""
+    return replace(frame, semantic=(), features=tuple(
+        replace(f, anchor_id=0) for f in frame.features))
+
+
 class TestWindowTracker:
-    def run_tracker(self, scenario, noise=None, **kwargs):
+    def run_tracker(self, scenario, noise=None):
         tracker = est.WindowTracker(scenario.rig,
                                     est.EstimatorConfig(dt=scenario.dt),
-                                    initial_pose=scenario.camera[0],
-                                    **kwargs)
+                                    initial_pose=scenario.camera[0])
         for t in range(scenario.n_frames):
             tracker.process(sim.synthesize_frame(scenario, t, noise))
         return tracker
@@ -924,6 +930,31 @@ class TestWindowTracker:
             seen |= set(tracker.bg_landmarks)
         assert len(tracker.bg_landmarks) < len(seen)
 
+    def test_track_start_contains_library_errors(self, monkeypatch):
+        calls = []
+
+        def no_root(*args, **kwargs):
+            calls.append(args)
+            raise NoConvergence("pose refinement exceeded iteration budget")
+
+        monkeypatch.setattr(est, "infer_pose", no_root)
+        scenario = make_scenario(3, [car(0.4, 25.0)])
+        tracker = self.run_tracker(scenario, sim.NoiseSpec.zero())
+        assert len(calls) == 3  # one start attempt per frame
+        assert tracker.tracks == {} and tracker.object_trajectories == {}
+        assert len(tracker.camera_trajectory) == 3
+
+    def test_track_start_lets_other_errors_escape(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("not a library error")
+
+        monkeypatch.setattr(est, "infer_pose", broken)
+        scenario = make_scenario(3, [car(0.4, 25.0)])
+        tracker = track_frames(scenario, [])
+        with pytest.raises(KeyError):
+            tracker.process(sim.synthesize_frame(scenario, 0,
+                                                 sim.NoiseSpec.zero()))
+
     def test_ego_numerical_failure_keeps_predicted_window(self, monkeypatch):
         scenario = make_scenario(4, [car(-10.0, 18.0)])
         frames = [sim.synthesize_frame(scenario, t) for t in range(4)]
@@ -944,7 +975,9 @@ class TestWindowTracker:
 
     def test_object_blind_ignores_objects(self):
         scenario = make_scenario(6, [car(-10.0, 18.0)])
-        tracker = self.run_tracker(scenario, sim.NoiseSpec.zero(),
-                                   object_blind=True)
+        zero = sim.NoiseSpec.zero()
+        tracker = track_frames(scenario, [
+            object_blind(sim.synthesize_frame(scenario, t, zero))
+            for t in range(scenario.n_frames)])
         assert tracker.object_trajectories == {}
         assert len(tracker.camera_trajectory) == 6

@@ -213,7 +213,7 @@ class TestSchurEquivalence:
     def assemble(self, obs, n_dense, n_lm, huber=None, sqrt_info=1.0):
         # one Schur batch per observation; the dense reference carries
         # the landmarks as plain columns
-        schur = nls.SchurNormalEquations(n_dense, n_lm, 3)
+        schur = nls.SchurNormalEquations(n_dense, n_lm)
         dense = nls.DenseNormalEquations(n_dense + 3 * n_lm)
         full = np.zeros((len(obs), 2, n_dense + 3 * n_lm))
         for i, (lm, jac_d, jac_l, r) in enumerate(obs):
@@ -266,7 +266,7 @@ class TestSchurEquivalence:
                     full[i, :, col] = jac_d[i, :, j]
             full[i, :, n_dense + 3 * lm[i]:n_dense + 3 * lm[i] + 3] = jac_l[i]
         for huber in (None, 1.0):
-            schur = nls.SchurNormalEquations(n_dense, n_lm, 3)
+            schur = nls.SchurNormalEquations(n_dense, n_lm)
             schur.add_batch(nls.RowBatch(
                 r, jac_d, one_block_plan(n_obs, cols, n_dense, lm, n_lm),
                 huber, lm_jac=jac_l))
@@ -365,7 +365,7 @@ class TestSchurEquivalence:
 
     def test_unobserved_landmark_still_solvable(self):
         # damping keeps an empty landmark block invertible
-        schur = nls.SchurNormalEquations(2, 2, 3)
+        schur = nls.SchurNormalEquations(2, 2)
         schur.add_batch(nls.RowBatch(
             np.ones((1, 2)), np.eye(2)[None],
             one_block_plan(1, np.arange(2), 2, np.array([0]), 2),
