@@ -681,7 +681,8 @@ class WindowTracker:
         """Left and right image points (n, 2) of the features of the next
         frame.  Raises :class:`ConfigError` naming the frame when a point
         is not a 2-vector, and naming the feature or detection as well
-        when a point or a box edge is not finite."""
+        when a detection does not have 4 edge flags or a point or a box
+        edge is not finite."""
         where = f"frame {self._frame + 1}"
         features = frame_measurements.features
         semantic = frame_measurements.semantic
@@ -696,6 +697,10 @@ class WindowTracker:
             fid = features[int(np.argmax(bad))].feature_id
             raise ConfigError(where,
                               f"feature {fid} has a non-finite image point")
+        for s in semantic:
+            if np.shape(s.valid_edges) != (4,):
+                raise ConfigError(where, f"detection {s.object_id} does not "
+                                  "have 4 edge flags")
         boxes = np.array([s.box.as_array() for s in semantic]).reshape(-1, 4)
         bad = ~np.isfinite(boxes).all(axis=1)
         if bad.any():
@@ -706,8 +711,8 @@ class WindowTracker:
 
     def process(self, frame_measurements):
         """Track one frame.  A frame with a malformed or non-finite feature
-        point or box edge raises :class:`ConfigError` and changes
-        nothing."""
+        point, box edge or set of edge flags raises :class:`ConfigError`
+        and changes nothing."""
         features = frame_measurements.features
         left, right = self._frame_points(frame_measurements)
         self._frame += 1

@@ -9,7 +9,11 @@ blocks, with Jacobians or cost-only) and ``retract(state, step,
 blocks)``.  :func:`solve_nls` runs Levenberg-Marquardt on every block in
 lockstep: one evaluation serves all blocks still running, while damping,
 acceptance and the stopping tests stay per block.  A single problem is
-the case of one block.
+the case of one block.  The damping follows the gain ratio of each
+accepted step, its actual cost decrease over the decrease the
+Gauss-Newton model predicts (Madsen, Nielsen and Tingleff 2004), and by
+default a block stops once a step lowers its cost by less than 1e-6
+relative.
 
 Two normal-equation accumulators take the batches through one
 ``add_batch`` entry point: a plain dense one, and a Schur-complement
@@ -17,9 +21,10 @@ variant that eliminates the block-diagonal landmark blocks (the standard
 trick for bundle-adjustment style problems where the number of 3D points
 dwarfs the number of poses).  Both keep each block's terms apart, padded
 to a common size, and solve the damped systems of many blocks as one
-stack.  Where each row's terms land is a :class:`ScatterPlan`, which a
-problem builds once per solve and hands over with every batch, so the
-accumulators compute no indices.
+stack, and give the predicted decrease of the steps they solved.  Where
+each row's terms land is a :class:`ScatterPlan`, which a problem builds
+once per solve and hands over with every batch, so the accumulators
+compute no indices.
 """
 
 from __future__ import annotations
@@ -193,14 +198,30 @@ def _dense_terms(r_w, jac_w, plan, n_blocks, size):
     return grad[:, :size], h_mat[:, :size, :size]
 
 
+def _scaling(h_mat):
+    """The diagonal D (..., d) that LM damping scales in systems (..., d,
+    d): each diagonal entry, floored at 1e-12."""
+    return np.maximum(np.diagonal(h_mat, axis1=-2, axis2=-1), 1e-12)
+
+
 def _damped(h_mat, damping):
     """LM damping of stacked systems (m, d, d), one factor per system:
-    each diagonal entry grows by ``damping`` times itself."""
+    each diagonal entry grows by ``damping`` times its :func:`_scaling`."""
     out = h_mat.copy()
     diag = np.arange(h_mat.shape[-1])
-    out[..., diag, diag] += damping[:, None] * np.maximum(
-        h_mat[..., diag, diag], 1e-12)
+    out[..., diag, diag] += damping[:, None] * _scaling(h_mat)
     return out
+
+
+def _model_decrease(step, damping, scaling, grad):
+    """0.5 h^T (mu D h - g) of each block's damped step h (m, ...) at
+    damping mu (m,), with D and g shaped as h: the decrease that the
+    Gauss-Newton model, -g^T h - 0.5 h^T H h, predicts for a step that
+    solves (H + mu D) h = -g."""
+    m = len(step)
+    mu = damping.reshape((m,) + (1,) * (step.ndim - 1))
+    return 0.5 * np.sum((step * (mu * scaling * step - grad)).reshape(m, -1),
+                        axis=1)
 
 
 def _factor(h_mat, solved):
@@ -276,6 +297,12 @@ class DenseNormalEquations(CostTerms):
                                -self.grad[blocks], solved)
         return (step,), solved
 
+    def predicted_decrease(self, step, damping, blocks):
+        """Model decrease (m,) of the damped steps ``step``, as returned by
+        :meth:`solve`, of ``blocks`` (m,) at ``damping`` (m,)."""
+        return _model_decrease(step[0], damping, _scaling(self.h_mat)[blocks],
+                               self.grad[blocks])
+
 
 class SchurNormalEquations(CostTerms):
     """Normal equations with dense blocks and eliminated landmark blocks.
@@ -340,8 +367,7 @@ class SchurNormalEquations(CostTerms):
         # invert them
         h_ll = self.h_ll[blocks]
         diag = np.arange(dim)
-        h_ll[..., diag, diag] += damping[:, None, None] * np.maximum(
-            h_ll[..., diag, diag], 1e-12)
+        h_ll[..., diag, diag] += damping[:, None, None] * _scaling(h_ll)
         h_ll_inv = _inverse(h_ll, solved) if n else h_ll
         # reduced system on each block's dense columns: with W the
         # coupling (m, d, n * dim) and V = W blockdiag(H_ll^-1),
@@ -364,6 +390,17 @@ class SchurNormalEquations(CostTerms):
         rhs = -g_l - (dx_d[:, None, :] @ w_mat).reshape(m, n, dim)
         dx_l = (h_ll_inv @ rhs[..., None])[..., 0]
         return (dx_d, dx_l), solved
+
+    def predicted_decrease(self, step, damping, blocks):
+        """Model decrease (m,) of the damped steps ``step``, as returned by
+        :meth:`solve`, of ``blocks`` (m,) at ``damping`` (m,), over the
+        dense columns and the landmarks; padding columns and unobserved
+        landmarks have no gradient and no step, and add nothing."""
+        dx_d, dx_l = step
+        return (_model_decrease(dx_d, damping, _scaling(self.h_dd)[blocks],
+                                self.g_d[blocks])
+                + _model_decrease(dx_l, damping, _scaling(self.h_ll)[blocks],
+                                  self.g_l[blocks]))
 
 
 @dataclass(frozen=True)
@@ -401,23 +438,30 @@ def _linearize(problem, state, blocks):
     return eq
 
 
-def solve_nls(problem, state, max_iterations=50, cost_tol=1e-8,
+def solve_nls(problem, state, max_iterations=50, cost_tol=1e-6,
               gradient_tol=1e-10, step_tol=1e-12, initial_damping=1e-4):
-    """Levenberg-Marquardt with multiplicative diagonal damping, run on
-    every block of ``problem`` in lockstep.
+    """Levenberg-Marquardt with gain-ratio diagonal damping, run on every
+    block of ``problem`` in lockstep.
 
     Each round linearizes the blocks still running in one evaluation,
     then tries damped steps until every one of them has lowered its cost
     or run out of damping; each trial costs the blocks it moves in one
     evaluation.  Per block, steps are accepted only when they strictly
-    lower the cost.  A block stops on relative cost decrease below
-    ``cost_tol``, gradient infinity norm below ``gradient_tol``, accepted
-    step norm below ``step_tol`` (the relative-decrease test is
-    meaningless once the cost sits at machine noise), or
-    ``max_iterations``; a stopped block's rows are not evaluated again.
-    A block whose normal equations stay unsolvable up to the damping cap
-    stops unconverged with reason :data:`NUMERICAL_FAILURE`.  Returns the
-    state and the :class:`SolveReports`.
+    lower the cost.  The damping follows Madsen, Nielsen and Tingleff
+    (2004) with a floor of 1/10: an accepted step with gain ratio rho
+    (actual over predicted cost decrease) scales the damping by
+    max(1/10, 1 - (2 rho - 1)^3), down to 1e-12, and resets the growth
+    factor nu to 2; a rejected step multiplies the damping by nu and
+    doubles nu.  A block stops on relative cost decrease below
+    ``cost_tol`` (1e-6, the Ceres default ``function_tolerance``),
+    gradient infinity norm below ``gradient_tol``, accepted step norm
+    below ``step_tol`` (the relative-decrease test is meaningless once
+    the cost sits at machine noise), or ``max_iterations``; a stopped
+    block's rows are not evaluated again.  A block whose damping passes
+    :data:`MAX_DAMPING` stops: as "stalled" if its normal equations are
+    still solvable, else unconverged with reason
+    :data:`NUMERICAL_FAILURE`.  Returns the state and the
+    :class:`SolveReports`.
     """
     n_blocks = problem.n_blocks
     running = np.arange(n_blocks)
@@ -428,6 +472,7 @@ def solve_nls(problem, state, max_iterations=50, cost_tol=1e-8,
     cost = lin.cost.copy()
     by_tag = {tag: c.copy() for tag, c in lin.cost_by_tag.items()}
     damping = np.full(n_blocks, float(initial_damping))
+    growth = np.full(n_blocks, 2.0)  # nu: the next rejection's factor
     iterations = np.zeros(n_blocks, dtype=int)
     converged = np.zeros(n_blocks, dtype=bool)
     reason = ["max_iterations"] * n_blocks
@@ -450,6 +495,8 @@ def solve_nls(problem, state, max_iterations=50, cost_tol=1e-8,
             won = np.zeros(len(pending), dtype=bool)
             if len(moved):
                 step = tuple(part[solved] for part in step)
+                predicted = lin.predicted_decrease(step, damping[moved],
+                                                   moved)
                 trial = problem.retract(state, step, moved)
                 terms = batch_cost(problem.batches(trial, moved, False),
                                    n_blocks)
@@ -460,17 +507,24 @@ def solve_nls(problem, state, max_iterations=50, cost_tol=1e-8,
                 if len(wins):
                     state = trial if better.all() else problem.retract(
                         state, tuple(part[better] for part in step), wins)
-                    rel_drop[wins] = ((cost[wins] - trial_cost[better])
-                                      / np.maximum(cost[wins], 1e-300))
+                    drop = cost[wins] - trial_cost[better]
+                    rel_drop[wins] = drop / np.maximum(cost[wins], 1e-300)
                     step_norm[wins] = _step_norms(step)[better]
                     cost[wins] = trial_cost[better]
                     for tag, c in terms.cost_by_tag.items():
                         by_tag.setdefault(tag, np.zeros(n_blocks))[wins] = \
                             c[wins]
-                    damping[wins] = np.maximum(damping[wins] / 10.0, 1e-12)
+                    # gain ratio, capped at 1 where the factor is already
+                    # at its floor; a predicted decrease that is not
+                    # positive counts as a perfect model
+                    rho = drop / np.fmax(predicted[better], drop)
+                    damping[wins] = np.maximum(damping[wins] * np.maximum(
+                        0.1, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-12)
+                    growth[wins] = 2.0
                     accepted[wins] = True
             lost = pending[~won]
-            damping[lost] *= 10.0
+            damping[lost] *= growth[lost]
+            growth[lost] *= 2.0
             spent = lost[damping[lost] > MAX_DAMPING]
             if len(spent):
                 _, solvable = lin.solve(np.full(len(spent), MAX_DAMPING),

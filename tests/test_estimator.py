@@ -293,6 +293,11 @@ def assert_same_solve(got, solo):
     assert np.abs(got.dims - solo.dims).max() < 1e-8
 
 
+# an iteration cap that the "capped" window of TestBatchedObjectSolve hits
+# and its other windows stay below
+CAPPED = est.EstimatorConfig(max_iterations=20)
+
+
 class TestBatchedObjectSolve:
     """The object tracks of a window are solved in one LM, a block per
     track, with each track's decisions those of solving it alone."""
@@ -320,7 +325,7 @@ class TestBatchedObjectSolve:
         (locked, _), _ = object_problem(scenario, frames[:1], 0,
                                         with_features=False)
         # without box rows nothing pins the offset of the anchored points,
-        # and LM creeps along it until the iteration cap
+        # and LM creeps along it for 40 iterations, past CAPPED's cap
         capped = replace(cars[0], semantic=est.semantic_rows([]))
         windows = {"car": cars[0], "pedestrian": tracks[4],
                    "three_landmarks": few, "locked": locked,
@@ -330,22 +335,22 @@ class TestBatchedObjectSolve:
     def test_batch_matches_solo_solves(self, windows):
         scenario, cars, cases, cams = windows
         tracks = cars + list(cases.values())
-        batch = est.solve_objects(tracks, cams, scenario.rig)
+        batch = est.solve_objects(tracks, cams, scenario.rig, CAPPED)
         results = dict(zip(cases, batch[len(cars):]))
         assert cases["pedestrian"].label == "pedestrian"
         assert len(cases["three_landmarks"].landmarks) == 3
         assert results["locked"].under_constrained
         assert results["capped"].report.reason == "max_iterations"
-        assert results["capped"].report.iterations == 50
+        assert results["capped"].report.iterations == CAPPED.max_iterations
         assert all(r.report.converged for r in batch[:len(cars)])
         for track, got in zip(tracks, batch):
-            (solo,) = est.solve_objects([track], cams, scenario.rig)
+            (solo,) = est.solve_objects([track], cams, scenario.rig, CAPPED)
             assert_same_solve(got, solo)
             if solo.report.converged:
-                est.solve_object(track, cams, scenario.rig)
+                est.solve_object(track, cams, scenario.rig, CAPPED)
             else:
                 with pytest.raises(NoConvergence):
-                    est.solve_object(track, cams, scenario.rig)
+                    est.solve_object(track, cams, scenario.rig, CAPPED)
                 # a track that did not converge keeps its input states
                 assert got.states == list(track.states)
 
@@ -902,6 +907,31 @@ class TestWindowTracker:
         assert [t for t, _ in tracker.object_trajectories[0]] == [0, 1]
         tracker.process(frames[3])
         assert len(tracker.camera_trajectory) == 3
+
+    def test_wrong_edge_flag_count_refused_without_state_change(self):
+        # three edge flags on a detection at frame 6: refused, and the
+        # frames after it, which would hold it in their window, track
+        scenario = make_scenario(12, [car(-10.0, 18.0)])
+        frames = [sim.synthesize_frame(scenario, t) for t in range(12)]
+        det = frames[6].semantic[0]
+        frames[6] = replace(frames[6], semantic=(
+            replace(det, valid_edges=(True, True, True)),
+            *frames[6].semantic[1:]))
+        tracker = est.WindowTracker(
+            scenario.rig, est.EstimatorConfig(dt=scenario.dt, window=5),
+            initial_pose=scenario.camera[0])
+        for frame in frames[:6]:
+            tracker.process(frame)
+        poses = list(tracker.camera_trajectory)
+        message = f"frame 6: detection {det.object_id} does not have 4 edge"
+        with pytest.raises(ConfigError, match=message):
+            tracker.process(frames[6])
+        assert tracker._frame == 5
+        assert tracker.camera_trajectory == poses
+        for n, frame in enumerate(frames[7:], start=7):
+            tracker.process(frame)
+            assert len(tracker.camera_trajectory) == n
+        assert len(tracker.object_trajectories[0]) == 11
 
     def test_malformed_feature_point_refused(self):
         scenario = make_scenario(3, [car(-10.0, 18.0)])

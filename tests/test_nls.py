@@ -105,6 +105,36 @@ class Unsolvable(RosenbrockProblem):
         return Equations(2, self.n_blocks)
 
 
+class Recorded(QuadraticProblem):
+    """A :class:`QuadraticProblem` that records the damping of each linear
+    solve and rejects the trial evaluations numbered (from 1) in
+    ``reject`` by inflating their cost."""
+
+    def __init__(self, a_mat, b, reject=()):
+        super().__init__(a_mat, b)
+        self.dampings = []
+        self.reject = set(reject)
+        self.trials = 0
+
+    def equations(self):
+        dampings = self.dampings
+
+        class Equations(nls.DenseNormalEquations):
+            def solve(self, damping, blocks):
+                dampings.append(float(damping[0]))
+                return super().solve(damping, blocks)
+
+        return Equations(self.a_mat.shape[1])
+
+    def batches(self, x, blocks, jacobians):
+        (batch,) = super().batches(x, blocks, jacobians)
+        if not jacobians:
+            self.trials += 1
+            if self.trials in self.reject:
+                batch = batch._replace(residuals=batch.residuals + 1e6)
+        return [batch]
+
+
 class TestSolveNls:
     def test_linear_problem_one_accepted_step(self):
         rng = np.random.default_rng(21)
@@ -153,6 +183,26 @@ class TestSolveNls:
         _, (report,) = nls.solve_nls(problem, x_star)
         assert report.converged and report.iterations <= 2
 
+    def test_exact_model_divides_damping_by_ten(self):
+        # on a linear least-squares block the gain ratio is 1
+        rng = np.random.default_rng(31)
+        problem = Recorded(rng.normal(size=(8, 4)), rng.normal(size=8))
+        nls.solve_nls(problem, np.zeros(4), initial_damping=1e-4)
+        assert len(problem.dampings) >= 2
+        assert problem.dampings[1] == pytest.approx(1e-5, rel=1e-12)
+
+    def test_rejections_grow_damping_until_a_step_is_accepted(self):
+        # rejected trials multiply the damping by 2, then 4; the accepted
+        # third divides it by 10 and resets the growth to 2
+        rng = np.random.default_rng(32)
+        problem = Recorded(rng.normal(size=(8, 4)), rng.normal(size=8),
+                           reject=(1, 2, 4))
+        _, (report,) = nls.solve_nls(problem, np.zeros(4),
+                                     initial_damping=1e-4)
+        assert problem.dampings[:5] == pytest.approx(
+            [1e-4, 2e-4, 8e-4, 8e-5, 1.6e-4], rel=1e-12)
+        assert report.converged
+
     def test_blocks_match_solo_solves(self):
         # each block of a batched solve takes the decisions of its solo
         # solve: the same states, iterations and stop reasons
@@ -182,6 +232,52 @@ class TestSolveNls:
                                                  starts[b])
             assert np.array_equal(x[b], solo[0])
             assert reports[b] == solo_report
+
+
+class TestPredictedDecrease:
+    def test_matches_full_quadratic_model(self):
+        # two blocks of 6 dense columns and 4 landmarks: block 1 has its
+        # last two columns locked (padding), and landmark 3 is observed by
+        # neither; the model decrease of each damped step equals
+        # -g^T h - 0.5 h^T H h of the full dense system
+        rng = np.random.default_rng(33)
+        k, n_dense, n_lm, n_obs = 2, 6, 4, 40
+        used = np.ones((k, n_dense), dtype=bool)
+        used[1, 4:] = False
+        block = np.arange(n_obs) % k
+        lm = rng.integers(0, n_lm - 1, n_obs)
+        cols = np.where(used[block], np.arange(n_dense), -1)
+        r = rng.normal(size=(n_obs, 2))
+        jac_d = rng.normal(size=(n_obs, 2, n_dense)) * used[block][:, None]
+        jac_l = rng.normal(size=(n_obs, 2, 3))
+        width = n_dense + 3 * n_lm
+        full = np.zeros((n_obs, 2, width))
+        full[:, :, :n_dense] = jac_d
+        for i in range(n_obs):
+            full[i, :, n_dense + 3 * lm[i]:n_dense + 3 * lm[i] + 3] = jac_l[i]
+        schur = nls.SchurNormalEquations(n_dense, n_lm, k, used)
+        schur.add_batch(nls.RowBatch(
+            r, jac_d, nls.scatter_plan(block, cols, k, n_dense, lm, n_lm),
+            1.0, lm_jac=jac_l, block=block))
+        dense = nls.DenseNormalEquations(width, k)
+        dense.add_batch(nls.RowBatch(
+            r, full, nls.scatter_plan(block, np.arange(width), k, width),
+            1.0, block=block))
+        blocks = np.arange(k)
+        for damping in (np.array([1e-6, 1e-2]), np.array([1.0, 1e-4])):
+            for eq in (schur, dense):
+                step, solved = eq.solve(damping, blocks)
+                assert solved.all()
+                got = eq.predicted_decrease(step, damping, blocks)
+                for b in blocks:
+                    h = np.concatenate([part[b].ravel() for part in step])
+                    h_mat, g = dense.h_mat[b], dense.grad[b]
+                    want = -g @ h - 0.5 * h @ h_mat @ h
+                    assert want > 0
+                    assert got[b] == pytest.approx(want, rel=1e-10)
+            # the padding and the unobserved landmark take no step
+            (dx_d, dx_l), _ = schur.solve(damping, blocks)
+            assert not dx_d[1, 4:].any() and not dx_l[:, 3].any()
 
 
 class TestHuber:
