@@ -900,15 +900,20 @@ class WindowTracker:
     def _solve_tracks(self, tracks):
         """Solve the windows of ``tracks`` together, then align the boxes
         of the converged ones onto their landmark clouds.  A track whose
-        solve does not converge keeps its predicted states."""
+        window no box sizes (:func:`_range_observed`) is not solved, and
+        neither it nor a track whose solve does not converge moves: both
+        keep their predicted states."""
         t = self._frame
         start = max(0, t - self.config.window + 1)
-        windows = [self._window_track(track, start) for track in tracks]
-        results = solve_objects([w for w, _ in windows],
+        windows = [(track, self._window_track(track, start))
+                   for track in tracks]
+        windows = [(track, (window, keep)) for track, (window, keep) in windows
+                   if _range_observed(window.semantic)]
+        results = solve_objects([window for _, (window, _) in windows],
                                 self.camera_trajectory[start:t + 1],
                                 self.rig, self.config)
         solved = []
-        for track, (_, keep), result in zip(tracks, windows, results):
+        for (track, (_, keep)), result in zip(windows, results):
             if not result.report.converged:
                 continue
             for i, s in zip(keep, result.states):
@@ -923,3 +928,15 @@ class WindowTracker:
         for track, (state, applied) in zip(solved, aligned):
             if applied:
                 track.states[-1] = state
+
+
+def _range_observed(semantic: SemanticRows):
+    """Whether some box of a window keeps both of its edges along an image
+    axis.  Only such a box's width or height ties an object's range to its
+    dimension prior.  A box truncated on two adjacent sides, as when a car
+    leaves the image, keeps one edge per axis, and a window of them lets
+    the solve slide the object metres along the line of sight to a lower
+    cost."""
+    valid = semantic.valid
+    return bool((valid[:, 0::2].all(axis=1) | valid[:, 1::2].all(axis=1))
+                .any())

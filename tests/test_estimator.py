@@ -933,6 +933,51 @@ class TestWindowTracker:
             assert len(tracker.camera_trajectory) == n
         assert len(tracker.object_trajectories[0]) == 11
 
+    def test_window_of_corner_truncated_boxes_keeps_prediction(self):
+        # from frame 4 the car's boxes keep only v_min and u_max, as when
+        # it leaves the image: once no box of the window keeps both edges
+        # along an image axis, the track coasts on its motion model
+        window = 4
+        scenario = make_scenario(10, [car(-10.0, 18.0)])
+        frames = [sim.synthesize_frame(scenario, t) for t in range(10)]
+        for t in range(4, 10):
+            det = frames[t].semantic[0]
+            frames[t] = replace(frames[t], semantic=(
+                replace(det, valid_edges=(False, True, True, False)),))
+        tracker = est.WindowTracker(
+            scenario.rig, est.EstimatorConfig(dt=scenario.dt, window=window),
+            initial_pose=scenario.camera[0])
+        for t, frame in enumerate(frames):
+            held = [list(track.states) for track in tracker.tracks.values()]
+            tracker.process(frame)
+            if t < 4:
+                continue
+            (before,), (track,) = held, tracker.tracks.values()
+            predicted = sim.propagate_object(
+                before[-1], (before[-1].speed, before[-1].steer),
+                scenario.dt, track.label)
+            coasting = t >= 4 + window - 1
+            assert np.array_equal(track.states[-1].position,
+                                  predicted.position) == coasting
+            if coasting:
+                assert track.states[:-1] == before
+        assert [f for f, _ in tracker.object_trajectories[0]] == \
+            list(range(10))
+
+    def test_range_observed_needs_an_edge_pair(self):
+        def window(*flags):
+            n = len(flags)
+            return est.SemanticRows(np.arange(n), np.zeros((n, 4)),
+                                    np.array(flags, dtype=bool).reshape(-1, 4),
+                                    np.zeros((n, 4, 3)))
+
+        corner = (False, True, True, False)
+        assert not est._range_observed(window(corner, corner))
+        assert not est._range_observed(window((True, False, False, True)))
+        assert est._range_observed(window(corner, (True, False, True, False)))
+        assert est._range_observed(window((False, True, False, True)))
+        assert est._range_observed(window((True, True, True, False)))
+
     def test_malformed_feature_point_refused(self):
         scenario = make_scenario(3, [car(-10.0, 18.0)])
         frames = [sim.synthesize_frame(scenario, t) for t in range(3)]
