@@ -31,8 +31,9 @@ from .errors import (ConfigError, DegenerateGroup, NoConvergence,
                      NumericalFailure, SemtrackError)
 from .geometry import (ObjectState, Pose, StereoRig, face_offsets,
                        project_rotation, rot_y, so3_exp, wrap_angle)
-from .nls import (NUMERICAL_FAILURE, DenseNormalEquations, RowBatch,
-                  SchurNormalEquations, SolveReport, scatter_plan, solve_nls)
+from .nls import (MIN_DAMPING, NUMERICAL_FAILURE, DenseNormalEquations,
+                  RowBatch, SchurNormalEquations, SolveReport, scatter_plan,
+                  solve_nls)
 from .simulate import propagate_object
 
 MIN_PARALLAX_DEG = 0.5
@@ -219,7 +220,10 @@ def solve_ego(poses, landmarks, rows: FeatureRows, rig: StereoRig,
     ``poses`` is the window, oldest first; the oldest stays fixed as the
     gauge.  ``landmarks`` maps landmark id to world position and ``rows``
     are the background feature observations, framed by window index.
-    Returns an :class:`EgoResult` with the optimized landmarks; the
+    The window starts from the last frame's optimum apart from its newest
+    pose, so its LM starts at the damping floor :data:`nls.MIN_DAMPING`
+    rather than the 1e-4 of the object and alignment solves.  Returns an
+    :class:`EgoResult` with the optimized landmarks; the
     ``insufficient_parallax`` flag is set when the mean triangulation
     angle over them is below half a degree (the solve still runs).
     """
@@ -230,7 +234,8 @@ def solve_ego(poses, landmarks, rows: FeatureRows, rig: StereoRig,
     ego = _EgoProblem(poses, landmarks, rows, rig, config)
     flag = ego.parallax < math.radians(MIN_PARALLAX_DEG)
     (rot, trans, lms), (report,) = solve_nls(
-        ego, ego.initial, max_iterations=config.max_iterations)
+        ego, ego.initial, max_iterations=config.max_iterations,
+        initial_damping=MIN_DAMPING)
     _raise_unless_converged(report, "ego")
     return EgoResult([Pose(r, t) for r, t in zip(rot, trans)],
                      dict(zip(ego.lm_ids.tolist(), lms)), report, flag)

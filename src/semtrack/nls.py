@@ -36,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 MAX_DAMPING = 1e8
+MIN_DAMPING = 1e-12  # floor of the damping after accepted steps
 LM_DIM = 3  # landmarks are 3D points
 NUMERICAL_FAILURE = "numerical_failure"
 
@@ -447,12 +448,15 @@ def solve_nls(problem, state, max_iterations=50, cost_tol=1e-6,
     then tries damped steps until every one of them has lowered its cost
     or run out of damping; each trial costs the blocks it moves in one
     evaluation.  Per block, steps are accepted only when they strictly
-    lower the cost.  The damping follows Madsen, Nielsen and Tingleff
-    (2004) with a floor of 1/10: an accepted step with gain ratio rho
-    (actual over predicted cost decrease) scales the damping by
-    max(1/10, 1 - (2 rho - 1)^3), down to 1e-12, and resets the growth
-    factor nu to 2; a rejected step multiplies the damping by nu and
-    doubles nu.  A block stops on relative cost decrease below
+    lower the cost.  Every block starts at ``initial_damping``: the
+    default 1e-4 suits a window that starts far from its optimum, and a
+    warm-started one can start at :data:`MIN_DAMPING`.  The damping then
+    follows Madsen, Nielsen and Tingleff (2004) with a floor of 1/10: an
+    accepted step with gain ratio rho (actual over predicted cost
+    decrease) scales the damping by max(1/10, 1 - (2 rho - 1)^3), down to
+    :data:`MIN_DAMPING`, and resets the growth factor nu to 2; a rejected
+    step multiplies the damping by nu and doubles nu.  A block stops on
+    relative cost decrease below
     ``cost_tol`` (1e-6, the Ceres default ``function_tolerance``),
     gradient infinity norm below ``gradient_tol``, accepted step norm
     below ``step_tol`` (the relative-decrease test is meaningless once
@@ -519,7 +523,7 @@ def solve_nls(problem, state, max_iterations=50, cost_tol=1e-6,
                     # positive counts as a perfect model
                     rho = drop / np.fmax(predicted[better], drop)
                     damping[wins] = np.maximum(damping[wins] * np.maximum(
-                        0.1, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-12)
+                        0.1, 1.0 - (2.0 * rho - 1.0) ** 3), MIN_DAMPING)
                     growth[wins] = 2.0
                     accepted[wins] = True
             lost = pending[~won]

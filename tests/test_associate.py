@@ -1,13 +1,21 @@
 """Tests for box-similarity association and RANSAC."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ransac_reference as reference
 from semtrack import associate as assoc
 from semtrack import simulate as sim
 from semtrack.boxinfer import BBox2D
 from semtrack.errors import DegenerateGroup
 from semtrack.geometry import Pose, rot_y
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from perfbench import workloads  # noqa: E402
 
 
 def scenario_fixture(seed=6, **overrides):
@@ -176,6 +184,84 @@ class TestRejectOutliers:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             assoc.reject_outliers(np.zeros((9, 2)), np.zeros((8, 2)))
+
+    def test_refit_collapse_keeps_the_consensus(self):
+        # highway_long seed 13, frame 37: the first refit of the 233-pair
+        # consensus of 284 keeps 6 pairs, and that mask used to be
+        # returned; now the consensus is
+        _, scenario = workloads.build_scenario("highway_long", 13)
+        prev_frame = sim.synthesize_frame(scenario, 36)
+        frame = sim.synthesize_frame(scenario, 37)
+        prev = {f.feature_id: f.left for f in prev_frame.features
+                if f.anchor_id == 0}
+        pairs = [(prev[f.feature_id], f.left) for f in frame.features
+                 if f.anchor_id == 0 and f.feature_id in prev]
+        uv0, uv1 = (np.array(side) for side in zip(*pairs))
+        mask, passthrough = assoc.reject_outliers(uv0, uv1, seed=37)
+        assert not passthrough
+        assert mask.sum() >= 0.8 * len(pairs)
+
+
+class TestStackedRansac:
+    """``reject_outliers`` evaluates its hypotheses in stacks; the masks
+    must be those of the sequential reference, sample for sample."""
+
+    def group(self, rng):
+        n = int(rng.integers(8, 301))
+        sigma = 0.5 / 700.0
+        uv0, uv1 = TestRejectOutliers().rigid_pairs(n, sigma, rng)
+        n_bad = int(rng.uniform(0.0, 0.4) * n)
+        bad = rng.choice(n, size=n_bad, replace=False)
+        uv1[bad] = rng.uniform(-0.5, 0.5, size=(n_bad, 2))
+        if rng.random() < 0.2:
+            # copies of one pair make many samples rank-deficient
+            copies = rng.choice(n, size=int(rng.uniform(0.3, 0.7) * n),
+                                replace=False)
+            uv0[copies], uv1[copies] = uv0[copies[0]], uv1[copies[0]]
+        return uv0, uv1, sigma
+
+    def test_masks_equal_the_sequential_reference(self):
+        draws = []
+        for trial in range(200):
+            rng = np.random.default_rng(1000 + trial)
+            uv0, uv1, sigma = self.group(rng)
+            got = assoc.reject_outliers(uv0, uv1, feature_sigma=sigma,
+                                        seed=trial)
+            want = reference.reject_outliers(uv0, uv1, feature_sigma=sigma,
+                                             seed=trial, draws=draws)
+            assert np.array_equal(got[0], want[0]), trial
+            assert got[1] == want[1]
+        # the searches ended after one stack, after several, and within
+        # a stack as well as at its end
+        stack = assoc.RANSAC_STACK
+        assert min(draws) < stack < max(draws)
+        assert any(d % stack for d in draws if d > stack)
+        assert any(d % stack == 0 for d in draws)
+
+    def test_rank_deficient_samples_are_skipped(self):
+        # 9 of 12 pairs are one point: most samples are rank-deficient,
+        # and both searches skip the same ones
+        rng = np.random.default_rng(7)
+        uv0, uv1 = TestRejectOutliers().rigid_pairs(12, 0.0, rng)
+        uv0[3:], uv1[3:] = uv0[3], uv1[3]
+        for seed in range(20):
+            try:
+                want = reference.reject_outliers(uv0, uv1, seed=seed)
+            except DegenerateGroup:
+                with pytest.raises(DegenerateGroup):
+                    assoc.reject_outliers(uv0, uv1, seed=seed)
+                continue
+            got = assoc.reject_outliers(uv0, uv1, seed=seed)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_passthrough_and_degenerate_groups_match(self):
+        uv = np.random.default_rng(3).uniform(-0.5, 0.5, (7, 2))
+        got = assoc.reject_outliers(uv, uv, seed=2)
+        want = reference.reject_outliers(uv, uv, seed=2)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        for fn in (assoc.reject_outliers, reference.reject_outliers):
+            with pytest.raises(DegenerateGroup):
+                fn(np.zeros((10, 2)), np.zeros((10, 2)), seed=0)
 
 
 class TestEightPoint:

@@ -851,6 +851,34 @@ class TestWindowTracker:
                 assert ta == tb
                 assert np.array_equal(sa.position, sb.position)
 
+    def test_ego_window_starts_at_the_damping_floor(self, monkeypatch):
+        # the ego window starts from the last frame's optimum, so its LM
+        # starts at the floor and never rejects a trial; object windows
+        # start far off theirs and keep the default 1e-4
+        solves = []  # (problem class, normal equations, damping)
+        problem = []
+        solve_nls, solve = est.solve_nls, nls.SchurNormalEquations.solve
+
+        def tagged(prob, state, **kwargs):
+            problem.append(type(prob))
+            return solve_nls(prob, state, **kwargs)
+
+        def recorded(self, damping, blocks):
+            solves.append((problem[-1], self, damping.copy()))
+            return solve(self, damping, blocks)
+
+        monkeypatch.setattr(est, "solve_nls", tagged)
+        monkeypatch.setattr(nls.SchurNormalEquations, "solve", recorded)
+        self.run_tracker(make_scenario(20, [car(-10.0, 18.0)]))
+        ego = [(eq, d) for cls, eq, d in solves if cls is est._EgoProblem]
+        obj = [d for cls, _, d in solves if cls is est._ObjectProblem]
+        assert len(ego) >= 19 and obj
+        assert ego[0][1].tolist() == [nls.MIN_DAMPING]
+        assert set(obj[0].tolist()) == {1e-4}
+        # one damped solve per linearization: every ego trial was taken
+        # (the list holds each set of equations, so no id is reused)
+        assert len({id(eq) for eq, _ in ego}) == len(ego)
+
     def test_held_observations_stay_in_window(self):
         # a stream three windows long: the tracker holds no observation
         # from before the current window

@@ -1,0 +1,143 @@
+"""Correctness sweep: the benchmark's checks over many seeds.
+
+Usage (from the repository root)::
+
+    python3 tools/sweep.py --seeds 1-30
+    python3 tools/sweep.py --workloads dense_traffic --seeds 1-10 \
+        --against ../parent --jobs 2
+
+Each run is the command of ``BENCHMARK.json`` with ``--workload W --seed
+S --trace 0 --seconds 1``, one subprocess per run with
+``PYTHONDONTWRITEBYTECODE=1``, started in the checkout it measures.  For
+each workload the sweep prints the runs that are ``correct``, the failed
+frames, the median and mean object error (% of range), the mean object
+yaw error, the median of ``rpe_p50_mm`` and the largest ATE.
+``--against DIR`` runs the same command in a second checkout, prints the
+same summary for it, and the per-seed ``rpe_p50_mm`` differences (this
+checkout minus the other).  The exit status is 1 if a run is not
+``correct`` or failed a frame.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text):
+    """Seeds from a list such as ``1-10,13,20-22``."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run(checkout, command, workload, seed):
+    """One benchmark run; its accuracy record and correctness line."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        command + ["--workload", workload, "--seed", str(seed),
+                   "--trace", "0", "--seconds", "1"],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode or len(lines) < 2 or \
+            not lines[-2].startswith("record: "):
+        return {"correct": False, "failed": None, "accuracy": {},
+                "error": proc.stderr.strip().splitlines()[-1:]}
+    record = json.loads(lines[-2][len("record: "):])
+    result = json.loads(lines[-1])
+    return {"correct": result["correct"], "failed": result["failed"],
+            "accuracy": record["accuracy"], "error": record["faults"]}
+
+
+def sweep(checkout, command, workloads, seeds, jobs):
+    """{(workload, seed): run} for every pair, run in ``checkout``."""
+    keys = [(w, s) for w in workloads for s in seeds]
+    with ThreadPoolExecutor(jobs) as pool:
+        runs = list(pool.map(lambda k: run(checkout, command, *k), keys))
+    return dict(zip(keys, runs))
+
+
+def _values(runs, key):
+    return [r["accuracy"][key] for r in runs
+            if r["accuracy"].get(key) is not None]
+
+
+def summary(runs):
+    """The sweep's figures for the runs of one workload."""
+    obj = _values(runs, "obj_err_pct")
+    yaw = _values(runs, "obj_yaw_err_deg")
+    rpe = _values(runs, "rpe_p50_mm")
+    ate = _values(runs, "ate_rmse_m")
+    failed = [r["failed"] for r in runs if r["failed"] is not None]
+    return {
+        "correct": f"{sum(r['correct'] for r in runs)}/{len(runs)}",
+        "failed_frames": sum(failed),
+        "obj_err_pct_median": statistics.median(obj) if obj else None,
+        "obj_err_pct_mean": statistics.fmean(obj) if obj else None,
+        "yaw_err_deg_mean": statistics.fmean(yaw) if yaw else None,
+        "rpe_p50_mm_median": statistics.median(rpe) if rpe else None,
+        "ate_rmse_m_max": max(ate) if ate else None,
+    }
+
+
+def report(label, results, workloads, seeds):
+    print(f"== {label}")
+    for w in workloads:
+        runs = [results[w, s] for s in seeds]
+        figures = "  ".join(
+            f"{k} {v:.4g}" if isinstance(v, float) else f"{k} {v}"
+            for k, v in summary(runs).items())
+        print(f"{w}: {figures}")
+        for s in seeds:
+            r = results[w, s]
+            if not r["correct"] or r["failed"]:
+                print(f"  seed {s}: correct {r['correct']}, failed frames "
+                      f"{r['failed']}: {r['error']}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seeds", type=parse_seeds, default="1-30",
+                        help="seeds such as 1-10,13 (default 1-30)")
+    parser.add_argument("--workloads", nargs="+",
+                        help="default: every workload of BENCHMARK.json")
+    parser.add_argument("--against", type=Path,
+                        help="a second checkout to run and compare")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="runs at a time (default 1)")
+    args = parser.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    command = bench["command"]
+
+    results = sweep(ROOT, command, workloads, args.seeds, args.jobs)
+    report(str(ROOT), results, workloads, args.seeds)
+    bad = any(not r["correct"] or r["failed"] for r in results.values())
+    if args.against:
+        other = sweep(args.against.resolve(), command, workloads,
+                      args.seeds, args.jobs)
+        report(str(args.against), other, workloads, args.seeds)
+        print("== rpe_p50_mm, this checkout minus the other")
+        for w in workloads:
+            diffs = []
+            for s in args.seeds:
+                a = results[w, s]["accuracy"].get("rpe_p50_mm")
+                b = other[w, s]["accuracy"].get("rpe_p50_mm")
+                diffs.append(f"{s}:{a - b:+.4f}" if None not in (a, b)
+                             else f"{s}:n/a")
+            print(f"{w}: " + " ".join(diffs))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
