@@ -17,6 +17,7 @@ arrays (:class:`FeatureRows`, :class:`SemanticRows`).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -58,19 +59,22 @@ class EstimatorConfig:
 
 
 class FeatureRows(NamedTuple):
-    """Stereo feature observations of a window, one row each, sorted by
-    local frame and then landmark id (see :func:`feature_rows`)."""
+    """Stereo feature observations, one row each, sorted by frame and then
+    landmark id (see :func:`feature_rows`).  The solvers take the frames
+    of a window, counted from its oldest; :class:`WindowTracker` holds
+    them by absolute frame, appending each frame's rows as it arrives."""
 
-    frame: np.ndarray  # (n,) local window frame
+    frame: np.ndarray  # (n,) frame
     landmark: np.ndarray  # (n,) landmark id
     left: np.ndarray  # (n, 2) normalized left-image point
     right: np.ndarray  # (n, 2) normalized right-image point
 
 
 class SemanticRows(NamedTuple):
-    """Box detections of one object over a window, one row each."""
+    """Box detections of one object, one row each, by frame as in
+    :class:`FeatureRows`."""
 
-    frame: np.ndarray  # (n,) local window frame
+    frame: np.ndarray  # (n,) frame
     edges: np.ndarray  # (n, 4) BBox2D edges (u_min, v_min, u_max, v_max)
     valid: np.ndarray  # (n, 4) edge validity, same order
     signs: np.ndarray  # (n, 4, 3) selection-set vertex signs
@@ -98,6 +102,17 @@ def semantic_rows(obs):
         np.array(valid, dtype=bool).reshape(-1, 4),
         np.array([selection_set(vp).signs for vp in viewpoint]
                  ).reshape(-1, 4, 3))
+
+
+def _take_rows(rows, keep):
+    """The rows of ``rows`` (a :class:`FeatureRows` or
+    :class:`SemanticRows`) where ``keep`` is true."""
+    return rows._make(column[keep] for column in rows)
+
+
+def _append_rows(rows, new):
+    """``rows`` followed by the rows of ``new``."""
+    return rows._make(np.concatenate(pair) for pair in zip(rows, new))
 
 
 @dataclass
@@ -600,15 +615,43 @@ def align_point_cloud(state: ObjectState, local_points,
 
 @dataclass
 class _TrackData:
+    """Held state of one object track.
+
+    ``frames`` are the absolute frames of ``states``, ascending: those of
+    the window, or the last one alone once the track is seen no more, so
+    that it can be predicted on when it is seen again.  ``features`` and
+    ``semantic`` are the track's feature and box rows of the window by
+    absolute frame, appended as each detection arrives; ``landmarks``
+    maps each anchored landmark id to its object-frame point.
+    """
+
     track_id: int
     label: str
     prior: DimensionPrior
     frames: list = field(default_factory=list)
     states: list = field(default_factory=list)
     landmarks: dict = field(default_factory=dict)
-    feature_obs: list = field(default_factory=list)
-    semantic_obs: list = field(default_factory=list)
+    features: FeatureRows = field(default_factory=lambda: feature_rows(()))
+    semantic: SemanticRows = field(default_factory=lambda: semantic_rows(()))
     speed_initialized: bool = False
+
+    @property
+    def feature_obs(self):
+        """The frames of the held feature rows, one per row (read-only)."""
+        return self.features.frame
+
+    @property
+    def semantic_obs(self):
+        """The frames of the held box rows, one per row (read-only)."""
+        return self.semantic.frame
+
+    def cut(self, start):
+        """Drop the rows before frame ``start``, and the states before it
+        but the last."""
+        self.features = _take_rows(self.features, self.features.frame >= start)
+        self.semantic = _take_rows(self.semantic, self.semantic.frame >= start)
+        drop = min(bisect.bisect_left(self.frames, start), len(self.frames) - 1)
+        del self.frames[:drop], self.states[:drop]
 
 
 class WindowTracker:
@@ -617,7 +660,8 @@ class WindowTracker:
     Feed measurement frames in time order through :meth:`process`; read
     the per-frame camera pose history from :attr:`camera_trajectory` and
     the object tracks from :attr:`object_trajectories` (internal track id
-    to list of (frame index, ObjectState)).
+    to list of (frame index, ObjectState)).  The window's background
+    observations are held in :attr:`bg_rows` by absolute frame.
     """
 
     def __init__(self, rig: StereoRig, config: EstimatorConfig = None,
@@ -628,14 +672,24 @@ class WindowTracker:
                              else Pose.identity())
         self.camera_trajectory = []
         self.bg_landmarks = {}
-        self.bg_obs = {}
+        self.bg_rows = feature_rows(())
         self.tracks = {}
         self.object_trajectories = {}
         self._detector_to_track = {}
         self._next_track_id = 0
-        self._prev_feature_uv = {}
+        # feature ids and left points of the last frame
+        self._prev_ids = np.zeros(0, dtype=int)
+        self._prev_left = np.zeros((0, 2))
         self._frame = -1
         self._prev_boxes = {}
+
+    @property
+    def bg_obs(self):
+        """The held background observations (read-only): landmark id to
+        the frames it is observed in."""
+        rows = self.bg_rows
+        return {fid: rows.frame[rows.landmark == fid]
+                for fid in np.unique(rows.landmark).tolist()}
 
     # -- helpers
 
@@ -648,6 +702,27 @@ class WindowTracker:
             return None
         return pose.apply(np.array([left[0] * z, left[1] * z, z]))
 
+    def _new_rows(self, landmarks, ids, left, right, place):
+        """The feature rows of this frame for ``ids``, sorted by id.  An id
+        not in ``landmarks`` is triangulated and added as ``place`` of its
+        world point; one that cannot be triangulated gets no row."""
+        pose = self.camera_trajectory[self._frame]
+        keep = np.ones(len(ids), dtype=bool)
+        id_list = ids.tolist()
+        for i in np.flatnonzero([fid not in landmarks for fid in id_list]):
+            # a repeated id is triangulated once
+            if id_list[i] in landmarks:
+                continue
+            point = self._triangulate(pose, left[i], right[i])
+            if point is None:
+                keep[i] = False
+            else:
+                landmarks[id_list[i]] = place(point)
+        keep = np.flatnonzero(keep)
+        keep = keep[np.argsort(ids[keep], kind="stable")]
+        return FeatureRows(np.full(len(keep), self._frame), ids[keep],
+                           left[keep], right[keep])
+
     def _init_pose(self):
         if self._frame == 0:
             return self.initial_pose
@@ -657,24 +732,33 @@ class WindowTracker:
         rel = prev2.inverse().compose(prev)
         return prev.compose(rel)
 
-    def _filter_group(self, group_obs):
-        """Drop temporal mismatches within one rigid group via RANSAC."""
-        paired = [(fid, left) for fid, left, _ in group_obs
-                  if fid in self._prev_feature_uv]
+    def _filter_group(self, group, ids, left, prev):
+        """The features of one rigid group, as indices into the frame,
+        without the temporal mismatches that RANSAC finds.  ``prev`` is
+        each feature's index in the last frame, or -1."""
+        paired = group[prev[group] >= 0]
         if len(paired) < 8:
-            return group_obs
-        prev = np.array([self._prev_feature_uv[fid] for fid, _ in paired])
-        cur = np.array([uv for _, uv in paired])
+            return group
         try:
             mask, passthrough = reject_outliers(
-                prev, cur, feature_sigma=self.config.feature_sigma,
-                seed=self._frame)
+                self._prev_left[prev[paired]], left[paired],
+                feature_sigma=self.config.feature_sigma, seed=self._frame)
         except DegenerateGroup:
-            return group_obs
+            return group
         if passthrough:
-            return group_obs
-        bad = {fid for (fid, _), keep in zip(paired, mask) if not keep}
-        return [obs for obs in group_obs if obs[0] not in bad]
+            return group
+        return group[~np.isin(ids[group], ids[paired[~mask]])]
+
+    def _previous_index(self, ids):
+        """Index of each of ``ids`` in the last frame (its last feature of
+        that id), or -1."""
+        prev = self._prev_ids
+        if not len(prev):
+            return np.full(len(ids), -1)
+        order = np.argsort(prev, kind="stable")
+        pos = np.searchsorted(prev[order], ids, side="right") - 1
+        index = order[np.maximum(pos, 0)]
+        return np.where((pos >= 0) & (prev[index] == ids), index, -1)
 
     def _world_yaw(self, pose, cam_yaw):
         head = pose.rotation @ rot_y(cam_yaw)[:, 0]
@@ -683,14 +767,20 @@ class WindowTracker:
     # -- per-frame stages
 
     def _frame_points(self, frame_measurements):
-        """Left and right image points (n, 2) of the features of the next
-        frame.  Raises :class:`ConfigError` naming the frame when a point
-        is not a 2-vector, and naming the feature or detection as well
-        when a detection does not have 4 edge flags or a point or a box
-        edge is not finite."""
+        """Feature ids, anchor ids (n,) and left and right image points
+        (n, 2) of the next frame.  Raises :class:`ConfigError` naming the
+        frame when an id is not an integer or a point is not a 2-vector,
+        and naming the feature or detection as well when a detection does
+        not have 4 edge flags or a point or a box edge is not finite."""
         where = f"frame {self._frame + 1}"
         features = frame_measurements.features
         semantic = frame_measurements.semantic
+        try:
+            ids = np.array([f.feature_id for f in features], dtype=int)
+            anchors = np.array([f.anchor_id for f in features], dtype=int)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(where, "a feature or anchor id is not an "
+                              "integer") from exc
         try:
             points = np.array([(f.left, f.right) for f in features],
                               dtype=float).reshape(len(features), 2, 2)
@@ -712,61 +802,57 @@ class WindowTracker:
             det = semantic[int(np.argmax(bad))].object_id
             raise ConfigError(where,
                               f"detection {det} has a non-finite box edge")
-        return points[:, 0], points[:, 1]
+        return ids, anchors, points[:, 0], points[:, 1]
 
     def process(self, frame_measurements):
         """Track one frame.  A frame with a malformed or non-finite feature
         point, box edge or set of edge flags raises :class:`ConfigError`
         and changes nothing."""
-        features = frame_measurements.features
-        left, right = self._frame_points(frame_measurements)
+        ids, anchors, left, right = self._frame_points(frame_measurements)
         self._frame += 1
         t = self._frame
-        groups = {}
-        for f, uv_l, uv_r in zip(features, left, right):
-            # anchor 0 marks static background in the measurement stream
-            anchor = None if f.anchor_id == 0 else f.anchor_id
-            groups.setdefault(anchor, []).append((f.feature_id, uv_l, uv_r))
-        for key in groups:
-            groups[key] = self._filter_group(groups[key])
+        # each rigid group's features, in frame order; anchor 0 marks
+        # static background in the measurement stream
+        order = np.argsort(anchors, kind="stable")
+        keys, first = np.unique(anchors[order], return_index=True)
+        prev = self._previous_index(ids)
+        groups = {key: self._filter_group(group, ids, left, prev)
+                  for key, group in zip(keys.tolist(),
+                                        np.split(order, first[1:]))}
+        background = groups.pop(0, order[:0])
 
         pose = self._init_pose()
         self.camera_trajectory.append(pose)
-        self._solve_ego_window(groups.get(None, []))
+        self._solve_ego_window(ids[background], left[background],
+                               right[background])
         pose = self.camera_trajectory[t]
 
-        self._update_object_tracks(frame_measurements, groups, pose)
+        self._update_object_tracks(frame_measurements.semantic, groups, ids,
+                                   left, right, pose)
+        self._prev_ids, self._prev_left = ids, left
 
-        self._prev_feature_uv = {f.feature_id: uv
-                                 for f, uv in zip(features, left)}
-
-    def _solve_ego_window(self, bg_obs):
+    def _solve_ego_window(self, ids, left, right):
+        """Append this frame's background rows, drop the rows and landmarks
+        that leave the window, and solve the window.  The rows go to
+        :func:`solve_ego` as held, framed from the window's start; it
+        leaves out the landmarks seen once."""
         t = self._frame
-        pose = self.camera_trajectory[t]
-        for fid, left, right in bg_obs:
-            if fid not in self.bg_landmarks:
-                point = self._triangulate(pose, left, right)
-                if point is None:
-                    continue
-                self.bg_landmarks[fid] = point
-            self.bg_obs.setdefault(fid, []).append((t, left, right))
         start = max(0, t - self.config.window + 1)
-        # observations before the window are never read again, nor is a
-        # landmark without observations in it
-        self.bg_obs = {fid: kept for fid, obs in self.bg_obs.items()
-                       if (kept := [o for o in obs if o[0] >= start])}
+        new = self._new_rows(self.bg_landmarks, ids, left, right,
+                             lambda point: point)
+        rows = self.bg_rows
+        self.bg_rows = rows = _append_rows(
+            _take_rows(rows, rows.frame >= start), new)
+        # a landmark without rows in the window is never read again
+        held, counts = np.unique(rows.landmark, return_counts=True)
         self.bg_landmarks = {fid: self.bg_landmarks[fid]
-                             for fid in self.bg_obs}
-        if t - start < 1:
-            return
-        rows = [(f - start, fid, left, right)
-                for fid, obs in self.bg_obs.items() if len(obs) >= 2
-                for f, left, right in obs]
-        if not rows:
+                             for fid in held.tolist()}
+        if t == start or not (counts >= 2).any():
             return
         try:
             result = solve_ego(self.camera_trajectory[start:t + 1],
-                               self.bg_landmarks, feature_rows(rows),
+                               self.bg_landmarks,
+                               rows._replace(frame=rows.frame - start),
                                self.rig, self.config)
         except (NoConvergence, NumericalFailure):
             # the window keeps its predicted poses
@@ -832,11 +918,15 @@ class WindowTracker:
                                      self.config.dt, track.label)
         return state
 
-    def _update_object_tracks(self, frame_measurements, groups, pose):
+    def _update_object_tracks(self, semantic, groups, ids, left, right,
+                              pose):
+        """Append each detection's box row and the rows of its anchored
+        features (``groups``: anchor id to indices into the frame) to its
+        track, then solve the tracks seen."""
         t = self._frame
-        det_to_track = self._associate_semantic(frame_measurements.semantic)
+        det_to_track = self._associate_semantic(semantic)
         seen_tracks = set()
-        for meas in frame_measurements.semantic:
+        for meas in semantic:
             track_id = det_to_track.get(meas.object_id)
             track = self.tracks.get(track_id) if track_id is not None else None
             if track is None:
@@ -848,18 +938,16 @@ class WindowTracker:
                     track.states.append(self._predict_state(track))
                     track.frames.append(t)
             self._detector_to_track[meas.object_id] = track.track_id
-            track.semantic_obs.append(
-                (t, meas.box.as_array(), meas.valid_edges, meas.viewpoint))
+            track.semantic = _append_rows(track.semantic, SemanticRows(
+                np.array([t]), meas.box.as_array()[None],
+                np.array(meas.valid_edges, dtype=bool)[None],
+                selection_set(meas.viewpoint).signs[None]))
             seen_tracks.add(track.track_id)
-            # anchored features for this detection
-            for fid, left, right in groups.get(meas.object_id, []):
-                if fid not in track.landmarks:
-                    world = self._triangulate(pose, left, right)
-                    if world is None:
-                        continue
-                    track.landmarks[fid] = \
-                        track.states[-1].pose.apply_inverse(world)
-                track.feature_obs.append((t, fid, left, right))
+            group = groups.get(meas.object_id)
+            if group is not None:
+                track.features = _append_rows(track.features, self._new_rows(
+                    track.landmarks, ids[group], left[group], right[group],
+                    track.states[-1].pose.apply_inverse))
 
         self._solve_tracks([self.tracks[i] for i in sorted(seen_tracks)])
         for track_id in sorted(seen_tracks):
@@ -882,47 +970,44 @@ class WindowTracker:
         track.speed_initialized = True
 
     def _window_track(self, track, start):
-        """The :class:`ObjectTrack` of ``track`` over the window from frame
-        ``start``, and the indices of its states in the window."""
-        keep = [i for i, f in enumerate(track.frames) if f >= start]
-        self._maybe_init_speed(track)
-        # every observation is made at a track frame; those before the
-        # window are never read again
-        track.feature_obs = [o for o in track.feature_obs if o[0] >= start]
-        track.semantic_obs = [o for o in track.semantic_obs
-                              if o[0] >= start]
-        features = [(f - start, fid, left, right)
-                    for f, fid, left, right in track.feature_obs]
-        semantic = [(f - start, edges, valid, viewpoint)
-                    for f, edges, valid, viewpoint in track.semantic_obs]
-        window_track = ObjectTrack(
-            track.label, [track.frames[i] - start for i in keep],
-            [track.states[i] for i in keep],
-            {fid: track.landmarks[fid] for _, fid, _, _ in features},
-            track.prior, feature_rows(features), semantic_rows(semantic))
-        return window_track, keep
+        """The :class:`ObjectTrack` of a track seen in this frame, whose
+        states and rows are cut to the window from frame ``start``: its
+        frames shifted to count from ``start``, the arrays as held."""
+        features, semantic = track.features, track.semantic
+        return ObjectTrack(
+            track.label, [f - start for f in track.frames],
+            list(track.states),
+            {fid: track.landmarks[fid] for fid in features.landmark.tolist()},
+            track.prior, features._replace(frame=features.frame - start),
+            semantic._replace(frame=semantic.frame - start))
 
     def _solve_tracks(self, tracks):
-        """Solve the windows of ``tracks`` together, then align the boxes
-        of the converged ones onto their landmark clouds.  A track whose
-        window no box sizes (:func:`_range_observed`) is not solved, and
-        neither it nor a track whose solve does not converge moves: both
-        keep their predicted states."""
+        """Cut every track to the window, then solve the windows of
+        ``tracks`` together and align the boxes of the converged ones
+        onto their landmark clouds.  A track whose window no box sizes
+        (:func:`_range_observed`) is not solved, and neither it nor a
+        track whose solve does not converge moves: both keep their
+        predicted states."""
         t = self._frame
         start = max(0, t - self.config.window + 1)
+        # before the cut: a track's speed is initialized from its first
+        # state
+        for track in tracks:
+            self._maybe_init_speed(track)
+        for track in self.tracks.values():
+            track.cut(start)
         windows = [(track, self._window_track(track, start))
                    for track in tracks]
-        windows = [(track, (window, keep)) for track, (window, keep) in windows
+        windows = [(track, window) for track, window in windows
                    if _range_observed(window.semantic)]
-        results = solve_objects([window for _, (window, _) in windows],
+        results = solve_objects([window for _, window in windows],
                                 self.camera_trajectory[start:t + 1],
                                 self.rig, self.config)
         solved = []
-        for (track, (_, keep)), result in zip(windows, results):
+        for (track, _), result in zip(windows, results):
             if not result.report.converged:
                 continue
-            for i, s in zip(keep, result.states):
-                track.states[i] = s
+            track.states = result.states
             track.landmarks.update(result.landmarks)
             if track.landmarks:
                 solved.append(track)

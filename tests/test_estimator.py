@@ -11,7 +11,9 @@ from semtrack import pipeline
 from semtrack import residuals as res
 from semtrack import simulate as sim
 from semtrack.boxinfer import DEFAULT_PRIORS, BBox2D, infer_pose
-from semtrack.errors import ConfigError, NoConvergence, NumericalFailure
+from semtrack.associate import reject_outliers
+from semtrack.errors import (ConfigError, DegenerateGroup, NoConvergence,
+                             NumericalFailure)
 from semtrack.geometry import ObjectState, Pose, StereoRig, rot_y, so3_exp
 
 FORWARD = -np.pi / 2  # heading along the camera optical axis
@@ -800,6 +802,76 @@ def object_blind(frame):
         replace(f, anchor_id=0) for f in frame.features))
 
 
+def reference_window_rows(scenario, frames, config, born):
+    """The window rows of a drive as per-observation tuples, built the way
+    the tracker built them: per frame, each rigid group loses the features
+    that RANSAC rejects against the last frame, and a feature gets a row
+    when its landmark is held or it triangulates.  Background landmarks
+    are held while they have rows in the window, anchored ones for good;
+    an object has no rows before ``born`` (object id to the frame its
+    track starts).  Returns, per frame, the ego window's (frame, id, left,
+    right) tuples and, per detected object, its (frame, id, left, right)
+    and (frame, edges, valid, viewpoint) tuples, frames counted from the
+    window's start."""
+    window = config.window
+
+    def triangulates(f):
+        disparity = f.left[0] - f.right[0]
+        return (disparity > 1e-9
+                and est.MIN_DEPTH <= scenario.rig.baseline / disparity
+                <= est.MAX_DEPTH)
+
+    held = {}  # anchor id to its rows, by absolute frame
+    boxes = {}  # object id to its box rows
+    ego, objects = [], []
+    for t, frame in enumerate(frames):
+        start = max(0, t - window + 1)
+        prev = ({f.feature_id: f.left for f in frames[t - 1].features}
+                if t else {})
+        groups = {}
+        for f in frame.features:
+            groups.setdefault(f.anchor_id, []).append(f)
+        detected = {s.object_id for s in frame.semantic
+                    if born.get(s.object_id, t + 1) <= t}
+        for anchor, group in groups.items():
+            if anchor and anchor not in detected:
+                continue
+            paired = [f for f in group if f.feature_id in prev]
+            if len(paired) >= 8:
+                try:
+                    mask, passthrough = reject_outliers(
+                        np.array([prev[f.feature_id] for f in paired]),
+                        np.array([f.left for f in paired]),
+                        feature_sigma=config.feature_sigma, seed=t)
+                except DegenerateGroup:
+                    passthrough = True
+                if not passthrough:
+                    bad = {f.feature_id for f, k in zip(paired, mask)
+                           if not k}
+                    group = [f for f in group if f.feature_id not in bad]
+            rows = held.setdefault(anchor, [])
+            # background landmarks were cut with the last frame's window
+            since = max(0, t - window) if anchor == 0 else 0
+            landmarked = {fid for f0, fid, _, _ in rows if f0 >= since}
+            for f in sorted(group, key=lambda f: f.feature_id):
+                if f.feature_id in landmarked or triangulates(f):
+                    rows.append((t, f.feature_id, f.left, f.right))
+                    landmarked.add(f.feature_id)
+        for s in frame.semantic:
+            if s.object_id not in detected:
+                continue
+            boxes.setdefault(s.object_id, []).append(
+                (t, s.box.as_array(), s.valid_edges, s.viewpoint))
+
+        def in_window(rows):
+            return [(o[0] - start, *o[1:]) for o in rows if o[0] >= start]
+
+        ego.append(in_window(held.get(0, [])))
+        objects.append({obj: (in_window(held.get(obj, [])),
+                              in_window(boxes[obj])) for obj in detected})
+    return ego, objects
+
+
 class TestWindowTracker:
     def run_tracker(self, scenario, noise=None):
         tracker = est.WindowTracker(scenario.rig,
@@ -880,8 +952,8 @@ class TestWindowTracker:
         assert len({id(eq) for eq, _ in ego}) == len(ego)
 
     def test_held_observations_stay_in_window(self):
-        # a stream three windows long: the tracker holds no observation
-        # from before the current window
+        # a stream three windows long: the tracker holds no observation,
+        # and no track more states than the window, from before it
         window = 4
         scenario = make_scenario(3 * window, [car(-10.0, 18.0)])
         tracker = est.WindowTracker(
@@ -889,10 +961,18 @@ class TestWindowTracker:
             initial_pose=scenario.camera[0])
         for t in range(scenario.n_frames):
             tracker.process(sim.synthesize_frame(scenario, t))
-            assert all(tracker.bg_obs.values())
-            held = [o[0] for obs in tracker.bg_obs.values() for o in obs]
+            rows = tracker.bg_rows
+            assert sum(len(v) for v in tracker.bg_obs.values()) == \
+                len(rows.frame)
+            held = rows.frame.tolist()
             for track in tracker.tracks.values():
-                held += [o[0] for o in track.feature_obs + track.semantic_obs]
+                held += track.features.frame.tolist()
+                held += track.semantic.frame.tolist()
+                assert len(track.features.frame) == len(track.feature_obs)
+                assert len(track.semantic.frame) == len(track.semantic_obs)
+                assert len(track.frames) == len(track.states)
+                assert len(track.frames) <= window
+                assert min(track.frames) >= t - window + 1
             assert min(held) >= t - window + 1
         assert len(tracker.tracks) == 1
         assert len(tracker.object_trajectories[0]) == scenario.n_frames
@@ -976,11 +1056,13 @@ class TestWindowTracker:
             scenario.rig, est.EstimatorConfig(dt=scenario.dt, window=window),
             initial_pose=scenario.camera[0])
         for t, frame in enumerate(frames):
-            held = [list(track.states) for track in tracker.tracks.values()]
+            held = [dict(zip(track.frames, track.states))
+                    for track in tracker.tracks.values()]
             tracker.process(frame)
             if t < 4:
                 continue
-            (before,), (track,) = held, tracker.tracks.values()
+            (by_frame,), (track,) = held, tracker.tracks.values()
+            before = list(by_frame.values())
             predicted = sim.propagate_object(
                 before[-1], (before[-1].speed, before[-1].steer),
                 scenario.dt, track.label)
@@ -988,7 +1070,9 @@ class TestWindowTracker:
             assert np.array_equal(track.states[-1].position,
                                   predicted.position) == coasting
             if coasting:
-                assert track.states[:-1] == before
+                # the states still in the window have not moved
+                assert track.states[:-1] == [by_frame[f]
+                                             for f in track.frames[:-1]]
         assert [f for f, _ in tracker.object_trajectories[0]] == \
             list(range(10))
 
@@ -1020,6 +1104,80 @@ class TestWindowTracker:
         tracker.process(frames[2])
         assert len(tracker.camera_trajectory) == 2
 
+    def test_window_rows_match_per_observation_tuples(self, monkeypatch):
+        # a 20-frame drive past two cars: the rows that the solvers get
+        # equal those built from the stream's observations one at a time.
+        # Each frame's features come shuffled, so that the rows' order is
+        # the tracker's doing
+        scenario = make_scenario(20, [car(-10.0, 18.0), car(0.4, 25.0)])
+        rng = np.random.default_rng(0)
+        frames = []
+        for t in range(20):
+            frame = sim.synthesize_frame(scenario, t)
+            frames.append(replace(frame, features=tuple(
+                frame.features[i]
+                for i in rng.permutation(len(frame.features)))))
+        config = est.EstimatorConfig(dt=scenario.dt)
+        calls = []
+
+        def record(name, solve):
+            def recorded(*args, **kwargs):
+                calls.append((name, args))
+                return solve(*args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(est, "solve_ego", record("ego", est.solve_ego))
+        monkeypatch.setattr(est, "solve_objects",
+                            record("objects", est.solve_objects))
+        tracker = est.WindowTracker(scenario.rig, config,
+                                    initial_pose=scenario.camera[0])
+        got = []
+        for frame in frames:
+            tracker.process(frame)
+            got.append(dict(calls))
+            calls.clear()
+        object_of = {tid: obj
+                     for obj, tid in tracker._detector_to_track.items()}
+        assert sorted(object_of) == [0, 1]
+        born = {object_of[tid]: trajectory[0][0] for tid, trajectory
+                in tracker.object_trajectories.items()}
+        ego_ref, object_ref = reference_window_rows(scenario, frames, config,
+                                                    born)
+        for t, solved in enumerate(got):
+            start = max(0, t - config.window + 1)
+            if t == 0:
+                assert "ego" not in solved
+            else:
+                poses, landmarks, rows = solved["ego"][:3]
+                expected = est.feature_rows(ego_ref[t])
+                for a, b in zip(rows, expected):
+                    assert np.array_equal(a, b)
+                # the ego problem keeps the rows that the tuple code handed
+                # it, the landmarks seen at least twice
+                twice = [o for o in ego_ref[t]
+                         if sum(p[1] == o[1] for p in ego_ref[t]) >= 2]
+                new, old = (est._EgoProblem(poses, landmarks, r,
+                                            scenario.rig, config)
+                            for r in (rows, est.feature_rows(twice)))
+                for key in ("lm_ids", "frame", "slot", "left", "right"):
+                    assert np.array_equal(getattr(new, key),
+                                          getattr(old, key))
+            tracks = solved["objects"][0]
+            objects = [object_of[tid] for tid in sorted(object_of)
+                       if object_of[tid] in object_ref[t]]
+            assert len(tracks) == len(objects)
+            for obj, track in zip(objects, tracks):
+                features, semantic = object_ref[t][obj]
+                first = max(start, born[obj])
+                assert track.frames == list(range(first - start,
+                                                  t + 1 - start))
+                for a, b in zip(track.features,
+                                est.feature_rows(features)):
+                    assert np.array_equal(a, b)
+                for a, b in zip(track.semantic,
+                                est.semantic_rows(semantic)):
+                    assert np.array_equal(a, b)
+
     def test_background_landmarks_bounded_by_window(self):
         scenario = make_scenario(40, [car(-10.0, 18.0)],
                                  camera={"speed": 10.0, "yaw_rate": 0.1})
@@ -1029,7 +1187,8 @@ class TestWindowTracker:
         seen = set()
         for t in range(scenario.n_frames):
             tracker.process(sim.synthesize_frame(scenario, t))
-            assert set(tracker.bg_landmarks) == set(tracker.bg_obs)
+            assert set(tracker.bg_landmarks) == \
+                set(tracker.bg_rows.landmark.tolist())
             seen |= set(tracker.bg_landmarks)
         assert len(tracker.bg_landmarks) < len(seen)
 

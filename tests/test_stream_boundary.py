@@ -2,6 +2,7 @@
 a short drive either is tracked, leaving a finite state, or is refused
 with a library error that changes nothing."""
 
+import copy
 import pickle
 from dataclasses import replace
 from functools import lru_cache
@@ -11,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from semtrack import estimator as est
 from semtrack import simulate as sim
+from semtrack.boxinfer import Viewpoint
 from semtrack.errors import SemtrackError
 
 N_FRAMES = 5
 FORWARD = -np.pi / 2
 EDGES = ("u_min", "v_min", "u_max", "v_max")
+VIEWPOINTS = tuple(Viewpoint(h, v) for h in range(8) for v in (0, 1))
 
 
 @lru_cache(maxsize=None)
@@ -41,7 +44,7 @@ def perturbed(draw, frame):
     features, semantic = frame.features, frame.semantic
     kind = draw(st.sampled_from(
         ("point", "point_shape", "edge", "flags", "empty", "duplicate",
-         "zero_disparity")))
+         "zero_disparity", "viewpoint", "repeated_id")))
     f = draw(st.integers(0, len(features) - 1))
     d = draw(st.integers(0, len(semantic) - 1))
     side = draw(st.sampled_from(("left", "right")))
@@ -75,6 +78,21 @@ def perturbed(draw, frame):
         other = semantic[draw(st.integers(0, len(semantic) - 1))]
         return replace(frame, semantic=semantic + (
             replace(other, object_id=semantic[d].object_id),))
+    if kind == "viewpoint":
+        # another valid viewpoint on detection d
+        vp = draw(st.sampled_from(
+            [v for v in VIEWPOINTS if v != semantic[d].viewpoint]))
+        return replace(frame, semantic=replace_at(
+            semantic, d, replace(semantic[d], viewpoint=vp)))
+    if kind == "repeated_id":
+        # a second feature under the id of feature f, with f's points or
+        # another feature's; FrameMeasurements refuses such a frame, so it
+        # is built past that check, as a reader that skips it would
+        other = features[draw(st.integers(0, len(features) - 1))]
+        repeated = copy.copy(frame)
+        object.__setattr__(repeated, "features", features + (
+            replace(other, feature_id=features[f].feature_id),))
+        return repeated
     # zero disparity on a random subset of the features
     hit = draw(st.lists(st.booleans(), min_size=len(features),
                         max_size=len(features)))

@@ -13,14 +13,18 @@ each workload the sweep prints the runs that are ``correct``, the failed
 frames, the median and mean object error (% of range), the mean object
 yaw error, the median of ``rpe_p50_mm`` and the largest ATE.
 ``--against DIR`` runs the same command in a second checkout, prints the
-same summary for it, and the per-seed ``rpe_p50_mm`` differences (this
-checkout minus the other).  The exit status is 1 if a run is not
+same summary for it, the per-seed ``rpe_p50_mm`` differences (this
+checkout minus the other), and the runs whose measurement stream
+(``stream_sha256``) or artifacts (the sha256 of each file under
+``.perfbench_out/<workload>-<seed>/``) differ between the checkouts,
+ending with a line ``artifacts identical: k of n``.  The exit status is 1 if a run is not
 ``correct`` or failed a frame.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -41,8 +45,18 @@ def parse_seeds(text):
     return seeds
 
 
+def artifact_digests(checkout, workload, seed):
+    """File name to sha256 of each artifact of one run in ``checkout``."""
+    out = checkout / ".perfbench_out" / f"{workload}-{seed}"
+    if not out.is_dir():
+        return {}
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
 def run(checkout, command, workload, seed):
-    """One benchmark run; its accuracy record and correctness line."""
+    """One benchmark run; its accuracy record, correctness line, stream
+    digest and artifact digests."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         command + ["--workload", workload, "--seed", str(seed),
@@ -52,11 +66,25 @@ def run(checkout, command, workload, seed):
     if proc.returncode or len(lines) < 2 or \
             not lines[-2].startswith("record: "):
         return {"correct": False, "failed": None, "accuracy": {},
-                "error": proc.stderr.strip().splitlines()[-1:]}
+                "error": proc.stderr.strip().splitlines()[-1:],
+                "stream": None, "artifacts": {}}
     record = json.loads(lines[-2][len("record: "):])
     result = json.loads(lines[-1])
     return {"correct": result["correct"], "failed": result["failed"],
-            "accuracy": record["accuracy"], "error": record["faults"]}
+            "accuracy": record["accuracy"], "error": record["faults"],
+            "stream": record["stream_sha256"],
+            "artifacts": artifact_digests(checkout, workload, seed)}
+
+
+def differences(a, b):
+    """What differs between two runs of one seed: "stream" and the names
+    of the artifacts that differ or are missing on one side."""
+    if a["stream"] is None or b["stream"] is None:
+        return ["no record"]
+    names = sorted(set(a["artifacts"]) | set(b["artifacts"]))
+    return ((["stream"] if a["stream"] != b["stream"] else [])
+            + [name for name in names
+               if a["artifacts"].get(name) != b["artifacts"].get(name)])
 
 
 def sweep(checkout, command, workloads, seeds, jobs):
@@ -136,6 +164,17 @@ def main(argv=None):
                 diffs.append(f"{s}:{a - b:+.4f}" if None not in (a, b)
                              else f"{s}:n/a")
             print(f"{w}: " + " ".join(diffs))
+        print("== streams and artifacts that differ")
+        identical = 0
+        for w in workloads:
+            for s in args.seeds:
+                differ = differences(results[w, s], other[w, s])
+                if differ:
+                    print(f"{w} seed {s}: {', '.join(differ)}")
+                else:
+                    identical += 1
+        print(f"artifacts identical: {identical} of "
+              f"{len(workloads) * len(args.seeds)}")
     return 1 if bad else 0
 
 
