@@ -126,18 +126,21 @@ SECTOR_WIDTH = np.pi / 4.0
 REFINE_MAX_ITERATIONS = 50  # Gauss-Newton steps per candidate root
 
 
-def observation_azimuth(camera_in_object):
-    """Horizontal angle of the camera position in the object frame,
-    measured from the heading (+x) toward the object's left (+z)."""
-    q = np.asarray(camera_in_object)
-    return float(np.arctan2(q[2], q[0]))
+def _viewpoint_classes(q, dims):
+    """Horizontal sectors and vertical classes of camera positions ``q``
+    (..., 3) in the object frame.  The sector is that of the observation
+    azimuth, measured from the heading (+x) toward the object's left
+    (+z); the class is 1 for a camera above the box top."""
+    q = np.asarray(q)
+    azimuth = np.arctan2(q[..., 2], q[..., 0])
+    horizontal = np.round(azimuth / SECTOR_WIDTH).astype(int) % 8
+    vertical = (q[..., 1] < -dims[1] / 2.0).astype(int)
+    return horizontal, vertical
 
 
 def _classify_from_camera_position(q, dims):
-    azimuth = observation_azimuth(q)
-    horizontal = int(np.round(azimuth / SECTOR_WIDTH)) % 8
-    vertical = 1 if q[1] < -dims[1] / 2.0 else 0
-    return Viewpoint(horizontal, vertical)
+    horizontal, vertical = _viewpoint_classes(q, dims)
+    return Viewpoint(int(horizontal), int(vertical))
 
 
 def classify_viewpoint(box_cam: Box3D) -> Viewpoint:
@@ -238,13 +241,11 @@ def _tightness_deviation(p, theta, dims, box: BBox2D):
     from the measured box (max abs edge difference).  Zero for the true
     pose of an exactly tight box; alternate constraint roots leak vertices
     outside the box and score higher."""
-    verts = geom.box_vertices(Box3D(p, theta, dims))
-    if np.any(verts[:, 2] <= geom.EPS_Z):
+    try:
+        tight = tight_bbox(Box3D(p, theta, dims))
+    except BehindCamera:
         return np.inf
-    uv = project(verts)
-    pred = np.array([uv[:, 0].min(), uv[:, 0].max(), uv[:, 1].min(), uv[:, 1].max()])
-    meas = box.as_array()[[0, 2, 1, 3]]
-    return float(np.max(np.abs(pred - meas)))
+    return float(np.max(np.abs(tight.as_array() - box.as_array())))
 
 
 def _grid_candidates(box: BBox2D, vp: Viewpoint, dims, sel: SelectionSet,
@@ -279,9 +280,8 @@ def _grid_candidates(box: BBox2D, vp: Viewpoint, dims, sel: SelectionSet,
     ok &= pos[:, 2] > geom.EPS_Z
 
     # viewpoint gate: camera position in the object frame q = -R^T p
-    q = -np.einsum("nji,nj->ni", rots, np.nan_to_num(pos))
-    horiz = np.round(np.arctan2(q[:, 2], q[:, 0]) / SECTOR_WIDTH).astype(int) % 8
-    vert = (q[:, 1] < -dims[1] / 2.0).astype(int)
+    horiz, vert = _viewpoint_classes(
+        -np.einsum("nji,nj->ni", rots, np.nan_to_num(pos)), dims)
     ok &= (horiz == vp.horizontal) & (vert == vp.vertical)
 
     verts = pos[:, None, :] + offsets  # (n, 4, 3)

@@ -19,9 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from . import pipeline, simulate as sim
+from . import pipeline
 from .errors import SemtrackError
 from .metrics import Trajectory
 
@@ -65,35 +64,21 @@ def _resolve(args):
 
 def _cmd_simulate(args):
     config, seed = _resolve(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = pipeline.out_directory(args.out)
     scenario, frames = pipeline.simulate_stage(config, seed)
-    sim.write_measurements(out / "measurements.jsonl", frames)
-    times = scenario.timestamps()
-    pipeline.write_camera_trajectory(
-        out / f"camera_gt.{args.format}",
-        Trajectory(times, tuple(scenario.camera)), args.format)
-    for obj in scenario.objects:
-        pipeline.write_object_trajectory(
-            out / f"object_{obj.object_id}_gt.{args.format}",
-            times, list(obj.states), args.format)
+    pipeline.write_simulation(out, scenario, frames, args.format)
     print(f"wrote {scenario.n_frames} frames to {out}")
 
 
 def _cmd_track(args):
     config, seed = _resolve(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = pipeline.out_directory(args.out)
     scenario, frames = pipeline.simulate_stage(config, seed)
     tracker = pipeline.track_stage(scenario, frames, config)
-    times = scenario.timestamps()
-    pipeline.write_camera_trajectory(
-        out / f"camera_est.{args.format}",
-        Trajectory(times, tuple(tracker.camera_trajectory)), args.format)
-    for obj_id, track in sorted(tracker.object_trajectories.items()):
-        pipeline.write_object_trajectory(
-            out / f"object_{obj_id}_est.{args.format}",
-            [times[t] for t, _ in track], [s for _, s in track], args.format)
+    pipeline.write_trajectories(
+        out, "est", Trajectory(scenario.timestamps(),
+                               tuple(tracker.camera_trajectory)),
+        tracker.object_trajectories, args.format)
     print(f"tracked {scenario.n_frames} frames, "
           f"{len(tracker.object_trajectories)} objects; wrote {out}")
 

@@ -40,21 +40,21 @@ from .simulate import propagate_object
 MIN_PARALLAX_DEG = 0.5
 # stereo depths (m) outside which a new feature is not triangulated
 MIN_DEPTH, MAX_DEPTH = 1.0, 160.0
+# image noise of a feature point and of a box edge (px), the simulator's
+# own units; each use divides them by the rig's focal length
+FEATURE_SIGMA_PX, BOX_SIGMA_PX = 0.5, 1.0
+# motion sigmas over (position x, y, z, yaw, steer, speed), scaled by
+# sqrt(dt) when whitening
+MOTION_SIGMAS = np.array([0.05, 0.05, 0.05, 0.02, 0.05, 0.5])
+SURFACE_SIGMA = 0.05  # m, point-to-face distance
+HUBER_SCALE = 3.0
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Covariances, loss parameters and window settings for both solvers."""
+    """Sliding-window length (frames) and frame interval (s)."""
 
-    feature_sigma: float = 0.5 / 700.0
-    box_sigma: float = 1.0 / 700.0
-    # motion sigmas over (position x, y, z, yaw, steer, speed), scaled by
-    # sqrt(dt) when whitening
-    motion_sigmas: tuple = (0.05, 0.05, 0.05, 0.02, 0.05, 0.5)
-    surface_sigma: float = 0.05
-    huber_scale: float = 3.0
     window: int = 10
-    max_iterations: int = 50
     dt: float = 0.1
 
 
@@ -169,9 +169,9 @@ class _EgoProblem:
 
     n_blocks = 1
 
-    def __init__(self, poses, landmarks, rows, rig, config):
+    def __init__(self, poses, landmarks, rows, rig):
         self.rig = rig
-        self.config = config
+        self.info = 1.0 / (FEATURE_SIGMA_PX / rig.focal_px)
         self.n_poses = len(poses)
         ids, counts = np.unique(rows.landmark, return_counts=True)
         self.lm_ids = np.array([lm for lm, n in zip(ids, counts)
@@ -207,15 +207,15 @@ class _EgoProblem:
 
     def batches(self, state, blocks, jacobians):
         rot, trans, lms = state
-        info = 1.0 / self.config.feature_sigma
+        info = self.info
         r, jac, _ = res.feature_residuals_batch(
             self.left, self.right, rot[self.frame], trans[self.frame],
             lms[self.slot], self.rig, jacobians=jacobians)
         if not jacobians:
-            return [RowBatch(r * info, huber_delta=self.config.huber_scale,
+            return [RowBatch(r * info, huber_delta=HUBER_SCALE,
                              tag="feature")]
         return [RowBatch(r * info, jac["camera"] * info,
-                         huber_delta=self.config.huber_scale, tag="feature",
+                         huber_delta=HUBER_SCALE, tag="feature",
                          lm_jac=jac["landmark"] * info, plan=self.plan)]
 
     def retract(self, state, step, blocks):
@@ -228,8 +228,7 @@ class _EgoProblem:
         return rot, trans, lms + dx_l[0]
 
 
-def solve_ego(poses, landmarks, rows: FeatureRows, rig: StereoRig,
-              config: EstimatorConfig = EstimatorConfig()):
+def solve_ego(poses, landmarks, rows: FeatureRows, rig: StereoRig):
     """Refine the camera window and background landmarks.
 
     ``poses`` is the window, oldest first; the oldest stays fixed as the
@@ -246,11 +245,10 @@ def solve_ego(poses, landmarks, rows: FeatureRows, rig: StereoRig,
         raise ValueError("ego window needs at least two camera poses")
     if np.any(rows.frame >= len(poses)):
         raise ValueError("feature row references a missing frame")
-    ego = _EgoProblem(poses, landmarks, rows, rig, config)
+    ego = _EgoProblem(poses, landmarks, rows, rig)
     flag = ego.parallax < math.radians(MIN_PARALLAX_DEG)
-    (rot, trans, lms), (report,) = solve_nls(
-        ego, ego.initial, max_iterations=config.max_iterations,
-        initial_damping=MIN_DAMPING)
+    (rot, trans, lms), (report,) = solve_nls(ego, ego.initial,
+                                             initial_damping=MIN_DAMPING)
     _raise_unless_converged(report, "ego")
     return EgoResult([Pose(r, t) for r, t in zip(rot, trans)],
                      dict(zip(ego.lm_ids.tolist(), lms)), report, flag)
@@ -290,9 +288,10 @@ class _ObjectProblem:
     columns and landmark it touches, built once per solve.
     """
 
-    def __init__(self, tracks, camera_poses, rig, config, locked):
+    def __init__(self, tracks, camera_poses, rig, dt, locked):
         self.rig = rig
-        self.config = config
+        self.feature_info = 1.0 / (FEATURE_SIGMA_PX / rig.focal_px)
+        self.box_sigma = BOX_SIGMA_PX / rig.focal_px
         self.n_blocks = k = len(tracks)
         n_states = np.array([len(t.frames) for t in tracks])
         self.n_states = n = int(n_states.max())
@@ -339,11 +338,10 @@ class _ObjectProblem:
                                                    (len(slot), 3))])})
             # motion terms join each state (slot + 1) to the one before
             slot = np.arange(len(frames) - 1)
-            dt = np.diff(frames) * config.dt
+            gaps = np.diff(frames) * dt
             mot.append({
-                "block": np.full(len(slot), b), "slot": slot, "dt": dt,
-                "info": 1.0 / (np.asarray(config.motion_sigmas)
-                               * np.sqrt(dt)[:, None]),
+                "block": np.full(len(slot), b), "slot": slot, "dt": gaps,
+                "info": 1.0 / (MOTION_SIGMAS * np.sqrt(gaps)[:, None]),
                 "label": np.full(len(slot), track.label),
                 "cols": np.hstack([6 * slot[:, None] + 6 + np.arange(6),
                                    6 * slot[:, None] + np.arange(6),
@@ -384,22 +382,21 @@ class _ObjectProblem:
 
     def batches(self, state, blocks, jacobians):
         motion, dims, lms = state
-        cfg = self.config
         families = self._rows(blocks)
         rows = families["feature"]
         if len(rows["block"]):
-            info = 1.0 / cfg.feature_sigma
+            info = self.feature_info
             block, slot = rows["block"], rows["slot"]
             r, jac, _ = res.feature_residuals_batch(
                 rows["left"], rows["right"], rows["rot"], rows["trans"],
                 lms[block, rows["lm"]], self.rig, motion[block, slot, :3],
                 motion[block, slot, 3], jacobians)
             if not jacobians:
-                yield RowBatch(r * info, huber_delta=cfg.huber_scale,
+                yield RowBatch(r * info, huber_delta=HUBER_SCALE,
                                tag="feature", block=block)
             else:
                 yield RowBatch(r * info, jac["object"] * info,
-                               huber_delta=cfg.huber_scale, tag="feature",
+                               huber_delta=HUBER_SCALE, tag="feature",
                                lm_jac=jac["landmark"] * info, block=block,
                                plan=rows["plan"])
         rows = families["semantic"]
@@ -413,9 +410,9 @@ class _ObjectProblem:
             jac_w = plan = None
             if jacobians:
                 jac_w = np.concatenate([jac["object"], jac["dims"]],
-                                       axis=1)[:, None] / cfg.box_sigma
+                                       axis=1)[:, None] / self.box_sigma
                 plan = rows["plan"][det]
-            yield RowBatch(r[:, None] / cfg.box_sigma, jac_w, tag="semantic",
+            yield RowBatch(r[:, None] / self.box_sigma, jac_w, tag="semantic",
                            block=block[det], plan=plan)
         rows = families["motion"]
         if len(rows["block"]):
@@ -481,9 +478,8 @@ def solve_objects(tracks, camera_poses, rig: StereoRig,
     tracks = [replace(t, states=[s.replace(dims=t.prior.mean)
                                  for s in t.states]) if lock else t
               for t, lock in zip(tracks, under)]
-    obj = _ObjectProblem(tracks, camera_poses, rig, config, under)
-    (motion, dims, lms), reports = solve_nls(
-        obj, obj.initial, max_iterations=config.max_iterations)
+    obj = _ObjectProblem(tracks, camera_poses, rig, config.dt, under)
+    (motion, dims, lms), reports = solve_nls(obj, obj.initial)
     results = []
     for b, (track, report) in enumerate(zip(tracks, reports)):
         if not report.converged:
@@ -520,7 +516,7 @@ class _AlignProblem:
     clouds, one block per object; state is (positions (k, 3), yaws
     (k,))."""
 
-    def __init__(self, states, world_points, faces, config):
+    def __init__(self, states, world_points, faces):
         self.n_blocks = len(states)
         self.block = np.repeat(np.arange(self.n_blocks),
                                [len(p) for p in world_points])
@@ -528,7 +524,6 @@ class _AlignProblem:
         self.faces = np.concatenate(faces)
         self.dims = np.array([s.dims for s in states])
         self.plan = scatter_plan(self.block, np.arange(4), self.n_blocks, 4)
-        self.config = config
         self.initial = (np.array([s.position for s in states]),
                         np.array([s.yaw for s in states]))
 
@@ -540,13 +535,12 @@ class _AlignProblem:
         rows = (slice(None) if len(blocks) == self.n_blocks
                 else np.isin(self.block, blocks))
         block = self.block[rows]
-        info = 1.0 / self.config.surface_sigma
+        info = 1.0 / SURFACE_SIGMA
         r, jac = res.point_surface_residual(
             self.points[rows], position[block], yaw[block], self.dims[block],
             self.faces[rows], jacobians=jacobians)
         jac_w = jac["object"][:, None, :] * info if jacobians else None
-        return [RowBatch(r[:, None] * info, jac_w,
-                         huber_delta=self.config.huber_scale,
+        return [RowBatch(r[:, None] * info, jac_w, huber_delta=HUBER_SCALE,
                          tag="point_surface", block=block,
                          plan=self.plan[rows])]
 
@@ -559,8 +553,7 @@ class _AlignProblem:
         return position, yaw
 
 
-def align_point_clouds(states, clouds,
-                       config: EstimatorConfig = EstimatorConfig()):
+def align_point_clouds(states, clouds):
     """Snap box poses onto their anchored landmark clouds, in one LM
     solve with a block per box.
 
@@ -590,10 +583,8 @@ def align_point_clouds(states, clouds,
         faces.append(face)
     if not picked:
         return out
-    problem = _AlignProblem([states[i] for i in picked], world, faces,
-                            config)
-    (position, yaw), reports = solve_nls(
-        problem, problem.initial, max_iterations=config.max_iterations)
+    problem = _AlignProblem([states[i] for i in picked], world, faces)
+    (position, yaw), reports = solve_nls(problem, problem.initial)
     for j, (i, report) in enumerate(zip(picked, reports)):
         if report.converged:
             out[i] = (states[i].replace(position=position[j].copy(),
@@ -601,12 +592,11 @@ def align_point_clouds(states, clouds,
     return out
 
 
-def align_point_cloud(state: ObjectState, local_points,
-                      config: EstimatorConfig = EstimatorConfig()):
+def align_point_cloud(state: ObjectState, local_points):
     """Snap one box pose onto its anchored landmark cloud: the
     single-box case of :func:`align_point_clouds`.  Returns (state,
     applied)."""
-    return align_point_clouds([state], [local_points], config)[0]
+    return align_point_clouds([state], [local_points])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +732,8 @@ class WindowTracker:
         try:
             mask, passthrough = reject_outliers(
                 self._prev_left[prev[paired]], left[paired],
-                feature_sigma=self.config.feature_sigma, seed=self._frame)
+                feature_sigma=FEATURE_SIGMA_PX / self.rig.focal_px,
+                seed=self._frame)
         except DegenerateGroup:
             return group
         if passthrough:
@@ -853,7 +844,7 @@ class WindowTracker:
             result = solve_ego(self.camera_trajectory[start:t + 1],
                                self.bg_landmarks,
                                rows._replace(frame=rows.frame - start),
-                               self.rig, self.config)
+                               self.rig)
         except (NoConvergence, NumericalFailure):
             # the window keeps its predicted poses
             return
@@ -1013,8 +1004,7 @@ class WindowTracker:
                 solved.append(track)
         aligned = align_point_clouds(
             [track.states[-1] for track in solved],
-            [np.array(list(track.landmarks.values())) for track in solved],
-            self.config)
+            [np.array(list(track.landmarks.values())) for track in solved])
         for track, (state, applied) in zip(solved, aligned):
             if applied:
                 track.states[-1] = state

@@ -107,7 +107,9 @@ def ate_rmse(est: Trajectory, gt: Trajectory):
 
 
 def _bev_corners(box: Box3D):
-    """Footprint corners (x, z) in counterclockwise order."""
+    """Footprint corners (x, z) in counterclockwise order: heading and
+    lateral axis form a right-handed pair in (x, z) for every yaw, and the
+    dims are positive."""
     rot = rot_y(box.yaw)
     head = np.array([rot[0, 0], rot[2, 0]])
     lat = np.array([rot[0, 2], rot[2, 2]])
@@ -159,20 +161,9 @@ def _convex_intersection_area(poly_a, poly_b):
     return _polygon_area(poly)
 
 
-def _signed_area(poly):
-    arr = np.asarray(poly)
-    x, y = arr[:, 0], arr[:, 1]
-    return 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def _ccw(poly):
-    return poly if _signed_area(poly) > 0 else poly[::-1]
-
-
 def iou_bev(a: Box3D, b: Box3D):
     """Intersection over union of the yaw-oriented ground footprints."""
-    pa, pb = _ccw(_bev_corners(a)), _ccw(_bev_corners(b))
-    inter = _convex_intersection_area(pa, pb)
+    inter = _convex_intersection_area(_bev_corners(a), _bev_corners(b))
     area_a = a.dims[0] * a.dims[2]
     area_b = b.dims[0] * b.dims[2]
     union = area_a + area_b - inter
@@ -181,8 +172,7 @@ def iou_bev(a: Box3D, b: Box3D):
 
 def iou_3d(a: Box3D, b: Box3D):
     """Volumetric IoU: footprint intersection times vertical overlap."""
-    pa, pb = _ccw(_bev_corners(a)), _ccw(_bev_corners(b))
-    inter_area = _convex_intersection_area(pa, pb)
+    inter_area = _convex_intersection_area(_bev_corners(a), _bev_corners(b))
     lo = max(a.center[1] - a.dims[1] / 2.0, b.center[1] - b.dims[1] / 2.0)
     hi = min(a.center[1] + a.dims[1] / 2.0, b.center[1] + b.dims[1] / 2.0)
     inter = inter_area * max(hi - lo, 0.0)
@@ -285,11 +275,11 @@ def ap_and_error_curves(dets, gts, iou_kind="bev", n_thresholds=40):
         matched_index[(det.frame, det.object_id)] = i
     det_pair = np.array([matched_index.get((d.frame, d.object_id), -1)
                          for d in dets], dtype=int)
-    for k, tau in enumerate(thresholds):
-        is_tp = np.zeros(n_det, dtype=bool)
-        for j, pi in enumerate(det_pair):
-            if pi >= 0 and pair_iou[pi] >= tau:
-                is_tp[j] = True
+    # each detection's matched IoU; -inf, below every threshold, if none
+    det_iou = np.full(n_det, -np.inf)
+    matched = det_pair >= 0
+    det_iou[matched] = pair_iou[det_pair[matched]]
+    for k, is_tp in enumerate(det_iou >= thresholds[:, None]):
         n_tp = int(is_tp.sum())
         tp_rate[k] = n_tp / n_gt if n_gt else 0.0
         if n_tp:

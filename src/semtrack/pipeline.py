@@ -37,9 +37,7 @@ from .metrics import (DetectionRecord, Trajectory, ap_and_error_curves,
 CAMERA_HEADER = ["t", "x", "y", "z", "qw", "qx", "qy", "qz"]
 OBJECT_HEADER = ["t", "x", "y", "z", "yaw", "dx", "dy", "dz", "v", "steer"]
 
-_ESTIMATOR_KEYS = {"feature_sigma", "box_sigma", "motion_sigmas",
-                   "surface_sigma", "huber_scale", "window",
-                   "max_iterations"}
+_ESTIMATOR_KEYS = {"window"}
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +127,33 @@ def read_object_trajectory(path):
     return np.array(times), states
 
 
+def write_trajectories(out, tag, traj: Trajectory, object_tracks, fmt="csv"):
+    """Write ``camera_<tag>`` and an ``object_<id>_<tag>`` table per track
+    (``object_tracks``: id to a list of (frame, ObjectState)) into ``out``.
+    Returns artifact name to path."""
+    name = f"camera_{tag}"
+    artifacts = {name: out / f"{name}.{fmt}"}
+    write_camera_trajectory(artifacts[name], traj, fmt)
+    for obj_id, track in sorted(object_tracks.items()):
+        name = f"object_{obj_id}_{tag}"
+        artifacts[name] = out / f"{name}.{fmt}"
+        write_object_trajectory(artifacts[name],
+                                [traj.times[t] for t, _ in track],
+                                [s for _, s in track], fmt)
+    return artifacts
+
+
+def write_simulation(out, scenario, frames, fmt="csv"):
+    """Write the measurement log ``measurements.jsonl`` and the ground
+    truth (:func:`write_trajectories`, tag ``gt``) of a scenario into
+    ``out``.  Returns artifact name to path."""
+    artifacts = {"measurements": out / "measurements.jsonl"}
+    sim.write_measurements(artifacts["measurements"], frames)
+    artifacts.update(write_trajectories(out, "gt", *ground_truth(scenario),
+                                        fmt))
+    return artifacts
+
+
 def _write_curve_csv(path, curves):
     rows = np.column_stack([curves.thresholds, curves.ap, curves.tp_rate,
                             curves.mean_position_error_pct])
@@ -145,11 +170,14 @@ def load_config(path):
     path = Path(path)
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise IoError(path, str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(str(path), "config must be a mapping")
+    return config
 
 
 def estimator_config_from(node, dt):
@@ -158,10 +186,17 @@ def estimator_config_from(node, dt):
     unknown = set(node) - _ESTIMATOR_KEYS
     if unknown:
         raise ConfigError("estimator", f"unknown keys {sorted(unknown)}")
-    kwargs = dict(node)
-    if "motion_sigmas" in kwargs:
-        kwargs["motion_sigmas"] = tuple(kwargs["motion_sigmas"])
-    return EstimatorConfig(dt=dt, **kwargs)
+    return EstimatorConfig(dt=dt, **node)
+
+
+def out_directory(out_dir):
+    """``out_dir`` as a path, created with its parents if missing."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(out, str(exc)) from exc
+    return out
 
 
 def demo_config():
@@ -238,6 +273,14 @@ def evaluate_run(est_traj, gt_traj, est_objects, gt_objects, rpe_step=1,
     return metrics, bev, vol
 
 
+def ground_truth(scenario):
+    """The camera trajectory of a scenario, and its object tracks as id to
+    a list of (frame, ObjectState)."""
+    return (Trajectory(scenario.timestamps(), tuple(scenario.camera)),
+            {o.object_id: list(enumerate(o.states))
+             for o in scenario.objects})
+
+
 def simulate_stage(config, seed):
     """Scenario plus its measurement stream (synthesized or from a log)."""
     scenario = sim.generate_scenario(config.get("scenario", {}), seed)
@@ -271,54 +314,28 @@ def run_pipeline(config_path, out_dir, seed=None, fmt="csv"):
         config = config_path
     elif isinstance(config_path, (str, Path)):
         config = load_config(config_path)
-        if not isinstance(config, dict):
-            raise ConfigError(str(config_path), "config must be a mapping")
     else:
         raise ConfigError("", "config must be a mapping or a path")
     if seed is None:
         seed = int(config.get("seed", 0))
     if fmt not in ("csv", "json"):
         raise ConfigError("format", f"unknown format {fmt!r}")
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(out, str(exc)) from exc
+    out = out_directory(out_dir)
 
     scenario, frames = simulate_stage(config, seed)
     tracker = track_stage(scenario, frames, config)
 
-    times = scenario.timestamps()
-    gt_traj = Trajectory(times, tuple(scenario.camera))
-    est_traj = Trajectory(times, tuple(tracker.camera_trajectory))
-    gt_objects = {o.object_id: list(enumerate(o.states))
-                  for o in scenario.objects}
+    gt_traj, gt_objects = ground_truth(scenario)
+    est_traj = Trajectory(gt_traj.times, tuple(tracker.camera_trajectory))
     eval_cfg = config.get("evaluation", {})
     rpe_step = int(eval_cfg.get("rpe_step", 1))
     metrics, bev, vol = evaluate_run(est_traj, gt_traj,
                                      tracker.object_trajectories,
                                      gt_objects, rpe_step=rpe_step)
 
-    ext = fmt
-    artifacts = {}
-    measurements_path = out / "measurements.jsonl"
-    sim.write_measurements(measurements_path, frames)
-    artifacts["measurements"] = measurements_path
-
-    for name, traj in (("camera_est", est_traj), ("camera_gt", gt_traj)):
-        path = out / f"{name}.{ext}"
-        write_camera_trajectory(path, traj, fmt)
-        artifacts[name] = path
-    for obj_id, track in sorted(gt_objects.items()):
-        path = out / f"object_{obj_id}_gt.{ext}"
-        write_object_trajectory(path, [times[t] for t, _ in track],
-                                [s for _, s in track], fmt)
-        artifacts[f"object_{obj_id}_gt"] = path
-    for obj_id, track in sorted(tracker.object_trajectories.items()):
-        path = out / f"object_{obj_id}_est.{ext}"
-        write_object_trajectory(path, [times[t] for t, _ in track],
-                                [s for _, s in track], fmt)
-        artifacts[f"object_{obj_id}_est"] = path
+    artifacts = write_simulation(out, scenario, frames, fmt)
+    artifacts.update(write_trajectories(out, "est", est_traj,
+                                        tracker.object_trajectories, fmt))
 
     metrics_path = out / "metrics.json"
     try:

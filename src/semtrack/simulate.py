@@ -19,7 +19,7 @@ import numpy as np
 from . import geometry as geom
 from .boxinfer import (BBox2D, DEFAULT_PRIORS, DimensionPrior, Viewpoint,
                        classify_viewpoint_world)
-from .errors import ConfigError
+from .errors import ConfigError, IoError
 from .geometry import Box3D, ObjectState, Pose, StereoRig, heading, rot_y
 
 CAR_WHEELBASE_RATIO = 0.6  # wheelbase as a fraction of box length
@@ -506,10 +506,16 @@ def frame_from_dict(record: dict) -> FrameMeasurements:
 
 
 def write_measurements(path, frames):
-    with open(path, "w") as handle:
-        for frame in frames:
-            handle.write(json.dumps(frame_to_dict(frame), sort_keys=True))
-            handle.write("\n")
+    """Write ``frames`` as a JSON-lines measurement log; raises
+    :class:`IoError` naming ``path`` when it cannot be written."""
+    try:
+        with open(path, "w") as handle:
+            for frame in frames:
+                handle.write(json.dumps(frame_to_dict(frame),
+                                        sort_keys=True))
+                handle.write("\n")
+    except OSError as exc:
+        raise IoError(path, str(exc)) from exc
 
 
 def read_measurements(path):

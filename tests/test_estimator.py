@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dataclasses import replace
+from functools import partial
 
 from semtrack import estimator as est
 from semtrack import nls
@@ -167,12 +168,11 @@ class TestSolveEgo:
         poses, landmarks, rows = ego_problem(
             scenario, frames, rng, pose_noise=(0.05, 0.005), lm_noise=0.02)
         transform = Pose(rot_y(0.8), np.array([5.0, -1.0, 3.0]))
-        ego_a = est._EgoProblem(poses, landmarks, rows, scenario.rig,
-                                est.EstimatorConfig())
+        ego_a = est._EgoProblem(poses, landmarks, rows, scenario.rig)
         ego_b = est._EgoProblem(
             [transform.compose(p) for p in poses],
             {k: transform.apply(v) for k, v in landmarks.items()}, rows,
-            scenario.rig, est.EstimatorConfig())
+            scenario.rig)
         cost_a = block_costs(ego_a, ego_a.initial)[0]
         cost_b = block_costs(ego_b, ego_b.initial)[0]
         assert cost_a == pytest.approx(cost_b, rel=1e-9)
@@ -297,7 +297,7 @@ def assert_same_solve(got, solo):
 
 # an iteration cap that the "capped" window of TestBatchedObjectSolve hits
 # and its other windows stay below
-CAPPED = est.EstimatorConfig(max_iterations=20)
+CAP = 20
 
 
 class TestBatchedObjectSolve:
@@ -327,32 +327,34 @@ class TestBatchedObjectSolve:
         (locked, _), _ = object_problem(scenario, frames[:1], 0,
                                         with_features=False)
         # without box rows nothing pins the offset of the anchored points,
-        # and LM creeps along it for 40 iterations, past CAPPED's cap
+        # and LM creeps along it for 40 iterations, past CAP
         capped = replace(cars[0], semantic=est.semantic_rows([]))
         windows = {"car": cars[0], "pedestrian": tracks[4],
                    "three_landmarks": few, "locked": locked,
                    "capped": capped}
         return scenario, cars, windows, list(scenario.camera[:5])
 
-    def test_batch_matches_solo_solves(self, windows):
+    def test_batch_matches_solo_solves(self, windows, monkeypatch):
         scenario, cars, cases, cams = windows
+        monkeypatch.setattr(est, "solve_nls",
+                            partial(est.solve_nls, max_iterations=CAP))
         tracks = cars + list(cases.values())
-        batch = est.solve_objects(tracks, cams, scenario.rig, CAPPED)
+        batch = est.solve_objects(tracks, cams, scenario.rig)
         results = dict(zip(cases, batch[len(cars):]))
         assert cases["pedestrian"].label == "pedestrian"
         assert len(cases["three_landmarks"].landmarks) == 3
         assert results["locked"].under_constrained
         assert results["capped"].report.reason == "max_iterations"
-        assert results["capped"].report.iterations == CAPPED.max_iterations
+        assert results["capped"].report.iterations == CAP
         assert all(r.report.converged for r in batch[:len(cars)])
         for track, got in zip(tracks, batch):
-            (solo,) = est.solve_objects([track], cams, scenario.rig, CAPPED)
+            (solo,) = est.solve_objects([track], cams, scenario.rig)
             assert_same_solve(got, solo)
             if solo.report.converged:
-                est.solve_object(track, cams, scenario.rig, CAPPED)
+                est.solve_object(track, cams, scenario.rig)
             else:
                 with pytest.raises(NoConvergence):
-                    est.solve_object(track, cams, scenario.rig, CAPPED)
+                    est.solve_object(track, cams, scenario.rig)
                 # a track that did not converge keeps its input states
                 assert got.states == list(track.states)
 
@@ -422,7 +424,7 @@ def one_feature(left, right, cam, lm, rig, obj=None):
     return (r[0], {k: v[0] for k, v in jac.items()}) if valid[0] else None
 
 
-def reference_ego(poses, landmarks, rows, state, rig, config):
+def reference_ego(poses, landmarks, rows, state, rig):
     """Full-width whitened rows of the ego window, one row at a time, and
     the number of dropped rows.  The gauge frame has no pose columns;
     ``state`` is (rotations, translations, landmarks)."""
@@ -445,8 +447,8 @@ def reference_ego(poses, landmarks, rows, state, rig, config):
         if f > 0:
             full[:, 6 * (f - 1):6 * f] = jac["camera"]
         full[:, n_dense + 3 * k:n_dense + 3 * k + 3] = jac["landmark"]
-        info = 1.0 / config.feature_sigma
-        out.append((r * info, full * info, config.huber_scale))
+        info = rig.focal_px / est.FEATURE_SIGMA_PX
+        out.append((r * info, full * info, est.HUBER_SCALE))
     return assemble_rows(out, width), n_dense, dropped
 
 
@@ -468,7 +470,8 @@ def reference_object(track, camera_poses, rig, config, lock_dims, state):
             full[:, dims_col:dims_col + 3] = dims_jac
         return full
 
-    info = 1.0 / config.feature_sigma
+    info = rig.focal_px / est.FEATURE_SIGMA_PX
+    box_info = rig.focal_px / est.BOX_SIGMA_PX
     for f, lm, left, right in zip(*track.features):
         if lm not in lm_ids:
             continue
@@ -481,7 +484,7 @@ def reference_object(track, camera_poses, rig, config, lock_dims, state):
         r, jac = row
         full = place(r, [(slot, jac["object"])], 0.0)
         full[:, n_dense + 3 * k:n_dense + 3 * k + 3] = jac["landmark"]
-        out.append((r * info, full * info, config.huber_scale))
+        out.append((r * info, full * info, est.HUBER_SCALE))
     sem = track.semantic
     for f, edges, valid, signs in zip(*sem):
         slot = track.frames.index(f)
@@ -493,8 +496,7 @@ def reference_object(track, camera_poses, rig, config, lock_dims, state):
         for i in range(len(r)):
             full = place(r[i:i + 1], [(slot, jac["object"][i:i + 1])],
                          jac["dims"][i])
-            out.append((r[i:i + 1] / config.box_sigma,
-                        full / config.box_sigma, None))
+            out.append((r[i:i + 1] * box_info, full * box_info, None))
     for i in range(len(track.frames) - 1):
         cur, prev = states[i + 1], states[i]
         dt = (track.frames[i + 1] - track.frames[i]) * config.dt
@@ -502,7 +504,7 @@ def reference_object(track, camera_poses, rig, config, lock_dims, state):
             [[*cur.position, cur.yaw, cur.steer, cur.speed]],
             [[*prev.position, prev.yaw, prev.steer, prev.speed]], dt, dims,
             track.label)
-        info_m = 1.0 / (np.asarray(config.motion_sigmas) * np.sqrt(dt))
+        info_m = 1.0 / (est.MOTION_SIGMAS * np.sqrt(dt))
         full = place(r[0], [(i + 1, jac["cur"][0]), (i, jac["prev"][0])],
                      jac["dims"][0])
         out.append((r[0] * info_m, full * info_m[:, None], None))
@@ -577,18 +579,18 @@ class TestOnePassProblems:
             est.solve_ego, est.solve_objects = solve_ego, solve_objects
         return scenario, config, ego_calls, object_calls
 
-    def check_ego(self, poses, landmarks, rows, rig, config, state=None):
-        problem = est._EgoProblem(poses, landmarks, rows, rig, config)
+    def check_ego(self, poses, landmarks, rows, rig, state=None):
+        problem = est._EgoProblem(poses, landmarks, rows, rig)
         state = problem.initial if state is None else state
         ref, n_dense, dropped = reference_ego(poses, landmarks, rows, state,
-                                              rig, config)
+                                              rig)
         assert_matches_reference(linearize(problem, state), ref, n_dense)
         assert block_costs(problem, state)[0] == pytest.approx(ref[2],
                                                                rel=1e-10)
         return dropped
 
     def check_object(self, track, camera_poses, rig, config, lock_dims=False):
-        problem = est._ObjectProblem([track], camera_poses, rig, config,
+        problem = est._ObjectProblem([track], camera_poses, rig, config.dt,
                                      [lock_dims])
         state = problem.initial
         motion, dims, lms = state
@@ -605,9 +607,9 @@ class TestOnePassProblems:
 
     def test_captured_ego_window_with_gauge_rows(self, captured):
         scenario, config, ego_calls, _ = captured
-        poses, landmarks, rows, rig, _ = ego_calls[-1]
+        poses, landmarks, rows, rig = ego_calls[-1]
         assert len(poses) == 5 and (rows.frame == 0).any()
-        self.check_ego(poses, landmarks, rows, rig, config)
+        self.check_ego(poses, landmarks, rows, rig)
 
     def test_captured_object_window(self, captured):
         scenario, config, _, object_calls = captured
@@ -619,16 +621,44 @@ class TestOnePassProblems:
             len(track.features.landmark)
         self.check_object(track, camera_poses, rig, config)
 
+    def test_image_rows_follow_the_focal_length(self, captured):
+        # the image sigmas are pixels over the rig's focal length: at twice
+        # the focal length, a window's whitened feature and box rows are
+        # exactly twice as large, and its motion and prior rows the same
+        scenario, config, ego_calls, object_calls = captured
+        poses, landmarks, rows, rig = ego_calls[-1]
+        track, camera_poses, _, _ = max(
+            object_calls, key=lambda c: len(c[0].features.frame))
+        assert rig.focal_px == 700.0
+        wide = replace(rig, focal_px=1400.0)
+        factor = {"feature": 2.0, "semantic": 2.0, "motion": 1.0,
+                  "prior": 1.0}
+        for make, tags in (
+                (lambda r: est._EgoProblem(poses, landmarks, rows, r),
+                 {"feature"}),
+                (lambda r: est._ObjectProblem([track], camera_poses, r,
+                                              config.dt, [False]),
+                 set(factor))):
+            narrow, scaled = (
+                {b.tag: b for b in p.batches(p.initial, np.arange(1), True)}
+                for p in (make(rig), make(wide)))
+            assert narrow.keys() == scaled.keys() == tags
+            for tag, batch in narrow.items():
+                for name in ("residuals", "jac", "lm_jac"):
+                    a, b = getattr(batch, name), getattr(scaled[tag], name)
+                    if a is not None:
+                        assert np.array_equal(b, factor[tag] * a), (tag, name)
+
     def test_rows_behind_the_camera(self, captured):
         scenario, config, ego_calls, object_calls = captured
-        poses, landmarks, rows, rig, _ = ego_calls[-1]
+        poses, landmarks, rows, rig = ego_calls[-1]
         landmarks = dict(landmarks)
         behind = int(rows.landmark[rows.frame == 0][0])
         landmarks[behind] = poses[0].apply(np.array([0.5, 0.0, -4.0]))
-        assert self.check_ego(poses, landmarks, rows, rig, config) > 0
+        assert self.check_ego(poses, landmarks, rows, rig) > 0
         # a zero-weight row leaves the normal equations exactly as leaving
         # the row out of the batch does
-        problem = est._EgoProblem(poses, landmarks, rows, rig, config)
+        problem = est._EgoProblem(poses, landmarks, rows, rig)
         rot, trans, lms = problem.initial
         valid = res.feature_residuals_batch(
             problem.left, problem.right, rot[problem.frame],
@@ -661,8 +691,7 @@ class TestOnePassProblems:
         rng = np.random.default_rng(31)
         poses, landmarks, rows = ego_problem(
             scenario, frames, rng, pose_noise=(0.3, 0.02), lm_noise=0.5)
-        self.check_ego(poses, landmarks, rows, scenario.rig,
-                       est.EstimatorConfig())
+        self.check_ego(poses, landmarks, rows, scenario.rig)
 
     def test_semantic_only_track_with_locked_dims(self):
         scenario = make_scenario(2, [car(-10.0, 18.0)])
@@ -842,7 +871,8 @@ def reference_window_rows(scenario, frames, config, born):
                     mask, passthrough = reject_outliers(
                         np.array([prev[f.feature_id] for f in paired]),
                         np.array([f.left for f in paired]),
-                        feature_sigma=config.feature_sigma, seed=t)
+                        feature_sigma=(est.FEATURE_SIGMA_PX
+                                       / scenario.rig.focal_px), seed=t)
                 except DegenerateGroup:
                     passthrough = True
                 if not passthrough:
@@ -1156,8 +1186,7 @@ class TestWindowTracker:
                 # it, the landmarks seen at least twice
                 twice = [o for o in ego_ref[t]
                          if sum(p[1] == o[1] for p in ego_ref[t]) >= 2]
-                new, old = (est._EgoProblem(poses, landmarks, r,
-                                            scenario.rig, config)
+                new, old = (est._EgoProblem(poses, landmarks, r, scenario.rig)
                             for r in (rows, est.feature_rows(twice)))
                 for key in ("lm_ids", "frame", "slot", "left", "right"):
                     assert np.array_equal(getattr(new, key),

@@ -6,8 +6,9 @@ import pytest
 from raster import random_box_pair, raster_iou
 from semtrack.errors import LengthMismatch
 from semtrack.geometry import Box3D, Pose, rot_y
-from semtrack.metrics import (DetectionRecord, Trajectory, ap_and_error_curves,
-                              ate_rmse, iou_3d, iou_bev, rpe)
+from semtrack.metrics import (DetectionRecord, Trajectory, _bev_corners,
+                              ap_and_error_curves, ate_rmse, iou_3d, iou_bev,
+                              rpe)
 
 
 def random_trajectory(rng, n=20):
@@ -182,6 +183,18 @@ class TestIou:
             for val in (iou_bev(a, b), iou_3d(a, b)):
                 assert 0.0 <= val <= 1.0
 
+    def test_footprint_corners_counterclockwise(self):
+        # the clipping of the IoU needs counterclockwise footprints; the
+        # corners come out that way for every yaw and positive dims
+        rng = np.random.default_rng(25)
+        for yaw in np.linspace(-2.0 * np.pi, 2.0 * np.pi, 73):
+            for dims in rng.uniform(0.05, 20.0, size=(10, 3)):
+                corners = _bev_corners(Box3D(rng.uniform(-50.0, 50.0, 3),
+                                             yaw, dims))
+                x, z = corners[:, 0], corners[:, 1]
+                signed = 0.5 * (x @ np.roll(z, -1) - z @ np.roll(x, -1))
+                assert signed == pytest.approx(dims[0] * dims[2], rel=1e-9)
+
     def test_matches_rasterization(self):
         # a coarser sweep here; the full 500-pair run lives in the
         # acceptance suite
@@ -222,6 +235,18 @@ class TestApAndErrorCurves:
         curves = ap_and_error_curves([], gts, iou_kind="bev")
         assert np.all(curves.tp_rate == 0.0)
         assert np.all(curves.ap == 0.0)
+
+    def test_no_detection_matched(self):
+        # detections that overlap no label are false positives at every
+        # threshold
+        rng = np.random.default_rng(36)
+        gts = make_records(rng, n_frames=2)
+        far = Box3D([300.0, -1.0, 300.0], 0.0, [4.0, 1.5, 2.0])
+        dets = [DetectionRecord(g.frame, g.object_id, far) for g in gts]
+        curves = ap_and_error_curves(dets, gts, iou_kind="3d")
+        assert np.all(curves.tp_rate == 0.0)
+        assert np.all(curves.ap == 0.0)
+        assert np.all(curves.mean_position_error_pct == 0.0)
 
     def test_five_percent_perturbation(self):
         # centers shifted along the heading by 5% of range: mean TP error

@@ -9,6 +9,7 @@ import pytest
 
 from semtrack import cli, pipeline
 from semtrack.errors import ConfigError, IoError
+from semtrack.estimator import EstimatorConfig
 from semtrack.geometry import ObjectState, Pose, so3_exp
 from semtrack.metrics import Trajectory
 
@@ -133,6 +134,17 @@ class TestRunPipeline:
         config["estimator"] = {"not_a_key": 1.0}
         with pytest.raises(ConfigError):
             pipeline.run_pipeline(config, tmp_path / "out")
+        # the noise models, the loss and the iteration cap are constants
+        # of the estimator, not settings; only the window is
+        for key, value in (("feature_sigma", 0.5 / 700.0),
+                           ("box_sigma", 1.0 / 700.0),
+                           ("motion_sigmas", [0.05] * 6),
+                           ("surface_sigma", 0.05), ("huber_scale", 3.0),
+                           ("max_iterations", 50)):
+            with pytest.raises(ConfigError, match=key):
+                pipeline.estimator_config_from({key: value}, 0.1)
+        assert pipeline.estimator_config_from({"window": 5}, 0.1) == \
+            EstimatorConfig(window=5, dt=0.1)
 
     def test_bad_config_type(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -145,6 +157,10 @@ class TestRunPipeline:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             pipeline.load_config(bad)
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="mapping"):
+            pipeline.load_config(listed)
 
 
 class TestCli:
@@ -212,6 +228,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert f"{log}:2" in err and "semantic" in err
+
+    def test_config_not_a_mapping(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert cli.main(["eval", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "mapping" in err
+
+    def test_out_below_a_file(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, n_frames=3)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for command in ("simulate", "track"):
+            assert cli.main([command, "--config", str(config),
+                             "--out", str(blocker / "sub")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and str(blocker / "sub") in err
+
+    def test_measurement_log_is_a_directory(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, n_frames=3)
+        out = tmp_path / "out"
+        (out / "measurements.jsonl").mkdir(parents=True)
+        assert cli.main(["eval", "--config", str(config),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "measurements.jsonl" in err
 
     def test_rejects_bad_format(self, tmp_path):
         config = self.write_config(tmp_path)

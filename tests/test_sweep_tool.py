@@ -1,0 +1,37 @@
+"""The size of a difference that ``tools/sweep.py --against`` reports for
+an artifact that differs between two checkouts."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "sweep", Path(__file__).resolve().parent.parent / "tools" / "sweep.py")
+sweep = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(sweep)
+
+
+def test_numbers_of_each_kind(tmp_path):
+    table = tmp_path / "a.csv"
+    table.write_text("t,x\n0.0,1.5\n0.1,-2.0\n")
+    assert sweep.numbers(table) == [0.0, 1.5, 0.1, -2.0]
+    record = tmp_path / "m.json"
+    record.write_text(json.dumps({"b": [1, 2.5], "a": 3, "ok": True,
+                                  "name": "x"}))
+    assert sweep.numbers(record) == [3.0, 1.0, 2.5]
+    log = tmp_path / "m.jsonl"
+    log.write_text('{"t": 0.0}\n{"t": 0.1}\n')
+    assert sweep.numbers(log) == [0.0, 0.1]
+    assert sweep.numbers(tmp_path / "absent.csv") is None
+
+
+def test_largest_difference(tmp_path):
+    a, b, c = (tmp_path / f"{n}.csv" for n in "abc")
+    a.write_text("t,x\n0.0,1.0\n0.1,nan\n")
+    b.write_text("t,x\n0.0,1.25\n0.1,nan\n")
+    c.write_text("t,x\n0.0,1.0\n")
+    assert sweep.largest_difference(a, b) == "largest difference 0.25"
+    assert sweep.largest_difference(a, a) == "largest difference 0"
+    assert sweep.largest_difference(a, c) == "4 vs 2 numbers"
+    assert sweep.largest_difference(a, tmp_path / "d.csv") == \
+        "not comparable"

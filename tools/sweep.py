@@ -17,15 +17,19 @@ same summary for it, the per-seed ``rpe_p50_mm`` differences (this
 checkout minus the other), and the runs whose measurement stream
 (``stream_sha256``) or artifacts (the sha256 of each file under
 ``.perfbench_out/<workload>-<seed>/``) differ between the checkouts,
-ending with a line ``artifacts identical: k of n``.  The exit status is 1 if a run is not
+with the largest absolute difference between the numbers of each CSV,
+JSON or JSON-lines artifact that differs, ending with a line
+``artifacts identical: k of n``.  The exit status is 1 if a run is not
 ``correct`` or failed a frame.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -52,6 +56,53 @@ def artifact_digests(checkout, workload, seed):
         return {}
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.iterdir())}
+
+
+def _json_numbers(node):
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _json_numbers(node[key])
+    elif isinstance(node, list):
+        for item in node:
+            yield from _json_numbers(item)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield float(node)
+
+
+def numbers(path):
+    """The numbers of a CSV, JSON or JSON-lines file, in file order (JSON
+    keys sorted); None for a missing file or another kind of file."""
+    if not path.is_file():
+        return None
+    text = path.read_text()
+    if path.suffix == ".csv":
+        values = []
+        for row in csv.reader(text.splitlines()):
+            for cell in row:
+                try:
+                    values.append(float(cell))
+                except ValueError:  # a header
+                    pass
+        return values
+    if path.suffix == ".json":
+        return list(_json_numbers(json.loads(text)))
+    if path.suffix == ".jsonl":
+        return list(_json_numbers([json.loads(line)
+                                   for line in text.splitlines() if line]))
+    return None
+
+
+def largest_difference(path_a, path_b):
+    """How far the numbers of two versions of an artifact are apart, as
+    text: the largest absolute difference, or why there is none."""
+    a, b = numbers(path_a), numbers(path_b)
+    if a is None or b is None:
+        return "not comparable"
+    if len(a) != len(b):
+        return f"{len(a)} vs {len(b)} numbers"
+    diffs = [0.0 if x == y or (math.isnan(x) and math.isnan(y))
+             else abs(x - y) for x, y in zip(a, b)]
+    return f"largest difference {max(diffs, default=0.0):.3g}"
 
 
 def run(checkout, command, workload, seed):
@@ -169,10 +220,17 @@ def main(argv=None):
         for w in workloads:
             for s in args.seeds:
                 differ = differences(results[w, s], other[w, s])
-                if differ:
-                    print(f"{w} seed {s}: {', '.join(differ)}")
-                else:
+                if not differ:
                     identical += 1
+                    continue
+                print(f"{w} seed {s}:")
+                out = Path(".perfbench_out") / f"{w}-{s}"
+                for name in differ:
+                    size = ("" if name in ("stream", "no record") else
+                            ": " + largest_difference(
+                                ROOT / out / name,
+                                args.against.resolve() / out / name))
+                    print(f"  {name}{size}")
         print(f"artifacts identical: {identical} of "
               f"{len(workloads) * len(args.seeds)}")
     return 1 if bad else 0
