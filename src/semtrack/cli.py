@@ -58,8 +58,9 @@ def _resolve(args):
         config = pipeline.demo_config()
     else:
         config = pipeline.load_config(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    return config, seed
+    if args.seed is not None:
+        config = {**config, "seed": args.seed}
+    return config, pipeline.config_seed(config)
 
 
 def _cmd_simulate(args):

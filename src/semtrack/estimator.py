@@ -1,6 +1,6 @@
 """Sliding-window estimation of camera ego-motion and 3D object tracks.
 
-The solve is staged: :func:`solve_ego` refines the camera window and the
+The solve is staged: :func:`solve_ego` refines the camera poses and the
 background landmarks from static feature observations, then, with the
 camera poses held fixed, :func:`solve_objects` refines the object tracks
 of the window, fusing feature, semantic box, motion-model and
@@ -11,8 +11,17 @@ rounding.
 :func:`align_point_clouds` then snaps the boxes of the converged tracks
 to their anchored landmark clouds, again in one batched solve.
 :class:`WindowTracker` chains the stages over a measurement stream, one
-object solve per frame, handing the solvers the window's observations as
-arrays (:class:`FeatureRows`, :class:`SemanticRows`).
+ego and one object solve per frame, handing the solvers the window's
+observations as arrays (:class:`FeatureRows`, :class:`SemanticRows`).
+Its ego solve takes the whole window only on a keyframe, chosen by
+VINS-Mono's rule (Qin, Li and Shen 2018): the first frame, a frame whose
+last keyframe has left the window, or one that sees again fewer than half
+of that keyframe's background rows, or sees them moved by more than
+:data:`KEYFRAME_PARALLAX_PX` on average in the left image.  Every other
+frame solves its own pose alone against the landmarks and older poses
+held (``solve_ego(..., pose_only=True)``), the same LM with the landmark
+columns left out, as ORB-SLAM2 tracks between its local bundle
+adjustments.
 """
 
 from __future__ import annotations
@@ -48,6 +57,9 @@ FEATURE_SIGMA_PX, BOX_SIGMA_PX = 0.5, 1.0
 MOTION_SIGMAS = np.array([0.05, 0.05, 0.05, 0.02, 0.05, 0.5])
 SURFACE_SIGMA = 0.05  # m, point-to-face distance
 HUBER_SCALE = 3.0
+# mean left-image motion (px) of the background since the last keyframe
+# past which a frame solves the whole ego window, not its pose alone
+KEYFRAME_PARALLAX_PX = 10.0
 
 
 @dataclass(frozen=True)
@@ -161,37 +173,34 @@ class _EgoProblem:
     3)); the oldest pose is the gauge and stays constant.  Only landmarks
     observed in at least two frames are optimized; rows of other
     landmarks carry no information about the relative poses beyond a
-    stereo depth and are dropped.  The rows stay the same for the whole
-    solve (a row behind a camera adds zero), so their scatter plan is
-    built once.  Each evaluation is one feature batch over the whole
-    window.
+    stereo depth and are dropped.  With ``pose_only`` the landmarks and
+    every pose but the newest are held too: the rows are the newest
+    frame's and the normal equations the 6 columns of its pose.  The rows
+    stay the same for the whole solve (a row behind a camera adds zero),
+    so their scatter plan is built once.  Each evaluation is one feature
+    batch.
     """
 
     n_blocks = 1
 
-    def __init__(self, poses, landmarks, rows, rig):
+    def __init__(self, poses, landmarks, rows, rig, pose_only=False):
         self.rig = rig
         self.info = 1.0 / (FEATURE_SIGMA_PX / rig.focal_px)
-        self.n_poses = len(poses)
+        self.n_poses = n = len(poses)
+        self.pose_only = pose_only
         ids, counts = np.unique(rows.landmark, return_counts=True)
-        self.lm_ids = np.array([lm for lm, n in zip(ids, counts)
-                                if n >= 2 and lm in landmarks], dtype=int)
+        self.lm_ids = np.array([lm for lm, c in zip(ids, counts)
+                                if c >= 2 and lm in landmarks], dtype=int)
         keep = np.isin(rows.landmark, self.lm_ids)
-        self.frame = frame = rows.frame[keep]
-        self.slot = slot = np.searchsorted(self.lm_ids, rows.landmark[keep])
-        self.left, self.right = rows.left[keep], rows.right[keep]
-        # rows of the gauge frame touch the landmark columns only
-        cols = np.where(frame[:, None] > 0,
-                        6 * (frame[:, None] - 1) + np.arange(6), -1)
-        self.plan = scatter_plan(np.zeros(len(frame), dtype=int), cols, 1,
-                                 6 * (self.n_poses - 1), slot,
-                                 len(self.lm_ids))
+        frame = rows.frame[keep]
+        slot = np.searchsorted(self.lm_ids, rows.landmark[keep])
+        left, right = rows.left[keep], rows.right[keep]
         lms = np.array([landmarks[lm] for lm in self.lm_ids]).reshape(-1, 3)
         centers = np.array([p.translation for p in poses])
         self.initial = (np.array([p.rotation for p in poses]), centers, lms)
         # parallax: mean ray angle between the first and last observation
-        # of each optimized landmark
-        first = np.full(len(lms), self.n_poses)
+        # of each optimized landmark, over the whole window
+        first = np.full(len(lms), n)
         last = np.full(len(lms), -1)
         np.minimum.at(first, slot, frame)
         np.maximum.at(last, slot, frame)
@@ -201,9 +210,26 @@ class _EgoProblem:
         cos = np.einsum("ni,ni->n", ray_a[ok], ray_b[ok]) / denom[ok]
         self.parallax = float(np.mean(np.arccos(np.clip(cos, -1.0, 1.0)))) \
             if ok.any() else 0.0
+        if pose_only:
+            newest = frame == n - 1
+            frame, slot = frame[newest], slot[newest]
+            left, right = left[newest], right[newest]
+            self.size, self.moved = 6, slice(n - 1, None)
+            self.plan = scatter_plan(np.zeros(len(frame), dtype=int),
+                                     np.arange(6), 1, 6)
+        else:
+            self.size, self.moved = 6 * (n - 1), slice(1, None)
+            # rows of the gauge frame touch the landmark columns only
+            cols = np.where(frame[:, None] > 0,
+                            6 * (frame[:, None] - 1) + np.arange(6), -1)
+            self.plan = scatter_plan(np.zeros(len(frame), dtype=int), cols,
+                                     1, self.size, slot, len(self.lm_ids))
+        self.frame, self.slot, self.left, self.right = frame, slot, left, right
 
     def equations(self):
-        return SchurNormalEquations(6 * (self.n_poses - 1), len(self.lm_ids))
+        if self.pose_only:
+            return DenseNormalEquations(self.size)
+        return SchurNormalEquations(self.size, len(self.lm_ids))
 
     def batches(self, state, blocks, jacobians):
         rot, trans, lms = state
@@ -214,38 +240,44 @@ class _EgoProblem:
         if not jacobians:
             return [RowBatch(r * info, huber_delta=HUBER_SCALE,
                              tag="feature")]
+        lm_jac = None if self.pose_only else jac["landmark"] * info
         return [RowBatch(r * info, jac["camera"] * info,
                          huber_delta=HUBER_SCALE, tag="feature",
-                         lm_jac=jac["landmark"] * info, plan=self.plan)]
+                         lm_jac=lm_jac, plan=self.plan)]
 
     def retract(self, state, step, blocks):
         rot, trans, lms = state
-        dense, dx_l = step
-        d = dense[0].reshape(-1, 6)
+        d = step[0][0].reshape(-1, 6)
+        moved = self.moved
         rot, trans = rot.copy(), trans.copy()
-        rot[1:] = project_rotation(rot[1:] @ so3_exp(d[:, 3:]))
-        trans[1:] += d[:, :3]
-        return rot, trans, lms + dx_l[0]
+        rot[moved] = project_rotation(rot[moved] @ so3_exp(d[:, 3:]))
+        trans[moved] += d[:, :3]
+        return rot, trans, lms if self.pose_only else lms + step[1][0]
 
 
-def solve_ego(poses, landmarks, rows: FeatureRows, rig: StereoRig):
+def solve_ego(poses, landmarks, rows: FeatureRows, rig: StereoRig,
+              pose_only=False):
     """Refine the camera window and background landmarks.
 
     ``poses`` is the window, oldest first; the oldest stays fixed as the
     gauge.  ``landmarks`` maps landmark id to world position and ``rows``
     are the background feature observations, framed by window index.
-    The window starts from the last frame's optimum apart from its newest
-    pose, so its LM starts at the damping floor :data:`nls.MIN_DAMPING`
-    rather than the 1e-4 of the object and alignment solves.  Returns an
+    With ``pose_only`` the solve moves the newest pose alone, against the
+    newest frame's rows of the landmarks seen at least twice, and hands
+    back every other pose and landmark as it came.  The window starts
+    from the last frame's optimum apart from its newest pose, so its LM
+    starts at the damping floor :data:`nls.MIN_DAMPING` rather than the
+    1e-4 of the object and alignment solves.  Returns an
     :class:`EgoResult` with the optimized landmarks; the
     ``insufficient_parallax`` flag is set when the mean triangulation
-    angle over them is below half a degree (the solve still runs).
+    angle over them, in the whole window, is below half a degree (the
+    solve still runs).
     """
     if len(poses) < 2:
         raise ValueError("ego window needs at least two camera poses")
     if np.any(rows.frame >= len(poses)):
         raise ValueError("feature row references a missing frame")
-    ego = _EgoProblem(poses, landmarks, rows, rig)
+    ego = _EgoProblem(poses, landmarks, rows, rig, pose_only)
     flag = ego.parallax < math.radians(MIN_PARALLAX_DEG)
     (rot, trans, lms), (report,) = solve_nls(ego, ego.initial,
                                              initial_damping=MIN_DAMPING)
@@ -671,6 +703,7 @@ class WindowTracker:
         self._prev_ids = np.zeros(0, dtype=int)
         self._prev_left = np.zeros((0, 2))
         self._frame = -1
+        self._keyframe = -1
         self._prev_boxes = {}
 
     @property
@@ -824,32 +857,62 @@ class WindowTracker:
 
     def _solve_ego_window(self, ids, left, right):
         """Append this frame's background rows, drop the rows and landmarks
-        that leave the window, and solve the window.  The rows go to
-        :func:`solve_ego` as held, framed from the window's start; it
-        leaves out the landmarks seen once."""
+        that leave the window, and solve the window: all of it on a
+        keyframe (:meth:`_is_keyframe`), else the newest pose alone, after
+        which the landmarks first seen in this frame are triangulated
+        again from the solved pose.  The rows go to :func:`solve_ego` as
+        held, framed from the window's start; it leaves out the landmarks
+        seen once."""
         t = self._frame
         start = max(0, t - self.config.window + 1)
         new = self._new_rows(self.bg_landmarks, ids, left, right,
                              lambda point: point)
         rows = self.bg_rows
+        born = new.landmark[~np.isin(new.landmark, rows.landmark)].tolist()
         self.bg_rows = rows = _append_rows(
             _take_rows(rows, rows.frame >= start), new)
         # a landmark without rows in the window is never read again
         held, counts = np.unique(rows.landmark, return_counts=True)
         self.bg_landmarks = {fid: self.bg_landmarks[fid]
                              for fid in held.tolist()}
+        keyframe = self._is_keyframe(rows, start)
+        if keyframe:
+            self._keyframe = t
         if t == start or not (counts >= 2).any():
             return
+        predicted = self.camera_trajectory[t]
         try:
             result = solve_ego(self.camera_trajectory[start:t + 1],
                                self.bg_landmarks,
                                rows._replace(frame=rows.frame - start),
-                               self.rig)
+                               self.rig, pose_only=not keyframe)
         except (NoConvergence, NumericalFailure):
             # the window keeps its predicted poses
             return
         self.camera_trajectory[start:t + 1] = result.poses
         self.bg_landmarks.update(result.landmarks)
+        if born and not keyframe:
+            move = result.poses[-1].compose(predicted.inverse())
+            self.bg_landmarks.update(zip(born, move.apply(
+                [self.bg_landmarks[fid] for fid in born])))
+
+    def _is_keyframe(self, rows, start):
+        """Whether this frame's ego solve takes the whole window (VINS-Mono's
+        rule): it is the first frame, or the last keyframe has left the
+        window, or fewer than half of that keyframe's background rows are
+        seen again in this frame, or the shared ones have moved by more
+        than :data:`KEYFRAME_PARALLAX_PX` on average in the left image."""
+        if self._keyframe < start:
+            return True
+        key, now = rows.frame == self._keyframe, rows.frame == self._frame
+        shared, at_key, at_now = np.intersect1d(
+            rows.landmark[key], rows.landmark[now], return_indices=True)
+        if not len(shared) or \
+                2 * np.isin(rows.landmark[key], shared).sum() < key.sum():
+            return True
+        flow = rows.left[now][at_now] - rows.left[key][at_key]
+        return bool(np.linalg.norm(flow, axis=1).mean() * self.rig.focal_px
+                    > KEYFRAME_PARALLAX_PX)
 
     def _associate_semantic(self, semantic):
         """Map detections to internal track ids via box similarity."""

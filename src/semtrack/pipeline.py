@@ -180,13 +180,34 @@ def load_config(path):
     return config
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def estimator_config_from(node, dt):
+    """:class:`EstimatorConfig` of a run config's ``"estimator"`` mapping,
+    whose one key, ``"window"``, must be an integer of at least 2."""
     if not isinstance(node, dict):
         raise ConfigError("estimator", "expected a mapping")
     unknown = set(node) - _ESTIMATOR_KEYS
     if unknown:
         raise ConfigError("estimator", f"unknown keys {sorted(unknown)}")
+    window = node.get("window", EstimatorConfig.window)
+    if not _is_int(window) or window < 2:
+        raise ConfigError("estimator.window",
+                          f"expected an integer of at least 2, got "
+                          f"{window!r}")
     return EstimatorConfig(dt=dt, **node)
+
+
+def config_seed(config):
+    """The ``"seed"`` of a run config, 0 when absent; it must be a
+    non-negative integer."""
+    seed = config.get("seed", 0)
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError("seed", f"expected a non-negative integer, got "
+                          f"{seed!r}")
+    return seed
 
 
 def out_directory(out_dir):
@@ -317,7 +338,7 @@ def run_pipeline(config_path, out_dir, seed=None, fmt="csv"):
     else:
         raise ConfigError("", "config must be a mapping or a path")
     if seed is None:
-        seed = int(config.get("seed", 0))
+        seed = config_seed(config)
     if fmt not in ("csv", "json"):
         raise ConfigError("format", f"unknown format {fmt!r}")
     out = out_directory(out_dir)

@@ -522,19 +522,23 @@ def read_measurements(path):
     """Frames of a JSON-lines measurement log.
 
     A line with bad JSON, a missing key or a value of the wrong type
-    raises :class:`ConfigError` naming the path and the 1-based line.
+    raises :class:`ConfigError` naming the path and the 1-based line; a
+    log that cannot be read or is not UTF-8 text raises :class:`IoError`.
     """
     frames = []
-    with open(path) as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                frames.append(frame_from_dict(json.loads(line)))
-            except KeyError as exc:
-                raise ConfigError(f"{path}:{number}",
-                                  f"missing key {exc}") from exc
-            except (ValueError, TypeError, IndexError) as exc:
-                raise ConfigError(f"{path}:{number}", str(exc)) from exc
+    try:
+        with open(path) as handle:
+            for number, line in enumerate(handle, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    frames.append(frame_from_dict(json.loads(line)))
+                except KeyError as exc:
+                    raise ConfigError(f"{path}:{number}",
+                                      f"missing key {exc}") from exc
+                except (ValueError, TypeError, IndexError) as exc:
+                    raise ConfigError(f"{path}:{number}", str(exc)) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(path, str(exc)) from exc
     return frames

@@ -397,6 +397,60 @@ class TestBatchedObjectSolve:
         assert batched <= max(solo) < sum(solo)
 
 
+class TestPoseOnlyEgo:
+    """The ego solve of the newest pose alone, against held landmarks."""
+
+    def window(self, noise=None):
+        """A 6-frame ego window whose newest pose is 0.1 m and 0.01 rad
+        off."""
+        scenario = make_scenario(6, [car(-10.0, 18.0)])
+        frames = [sim.synthesize_frame(scenario, t, noise) for t in range(6)]
+        poses, landmarks, rows = ego_problem(scenario, frames)
+        rng = np.random.default_rng(41)
+        gt = poses[-1]
+        poses[-1] = Pose(gt.rotation @ so3_exp(rng.normal(0.0, 0.01, 3)),
+                         gt.translation + rng.normal(0.0, 0.1, 3))
+        return scenario, poses, landmarks, rows
+
+    def test_holds_landmarks_and_older_poses(self):
+        # a noisy stream, so that a window solve would move them all
+        scenario, poses, landmarks, rows = self.window()
+        result = est.solve_ego(poses, landmarks, rows, scenario.rig,
+                               pose_only=True)
+        assert result.report.converged
+        assert result.report.final_cost < result.report.initial_cost
+        for before, after in zip(poses[:-1], result.poses[:-1]):
+            assert np.array_equal(before.rotation, after.rotation)
+            assert np.array_equal(before.translation, after.translation)
+        assert not np.array_equal(poses[-1].translation,
+                                  result.poses[-1].translation)
+        assert result.landmarks
+        for lm, point in result.landmarks.items():
+            assert np.array_equal(point, landmarks[lm])
+        window = est.solve_ego(poses, landmarks, rows, scenario.rig)
+        assert not np.array_equal(window.poses[1].translation,
+                                  poses[1].translation)
+
+    def test_zero_noise_recovers_the_newest_pose(self):
+        scenario, poses, landmarks, rows = self.window(sim.NoiseSpec.zero())
+        result = est.solve_ego(poses, landmarks, rows, scenario.rig,
+                               pose_only=True)
+        gt = scenario.camera[5]
+        assert np.linalg.norm(result.poses[-1].translation
+                              - gt.translation) < 1e-8
+        assert np.abs(result.poses[-1].rotation - gt.rotation).max() < 1e-8
+
+    def test_parallax_flag_reads_the_whole_window(self):
+        # the newest frame's rows alone have no baseline; the window's do
+        scenario, poses, landmarks, rows = self.window(sim.NoiseSpec.zero())
+        whole = est._EgoProblem(poses, landmarks, rows, scenario.rig)
+        alone = est._EgoProblem(poses, landmarks, rows, scenario.rig,
+                                pose_only=True)
+        assert alone.parallax == whole.parallax > 0.0
+        assert set(alone.frame.tolist()) == {5}
+        assert len(alone.frame) < len(whole.frame)
+
+
 def assemble_rows(rows, width):
     """Normal equations of whitened rows (r (k,), full-width J (k, width),
     huber delta or None): each row is robustified on its own, then all
@@ -545,6 +599,14 @@ def assert_matches_reference(eq, reference, n_dense, tol=1e-10):
     assert eq.cost[0] == pytest.approx(cost_ref, rel=tol)
 
 
+def last_ego_solve(ego_calls, pose_only=False):
+    """The arguments of the last captured ego solve of a whole window, or
+    of a newest pose alone."""
+    *args, _ = next(call for call in reversed(ego_calls)
+                    if call[-1] == pose_only)
+    return args
+
+
 class TestOnePassProblems:
     """Each LM evaluation is one batch per residual family; its normal
     equations must equal those of full-width rows added one at a time."""
@@ -561,9 +623,9 @@ class TestOnePassProblems:
         ego_calls, object_calls = [], []
         solve_ego, solve_objects = est.solve_ego, est.solve_objects
 
-        def capture_ego(*args):
-            ego_calls.append(args)
-            return solve_ego(*args)
+        def capture_ego(*args, pose_only=False):
+            ego_calls.append((*args, pose_only))
+            return solve_ego(*args, pose_only=pose_only)
 
         def capture_objects(tracks, *args):
             object_calls.extend((track, *args) for track in tracks)
@@ -607,9 +669,28 @@ class TestOnePassProblems:
 
     def test_captured_ego_window_with_gauge_rows(self, captured):
         scenario, config, ego_calls, _ = captured
-        poses, landmarks, rows, rig = ego_calls[-1]
+        poses, landmarks, rows, rig = last_ego_solve(ego_calls)
         assert len(poses) == 5 and (rows.frame == 0).any()
         self.check_ego(poses, landmarks, rows, rig)
+
+    def test_captured_pose_only_window(self, captured):
+        # the pose-only solve's normal equations are those of the window
+        # restricted to the newest pose's columns
+        scenario, config, ego_calls, _ = captured
+        poses, landmarks, rows, rig = last_ego_solve(ego_calls,
+                                                     pose_only=True)
+        problem = est._EgoProblem(poses, landmarks, rows, rig,
+                                  pose_only=True)
+        eq = linearize(problem, problem.initial)
+        assert isinstance(eq, nls.DenseNormalEquations) and eq.size == 6
+        (h_ref, g_ref, _), n_dense, _ = reference_ego(
+            poses, landmarks, rows, problem.initial, rig)
+        newest = slice(n_dense - 6, n_dense)
+        h_ref, g_ref = h_ref[newest, newest], g_ref[newest]
+        assert np.abs(eq.h_mat[0] - h_ref).max() <= \
+            1e-10 * np.abs(h_ref).max()
+        assert np.abs(eq.grad[0] - g_ref).max() <= \
+            1e-10 * np.abs(g_ref).max()
 
     def test_captured_object_window(self, captured):
         scenario, config, _, object_calls = captured
@@ -626,7 +707,7 @@ class TestOnePassProblems:
         # the focal length, a window's whitened feature and box rows are
         # exactly twice as large, and its motion and prior rows the same
         scenario, config, ego_calls, object_calls = captured
-        poses, landmarks, rows, rig = ego_calls[-1]
+        poses, landmarks, rows, rig = last_ego_solve(ego_calls)
         track, camera_poses, _, _ = max(
             object_calls, key=lambda c: len(c[0].features.frame))
         assert rig.focal_px == 700.0
@@ -651,7 +732,7 @@ class TestOnePassProblems:
 
     def test_rows_behind_the_camera(self, captured):
         scenario, config, ego_calls, object_calls = captured
-        poses, landmarks, rows, rig = ego_calls[-1]
+        poses, landmarks, rows, rig = last_ego_solve(ego_calls)
         landmarks = dict(landmarks)
         behind = int(rows.landmark[rows.frame == 0][0])
         landmarks[behind] = poses[0].apply(np.array([0.5, 0.0, -4.0]))
@@ -980,6 +1061,85 @@ class TestWindowTracker:
         # one damped solve per linearization: every ego trial was taken
         # (the list holds each set of equations, so no id is reused)
         assert len({id(eq) for eq, _ in ego}) == len(ego)
+
+    def keyframes(self, scenario, monkeypatch, window=4):
+        """The frames whose ego solve takes the whole window, and those
+        that solve their pose alone."""
+        calls = []
+        solve_ego = est.solve_ego
+
+        def recorded(*args, pose_only=False):
+            calls.append((tracker._frame, pose_only))
+            return solve_ego(*args, pose_only=pose_only)
+
+        monkeypatch.setattr(est, "solve_ego", recorded)
+        tracker = est.WindowTracker(
+            scenario.rig, est.EstimatorConfig(dt=scenario.dt, window=window),
+            initial_pose=scenario.camera[0])
+        for t in range(scenario.n_frames):
+            tracker.process(sim.synthesize_frame(scenario, t))
+        return ([t for t, pose_only in calls if not pose_only],
+                [t for t, pose_only in calls if pose_only])
+
+    def test_static_camera_keyframes_as_the_window_slides(self,
+                                                          monkeypatch):
+        # nothing moves: a new keyframe only when the last one has left
+        # the window of 4 frames
+        scenario = make_scenario(13, camera={"start": [0.0, -1.5, 0.0],
+                                             "yaw": 0.0, "speed": 0.0})
+        full, pose_only = self.keyframes(scenario, monkeypatch)
+        assert full == [4, 8, 12]
+        assert pose_only == [1, 2, 3, 5, 6, 7, 9, 10, 11]
+
+    def test_fast_camera_keyframes_every_frame(self, monkeypatch):
+        scenario = make_scenario(10, camera={"speed": 20.0,
+                                             "yaw_rate": 0.4})
+        full, pose_only = self.keyframes(scenario, monkeypatch)
+        assert full == list(range(1, 10)) and pose_only == []
+
+    def test_landmarks_born_on_a_pose_only_frame_follow_its_pose(
+            self, monkeypatch):
+        # each landmark first seen on a pose-only frame sits at its stereo
+        # triangulation from that frame's solved pose, not its predicted
+        # one.  A sixth more of the background comes into view on each of
+        # the first frames
+        scenario = make_scenario(12, camera={"speed": 8.0,
+                                             "yaw_rate": 0.1})
+        predicted = {}  # pose-only frame to its pose before the solve
+        solve_ego = est.solve_ego
+
+        def recorded(poses, *args, pose_only=False):
+            if pose_only:
+                predicted[tracker._frame] = poses[-1]
+            return solve_ego(poses, *args, pose_only=pose_only)
+
+        monkeypatch.setattr(est, "solve_ego", recorded)
+        tracker = est.WindowTracker(scenario.rig,
+                                    est.EstimatorConfig(dt=scenario.dt),
+                                    initial_pose=scenario.camera[0])
+        checked = 0
+        for t in range(scenario.n_frames):
+            frame = sim.synthesize_frame(scenario, t)
+            frame = replace(frame, features=tuple(
+                f for f in frame.features if f.feature_id % 6 <= t))
+            held = set(tracker.bg_landmarks)
+            tracker.process(frame)
+            if t not in predicted:
+                continue
+            pose = tracker.camera_trajectory[t]
+            assert not np.array_equal(pose.translation,
+                                      predicted[t].translation)
+            for f in frame.features:
+                if f.feature_id in held or \
+                        f.feature_id not in tracker.bg_landmarks:
+                    continue
+                z = scenario.rig.baseline / (f.left[0] - f.right[0])
+                point = pose.apply(np.array([f.left[0] * z,
+                                             f.left[1] * z, z]))
+                assert np.allclose(tracker.bg_landmarks[f.feature_id],
+                                   point, rtol=0.0, atol=1e-9)
+                checked += 1
+        assert len(predicted) > 2 and checked > 20
 
     def test_held_observations_stay_in_window(self):
         # a stream three windows long: the tracker holds no observation,

@@ -256,6 +256,49 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "measurements.jsonl" in err
 
+    def run_eval(self, tmp_path, capsys, **entries):
+        """Exit status and standard error of ``semtrack eval`` on a 3-frame
+        config with ``entries`` set."""
+        config = small_config(3)
+        config.update(entries)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        status = cli.main(["eval", "--config", str(path),
+                           "--out", str(tmp_path / "out")])
+        return status, capsys.readouterr().err
+
+    def test_window_not_an_integer(self, tmp_path, capsys):
+        for window in ("ten", 1, True, 4.0):
+            status, err = self.run_eval(tmp_path, capsys,
+                                        estimator={"window": window})
+            assert status == 1
+            assert err.startswith("error: estimator.window:"), window
+
+    def test_measurement_entry_names_a_directory(self, tmp_path, capsys):
+        folder = tmp_path / "logs"
+        folder.mkdir()
+        binary = tmp_path / "binary.jsonl"
+        binary.write_bytes(b"\xff\xfe{}\n")
+        for log in (folder, binary):
+            status, err = self.run_eval(tmp_path, capsys,
+                                        measurements=str(log))
+            assert status == 1
+            assert err.startswith(f"error: {log}:")
+
+    def test_seed_not_an_integer(self, tmp_path, capsys):
+        for seed in ("x", -1, 2.5, False):
+            status, err = self.run_eval(tmp_path, capsys, seed=seed)
+            assert status == 1
+            assert err.startswith("error: seed:"), seed
+        with pytest.raises(ConfigError, match="seed"):
+            pipeline.run_pipeline({**small_config(3), "seed": "x"},
+                                  tmp_path / "direct")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(small_config(3)))
+        assert cli.main(["eval", "--config", str(path), "--seed", "-1",
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: seed:")
+
     def test_rejects_bad_format(self, tmp_path):
         config = self.write_config(tmp_path)
         with pytest.raises(SystemExit):

@@ -35,3 +35,18 @@ def test_largest_difference(tmp_path):
     assert sweep.largest_difference(a, c) == "4 vs 2 numbers"
     assert sweep.largest_difference(a, tmp_path / "d.csv") == \
         "not comparable"
+
+
+def test_largest_ate():
+    def runs(ates):
+        return {("w", s): {"accuracy": {} if a is None
+                           else {"ate_rmse_m": a}}
+                for s, a in ates.items()}
+
+    mine = runs({1: 0.1, 2: 0.5, 3: None, 4: 0.3, 5: 0.2})
+    theirs = runs({1: 0.1, 2: 0.25, 3: 0.9, 4: None, 5: 0.2})
+    seeds = [1, 2, 3, 4, 5]
+    assert sweep.largest_ate(mine, "w", seeds) == \
+        "largest ATE: seed 2 0.5 m, seed 4 0.3 m, seed 5 0.2 m"
+    assert sweep.largest_ate(mine, "w", seeds, theirs, n=2) == \
+        "largest ATE: seed 2 0.5 m (other 0.25 m), seed 4 0.3 m (other n/a)"

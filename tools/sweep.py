@@ -11,9 +11,10 @@ S --trace 0 --seconds 1``, one subprocess per run with
 ``PYTHONDONTWRITEBYTECODE=1``, started in the checkout it measures.  For
 each workload the sweep prints the runs that are ``correct``, the failed
 frames, the median and mean object error (% of range), the mean object
-yaw error, the median of ``rpe_p50_mm`` and the largest ATE.
-``--against DIR`` runs the same command in a second checkout, prints the
-same summary for it, the per-seed ``rpe_p50_mm`` differences (this
+yaw error, the median of ``rpe_p50_mm`` and the largest ATE, and under
+it the 3 seeds of largest ATE.  ``--against DIR`` runs the same command
+in a second checkout, prints the same summary for it, the ATE of those
+seeds on both sides, the per-seed ``rpe_p50_mm`` differences (this
 checkout minus the other), and the runs whose measurement stream
 (``stream_sha256``) or artifacts (the sha256 of each file under
 ``.perfbench_out/<workload>-<seed>/``) differ between the checkouts,
@@ -169,7 +170,26 @@ def summary(runs):
     }
 
 
-def report(label, results, workloads, seeds):
+def largest_ate(results, workload, seeds, other=None, n=3):
+    """The ``n`` seeds of ``workload`` with the largest ATE, as text, with
+    the ATE of the same seed in ``other`` when it is given."""
+    def ate(runs, s):
+        return runs[workload, s]["accuracy"].get("ate_rmse_m")
+
+    known = [s for s in seeds if ate(results, s) is not None]
+    parts = []
+    for s in sorted(known, key=lambda s: -ate(results, s))[:n]:
+        part = f"seed {s} {ate(results, s):.4g} m"
+        if other is not None:
+            b = ate(other, s)
+            part += f" (other {b:.4g} m)" if b is not None else " (other n/a)"
+        parts.append(part)
+    return "largest ATE: " + ", ".join(parts)
+
+
+def report(label, results, workloads, seeds, other=None):
+    """The summary of each workload, its seeds of largest ATE (beside the
+    same seeds of ``other``, when given) and its failed runs."""
     print(f"== {label}")
     for w in workloads:
         runs = [results[w, s] for s in seeds]
@@ -177,6 +197,7 @@ def report(label, results, workloads, seeds):
             f"{k} {v:.4g}" if isinstance(v, float) else f"{k} {v}"
             for k, v in summary(runs).items())
         print(f"{w}: {figures}")
+        print("  " + largest_ate(results, w, seeds, other))
         for s in seeds:
             r = results[w, s]
             if not r["correct"] or r["failed"]:
@@ -200,12 +221,14 @@ def main(argv=None):
     command = bench["command"]
 
     results = sweep(ROOT, command, workloads, args.seeds, args.jobs)
-    report(str(ROOT), results, workloads, args.seeds)
     bad = any(not r["correct"] or r["failed"] for r in results.values())
+    other = None
     if args.against:
         other = sweep(args.against.resolve(), command, workloads,
                       args.seeds, args.jobs)
-        report(str(args.against), other, workloads, args.seeds)
+    report(str(ROOT), results, workloads, args.seeds, other)
+    if args.against:
+        report(str(args.against), other, workloads, args.seeds, results)
         print("== rpe_p50_mm, this checkout minus the other")
         for w in workloads:
             diffs = []
