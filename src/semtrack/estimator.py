@@ -8,8 +8,8 @@ dimension-prior residuals.  The tracks share nothing, so they are solved
 together in one batched LM, a block per track, in which each track takes
 the steps of a solve of that track alone (:func:`solve_object`), up to
 rounding.
-:func:`align_point_clouds` then snaps the boxes of the converged tracks
-to their anchored landmark clouds, again in one batched solve.
+:func:`align_point_clouds` then snaps the converged boxes, by position
+only, to their window's anchored landmarks, again in one batched solve.
 :class:`WindowTracker` chains the stages over a measurement stream, one
 ego and one object solve per frame, handing the solvers the window's
 observations as arrays (:class:`FeatureRows`, :class:`SemanticRows`).
@@ -544,9 +544,8 @@ def solve_object(track: ObjectTrack, camera_poses, rig: StereoRig,
 
 
 class _AlignProblem:
-    """Box position and yaw of k objects against their world-frame point
-    clouds, one block per object; state is (positions (k, 3), yaws
-    (k,))."""
+    """Box positions (k, 3), yaws held, of k objects against their
+    world-frame point clouds, one block per object."""
 
     def __init__(self, states, world_points, faces):
         self.n_blocks = len(states)
@@ -554,46 +553,43 @@ class _AlignProblem:
                                [len(p) for p in world_points])
         self.points = np.concatenate(world_points)
         self.faces = np.concatenate(faces)
+        self.yaw = np.array([s.yaw for s in states])
         self.dims = np.array([s.dims for s in states])
-        self.plan = scatter_plan(self.block, np.arange(4), self.n_blocks, 4)
-        self.initial = (np.array([s.position for s in states]),
-                        np.array([s.yaw for s in states]))
+        self.plan = scatter_plan(self.block, np.arange(3), self.n_blocks, 3)
+        self.initial = np.array([s.position for s in states])
 
     def equations(self):
-        return DenseNormalEquations(4, self.n_blocks)
+        return DenseNormalEquations(3, self.n_blocks)
 
-    def batches(self, state, blocks, jacobians):
-        position, yaw = state
+    def batches(self, position, blocks, jacobians):
         rows = (slice(None) if len(blocks) == self.n_blocks
                 else np.isin(self.block, blocks))
         block = self.block[rows]
         info = 1.0 / SURFACE_SIGMA
         r, jac = res.point_surface_residual(
-            self.points[rows], position[block], yaw[block], self.dims[block],
-            self.faces[rows], jacobians=jacobians)
+            self.points[rows], position[block], self.yaw[block],
+            self.dims[block], self.faces[rows], jacobians=jacobians)
         jac_w = jac["object"][:, None, :] * info if jacobians else None
         return [RowBatch(r[:, None] * info, jac_w, huber_delta=HUBER_SCALE,
                          tag="point_surface", block=block,
                          plan=self.plan[rows])]
 
-    def retract(self, state, step, blocks):
-        position, yaw = state
+    def retract(self, position, step, blocks):
         (dense,) = step
-        position, yaw = position.copy(), yaw.copy()
-        position[blocks] += dense[:, :3]
-        yaw[blocks] = wrap_angle(yaw[blocks] + dense[:, 3])
-        return position, yaw
+        position = position.copy()
+        position[blocks] += dense
+        return position
 
 
 def align_point_clouds(states, clouds):
-    """Snap box poses onto their anchored landmark clouds, in one LM
+    """Snap box positions onto their anchored landmark clouds, in one LM
     solve with a block per box.
 
     ``clouds`` are the object-frame landmark estimates of each state.
     Each point is assigned its nearest box face at entry (assignment
     fixed during the solve; ties go to the first face in
-    :data:`geometry.FACES` order) and position plus yaw minimize the
-    robust point-to-face distances, dims unchanged.  The ground-plane
+    :data:`geometry.FACES` order) and the position minimizes the robust
+    point-to-face distances, yaw and dims unchanged.  The ground-plane
     position is observable only through an x face and a z face of the
     box: with fewer than 3 points, without a point on each of those two
     axes, or when the solve does not converge, the input state comes back
@@ -616,11 +612,10 @@ def align_point_clouds(states, clouds):
     if not picked:
         return out
     problem = _AlignProblem([states[i] for i in picked], world, faces)
-    (position, yaw), reports = solve_nls(problem, problem.initial)
+    position, reports = solve_nls(problem, problem.initial)
     for j, (i, report) in enumerate(zip(picked, reports)):
         if report.converged:
-            out[i] = (states[i].replace(position=position[j].copy(),
-                                        yaw=yaw[j]), True)
+            out[i] = (states[i].replace(position=position[j].copy()), True)
     return out
 
 
@@ -644,7 +639,7 @@ class _TrackData:
     that it can be predicted on when it is seen again.  ``features`` and
     ``semantic`` are the track's feature and box rows of the window by
     absolute frame, appended as each detection arrives; ``landmarks``
-    maps each anchored landmark id to its object-frame point.
+    maps each held row's landmark id to its object-frame point.
     """
 
     track_id: int
@@ -668,10 +663,12 @@ class _TrackData:
         return self.semantic.frame
 
     def cut(self, start):
-        """Drop the rows before frame ``start``, and the states before it
-        but the last."""
+        """Drop the rows before frame ``start`` and the landmarks left
+        without rows, and the states before it but the last."""
         self.features = _take_rows(self.features, self.features.frame >= start)
         self.semantic = _take_rows(self.semantic, self.semantic.frame >= start)
+        held = set(self.features.landmark.tolist())
+        self.landmarks = {k: v for k, v in self.landmarks.items() if k in held}
         drop = min(bisect.bisect_left(self.frames, start), len(self.frames) - 1)
         del self.frames[:drop], self.states[:drop]
 
@@ -1026,21 +1023,20 @@ class WindowTracker:
     def _window_track(self, track, start):
         """The :class:`ObjectTrack` of a track seen in this frame, whose
         states and rows are cut to the window from frame ``start``: its
-        frames shifted to count from ``start``, the arrays as held."""
+        frames shifted to count from ``start``, the rest as held."""
         features, semantic = track.features, track.semantic
         return ObjectTrack(
             track.label, [f - start for f in track.frames],
-            list(track.states),
-            {fid: track.landmarks[fid] for fid in features.landmark.tolist()},
+            list(track.states), track.landmarks,
             track.prior, features._replace(frame=features.frame - start),
             semantic._replace(frame=semantic.frame - start))
 
     def _solve_tracks(self, tracks):
         """Cut every track to the window, then solve the windows of
-        ``tracks`` together and align the boxes of the converged ones
-        onto their landmark clouds.  A track whose window no box sizes
-        (:func:`_range_observed`) is not solved, and neither it nor a
-        track whose solve does not converge moves: both keep their
+        ``tracks`` together and align the box positions of the converged
+        ones onto their window's landmarks.  A track whose window no box
+        sizes (:func:`_range_observed`) is not solved, and neither it nor
+        a track whose solve does not converge moves: both keep their
         predicted states."""
         t = self._frame
         start = max(0, t - self.config.window + 1)

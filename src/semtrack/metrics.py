@@ -46,7 +46,6 @@ class DetectionRecord:
     frame: int
     object_id: int
     box: Box3D
-    score: float = 1.0
 
 
 def _check_aligned(est: Trajectory, gt: Trajectory):
@@ -219,26 +218,6 @@ def _greedy_match(dets, gts, iou_fn):
     return pairs
 
 
-def _average_precision(matched_flags, scores, n_gt):
-    if len(matched_flags) == 0 or n_gt == 0:
-        return 0.0
-    scores = np.asarray(scores, dtype=float)
-    flags = np.asarray(matched_flags, dtype=bool)
-    if np.allclose(scores, scores[0]):
-        # unit confidence: one operating point, AP reduces to precision
-        return float(flags.sum() / len(flags))
-    order = np.argsort(-scores, kind="stable")
-    tp = np.cumsum(flags[order])
-    fp = np.cumsum(~flags[order])
-    recall = tp / n_gt
-    precision = tp / np.maximum(tp + fp, 1)
-    # monotone precision envelope, integrated over recall
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    recall = np.concatenate([[0.0], recall])
-    envelope = np.concatenate([envelope[:1], envelope])
-    return float(np.sum(np.diff(recall) * envelope[1:]))
-
-
 def ap_and_error_curves(dets, gts, iou_kind="bev", n_thresholds=40):
     """Detection quality swept over IoU thresholds.
 
@@ -247,7 +226,8 @@ def ap_and_error_curves(dets, gts, iou_kind="bev", n_thresholds=40):
     evenly spaced thresholds in [0, 1) the true-positive rate over all
     labels, the mean matched-pair center error as a percentage of the
     label's range from the camera, and the average precision are
-    reported.
+    reported.  Every detection has unit confidence, so there is one
+    operating point per threshold, and its AP reduces to the precision.
     """
     iou_fn = iou_bev if iou_kind == "bev" else iou_3d
     frames = sorted({r.frame for r in dets} | {r.frame for r in gts})
@@ -269,7 +249,6 @@ def ap_and_error_curves(dets, gts, iou_kind="bev", n_thresholds=40):
     ap = np.zeros(n_thresholds)
     tp_rate = np.zeros(n_thresholds)
     mean_err = np.zeros(n_thresholds)
-    det_scores = np.array([d.score for d in dets], dtype=float)
     matched_index = {}
     for i, (det, _, _) in enumerate(pairs):
         matched_index[(det.frame, det.object_id)] = i
@@ -285,5 +264,5 @@ def ap_and_error_curves(dets, gts, iou_kind="bev", n_thresholds=40):
         if n_tp:
             errs = pair_err[det_pair[is_tp]]
             mean_err[k] = float(errs.mean())
-        ap[k] = _average_precision(is_tp, det_scores, n_gt)
+        ap[k] = n_tp / n_det if n_det and n_gt else 0.0
     return DetectionCurves(thresholds, ap, tp_rate, 100.0 * mean_err)

@@ -210,6 +210,23 @@ def config_seed(config):
     return seed
 
 
+def rpe_step_from(config, n_frames):
+    """The ``"rpe_step"`` of a run config's ``"evaluation"`` mapping, 1
+    when absent: an integer from 1 to ``n_frames`` - 1.  An evaluated
+    scenario needs at least 3 frames, as its ATE does."""
+    if n_frames < 3:
+        raise ConfigError("scenario.n_frames", f"evaluation needs at least "
+                          f"3 frames, got {n_frames}")
+    node = config.get("evaluation", {})
+    if not isinstance(node, dict):
+        raise ConfigError("evaluation", "expected a mapping")
+    step = node.get("rpe_step", 1)
+    if not _is_int(step) or not 1 <= step < n_frames:
+        raise ConfigError("evaluation.rpe_step", f"expected an integer from "
+                          f"1 to {n_frames - 1}, got {step!r}")
+    return step
+
+
 def out_directory(out_dir):
     """``out_dir`` as a path, created with its parents if missing."""
     out = Path(out_dir)
@@ -307,6 +324,9 @@ def simulate_stage(config, seed):
     scenario = sim.generate_scenario(config.get("scenario", {}), seed)
     log_path = config.get("measurements")
     if log_path is not None:
+        if not isinstance(log_path, str):
+            raise ConfigError("measurements",
+                              f"expected a path, got {log_path!r}")
         if not Path(log_path).exists():
             raise IoError(log_path, "measurement log not found")
         frames = sim.read_measurements(log_path)
@@ -344,12 +364,11 @@ def run_pipeline(config_path, out_dir, seed=None, fmt="csv"):
     out = out_directory(out_dir)
 
     scenario, frames = simulate_stage(config, seed)
+    rpe_step = rpe_step_from(config, scenario.n_frames)
     tracker = track_stage(scenario, frames, config)
 
     gt_traj, gt_objects = ground_truth(scenario)
     est_traj = Trajectory(gt_traj.times, tuple(tracker.camera_trajectory))
-    eval_cfg = config.get("evaluation", {})
-    rpe_step = int(eval_cfg.get("rpe_step", 1))
     metrics, bev, vol = evaluate_run(est_traj, gt_traj,
                                      tracker.object_trajectories,
                                      gt_objects, rpe_step=rpe_step)

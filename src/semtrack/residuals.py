@@ -11,7 +11,7 @@ Residual conventions:
   (position x, y, z, yaw, steer, speed); yaw difference wrapped.
 * Prior (3): dims minus the class prior mean.
 * Point-surface (1): signed offset of a world point from its assigned box
-  face plane.
+  face plane, differentiated by the box position alone.
 
 Jacobian layouts follow the state orderings used by the solvers: camera
 pose (translation 3, rotation-vector 3, applied as t += dt,
@@ -226,7 +226,7 @@ def point_surface_residual(world_points, position, yaw, dims, faces,
     ``yaw`` (n,) and ``dims`` (n, 3), or one box shared by all points
     ((3,), scalar, (3,)).  ``faces`` (n,) indexes :data:`geometry.FACES`,
     whose order pairs each axis's + and - face.  Returns (residual (n,),
-    jac dict with "object" (n, 4): position 3 + yaw).
+    jac dict with "object" (n, 3) by the box position; the yaw is held).
     """
     faces = np.asarray(faces)
     n = len(faces)
@@ -235,17 +235,14 @@ def point_surface_residual(world_points, position, yaw, dims, faces,
     c = np.broadcast_to(np.cos(yaw), n)
     s = np.broadcast_to(np.sin(yaw), n)
     dx, dy, dz = (np.asarray(world_points, dtype=float) - position).T
-    # the points in the box frame, and their derivative by the yaw
+    # the points in the box frame
     local = np.column_stack([c * dx - s * dz, dy, s * dx + c * dz])
     res = face_offsets(dims, local)[rows, faces]
     if not jacobians:
         return res, {}
-    d_local = np.column_stack([-s * dx - c * dz, np.zeros(n),
-                               c * dx - s * dz])
     zero, one = np.zeros(n), np.ones(n)
     # the box axes in world frame, one row each
     box_axes = np.stack([np.column_stack([c, zero, -s]),
                          np.column_stack([zero, one, zero]),
                          np.column_stack([s, zero, c])], axis=1)
-    return res, {"object": np.column_stack([-box_axes[rows, axis],
-                                            d_local[rows, axis]])}
+    return res, {"object": -box_axes[rows, axis]}

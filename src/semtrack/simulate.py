@@ -195,10 +195,14 @@ def _camera_trajectory(config, n_frames, dt):
                               f"expected {n_frames} entries (one per frame)")
         poses = []
         for i, wp in enumerate(waypoints):
-            vec = np.asarray(wp, dtype=float)
-            if vec.shape != (4,):
+            try:
+                vec = np.asarray(wp, dtype=float)
+            except (TypeError, ValueError):
+                vec = None
+            if vec is None or vec.shape != (4,) or \
+                    not np.isfinite(vec).all():
                 raise ConfigError(f"camera.waypoints[{i}]",
-                                  "expected [x, y, z, yaw]")
+                                  "expected [x, y, z, yaw], finite numbers")
             poses.append(Pose.from_yaw(vec[3], vec[:3]))
         return tuple(poses)
     start = _parse_vec(cam, "camera", "start", 3, default=[0.0, -1.5, 0.0])

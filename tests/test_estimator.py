@@ -818,7 +818,7 @@ class TestAlignPointCloud:
         aligned, applied = est.align_point_cloud(state, cloud)
         assert applied
         assert np.linalg.norm(aligned.position - state.position) < 1e-9
-        assert abs(aligned.yaw - state.yaw) < 1e-9
+        assert aligned.yaw == state.yaw
 
     def test_recovers_lateral_shift(self):
         rng = np.random.default_rng(10)
@@ -836,6 +836,24 @@ class TestAlignPointCloud:
         # components of the shift are observable
         err = aligned.position[[0, 2]] - true.position[[0, 2]]
         assert np.linalg.norm(err) < 1e-3
+
+    def test_yaw_offset_held_while_position_recovered(self):
+        # the yaw is not a state of the alignment: a box turned off its
+        # cloud keeps its yaw bit for bit, and its centre still lands on
+        # the cloud's
+        rng = np.random.default_rng(12)
+        true = ObjectState(position=np.array([2.0, -0.85, 20.0]), yaw=0.4,
+                           dims=np.array([3.9, 1.6, 1.7]))
+        world = true.pose.apply(self.surface_cloud(true.dims, rng, n=200))
+        shifted = true.replace(position=true.position
+                               + np.array([0.25, 0.0, -0.2]), yaw=0.43)
+        aligned, applied = est.align_point_cloud(
+            shifted, shifted.pose.apply_inverse(world))
+        assert applied
+        assert aligned.yaw == shifted.yaw
+        assert np.array_equal(aligned.dims, shifted.dims)
+        err = aligned.position[[0, 2]] - true.position[[0, 2]]
+        assert np.linalg.norm(err) < 0.02
 
     def test_single_face_no_op(self):
         state = ObjectState(position=np.zeros(3), yaw=0.0,
@@ -884,7 +902,7 @@ class TestAlignPointCloud:
             alone, applied_alone = est.align_point_cloud(state, cloud)
             assert applied == applied_alone
             assert np.abs(got.position - alone.position).max() < 1e-12
-            assert abs(got.yaw - alone.yaw) < 1e-12
+            assert got.yaw == state.yaw
 
     def test_too_few_points_no_op(self):
         state = ObjectState(position=np.zeros(3), yaw=0.0,
@@ -1380,6 +1398,24 @@ class TestWindowTracker:
                 set(tracker.bg_rows.landmark.tolist())
             seen |= set(tracker.bg_landmarks)
         assert len(tracker.bg_landmarks) < len(seen)
+
+    def test_track_landmarks_bounded_by_window(self):
+        # the car leaves the view near frame 16: from then on its track
+        # holds no feature rows, and so no landmarks either
+        scenario = make_scenario(40, [car(-10.0, 18.0)],
+                                 camera={"speed": 10.0, "yaw_rate": 0.1})
+        tracker = est.WindowTracker(
+            scenario.rig, est.EstimatorConfig(dt=scenario.dt, window=5),
+            initial_pose=scenario.camera[0])
+        held = []
+        for t in range(scenario.n_frames):
+            tracker.process(sim.synthesize_frame(scenario, t))
+            for track in tracker.tracks.values():
+                assert set(track.landmarks) == \
+                    set(track.features.landmark.tolist())
+            held.append(sum(len(track.landmarks)
+                            for track in tracker.tracks.values()))
+        assert max(held) > 0 and held[-1] == 0
 
     def test_track_start_contains_library_errors(self, monkeypatch):
         calls = []

@@ -276,11 +276,12 @@ class TestApAndErrorCurves:
                 dets.append(DetectionRecord(
                     g.frame, g.object_id,
                     Box3D(center, g.box.yaw + rng.normal(0.0, 0.1),
-                          g.box.dims), score=float(rng.uniform(0.2, 1.0))))
+                          g.box.dims)))
             for kind in ("bev", "3d"):
                 curves = ap_and_error_curves(dets, gts, iou_kind=kind)
                 assert np.all(np.diff(curves.ap) <= 1e-12)
                 assert np.all(np.diff(curves.tp_rate) <= 1e-12)
+                assert curves.ap[0] > curves.ap[-1]
 
     def test_false_positive_lowers_precision(self):
         rng = np.random.default_rng(34)
@@ -292,21 +293,6 @@ class TestApAndErrorCurves:
         curves = ap_and_error_curves(dets, gts, iou_kind="bev")
         assert np.all(curves.tp_rate == 1.0)
         assert np.allclose(curves.ap, 2.0 / 3.0)
-
-    def test_scored_ap_matches_hand_computation(self):
-        # two TPs at scores 0.9 and 0.7, one FP at 0.8: precision-recall
-        # area is 0.5 * 1.0 + 0.5 * (2/3)
-        gt_box = Box3D([0.0, -1.0, 10.0], 0.0, [4.0, 1.5, 2.0])
-        gt2_box = Box3D([6.0, -1.0, 12.0], 0.0, [4.0, 1.5, 2.0])
-        far = Box3D([60.0, -1.0, 40.0], 0.0, [4.0, 1.5, 2.0])
-        gts = [DetectionRecord(0, 1, gt_box), DetectionRecord(0, 2, gt2_box)]
-        dets = [DetectionRecord(0, 1, gt_box, score=0.9),
-                DetectionRecord(0, 2, far, score=0.8),
-                DetectionRecord(0, 3, gt2_box, score=0.7)]
-        curves = ap_and_error_curves(dets, gts, iou_kind="bev")
-        expected = 0.5 * 1.0 + 0.5 * (2.0 / 3.0)
-        assert np.allclose(curves.ap[:-1][curves.thresholds[:-1] < 1.0],
-                           expected)
 
     def test_greedy_prefers_higher_iou(self):
         # one detection overlapping two labels is assigned to the label

@@ -299,6 +299,53 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: seed:")
 
+    def refused_before_tracking(self, tmp_path, capsys, monkeypatch,
+                                config):
+        """Standard error of ``semtrack eval`` on ``config``, which must
+        exit with status 1 without tracking a frame."""
+        def no_tracking(*args):
+            raise AssertionError("the stream was tracked")
+
+        monkeypatch.setattr(pipeline, "track_stage", no_tracking)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["eval", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["x", 0, 1.7, 3])
+    def test_rpe_step_not_a_step(self, tmp_path, capsys, monkeypatch, step):
+        config = {**small_config(3), "evaluation": {"rpe_step": step}}
+        err = self.refused_before_tracking(tmp_path, capsys, monkeypatch,
+                                           config)
+        assert err.startswith("error: evaluation.rpe_step:")
+
+    def test_evaluation_not_a_mapping(self, tmp_path, capsys, monkeypatch):
+        config = {**small_config(3), "evaluation": [1]}
+        err = self.refused_before_tracking(tmp_path, capsys, monkeypatch,
+                                           config)
+        assert err.startswith("error: evaluation: expected a mapping")
+
+    def test_measurements_not_a_path(self, tmp_path, capsys, monkeypatch):
+        config = {**small_config(3), "measurements": 5}
+        err = self.refused_before_tracking(tmp_path, capsys, monkeypatch,
+                                           config)
+        assert err.startswith("error: measurements:")
+
+    def test_too_few_frames_to_evaluate(self, tmp_path, capsys,
+                                        monkeypatch):
+        err = self.refused_before_tracking(tmp_path, capsys, monkeypatch,
+                                           small_config(2))
+        assert err.startswith("error: scenario.n_frames:")
+
+    def test_waypoint_not_numbers(self, tmp_path, capsys, monkeypatch):
+        config = small_config(3)
+        config["scenario"]["camera"] = {"waypoints": [
+            [0, -1.5, 0, 0], [0, -1.5, 1, 0], [0, 0, 0, "a"]]}
+        err = self.refused_before_tracking(tmp_path, capsys, monkeypatch,
+                                           config)
+        assert err.startswith("error: camera.waypoints[2]:")
+
     def test_rejects_bad_format(self, tmp_path):
         config = self.write_config(tmp_path)
         with pytest.raises(SystemExit):

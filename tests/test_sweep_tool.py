@@ -50,3 +50,25 @@ def test_largest_ate():
         "largest ATE: seed 2 0.5 m, seed 4 0.3 m, seed 5 0.2 m"
     assert sweep.largest_ate(mine, "w", seeds, theirs, n=2) == \
         "largest ATE: seed 2 0.5 m (other 0.25 m), seed 4 0.3 m (other n/a)"
+
+
+def test_ap_3d_at(tmp_path):
+    path = tmp_path / "metrics.json"
+    thresholds = [k / 40 for k in range(40)]
+    path.write_text(json.dumps({
+        "ap_3d": [1.0 - t for t in thresholds],
+        "error_curve": {"thresholds": thresholds}}))
+    assert sweep.ap_3d_at(path) == 1.0 - 28 / 40
+    assert sweep.ap_3d_at(path, threshold=0.71) is None
+    assert sweep.ap_3d_at(tmp_path / "absent.json") is None
+
+
+def test_identical_by_artifact():
+    mine = {("w", 1): {"artifacts": {"a.csv": "1", "b.csv": "2"}},
+            ("w", 2): {"artifacts": {"a.csv": "1", "b.csv": "3"}},
+            ("w", 3): {"artifacts": {"a.csv": "1"}}}
+    theirs = {("w", 1): {"artifacts": {"a.csv": "1", "b.csv": "2"}},
+              ("w", 2): {"artifacts": {"a.csv": "1", "b.csv": "4"}},
+              ("w", 3): {"artifacts": {"a.csv": "5", "c.csv": "6"}}}
+    assert sweep.identical_by_artifact(mine, theirs) == {
+        "a.csv": (2, 3), "b.csv": (1, 2), "c.csv": (0, 1)}

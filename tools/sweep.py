@@ -11,7 +11,8 @@ S --trace 0 --seconds 1``, one subprocess per run with
 ``PYTHONDONTWRITEBYTECODE=1``, started in the checkout it measures.  For
 each workload the sweep prints the runs that are ``correct``, the failed
 frames, the median and mean object error (% of range), the mean object
-yaw error, the median of ``rpe_p50_mm`` and the largest ATE, and under
+yaw error, the median of ``rpe_p50_mm``, the median AP_3d at IoU 0.7
+(read from each run's ``metrics.json``) and the largest ATE, and under
 it the 3 seeds of largest ATE.  ``--against DIR`` runs the same command
 in a second checkout, prints the same summary for it, the ATE of those
 seeds on both sides, the per-seed ``rpe_p50_mm`` differences (this
@@ -19,7 +20,8 @@ checkout minus the other), and the runs whose measurement stream
 (``stream_sha256``) or artifacts (the sha256 of each file under
 ``.perfbench_out/<workload>-<seed>/``) differ between the checkouts,
 with the largest absolute difference between the numbers of each CSV,
-JSON or JSON-lines artifact that differs, ending with a line
+JSON or JSON-lines artifact that differs, then the runs in which each
+artifact is identical (``camera_est.csv: k of n``), ending with a line
 ``artifacts identical: k of n``.  The exit status is 1 if a run is not
 ``correct`` or failed a frame.
 """
@@ -57,6 +59,19 @@ def artifact_digests(checkout, workload, seed):
         return {}
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.iterdir())}
+
+
+def ap_3d_at(path, threshold=0.7):
+    """The AP_3d of a run's ``metrics.json`` at the IoU ``threshold``;
+    None for a missing file or a threshold it does not hold."""
+    if not path.is_file():
+        return None
+    metrics = json.loads(path.read_text())
+    for value, ap in zip(metrics["error_curve"]["thresholds"],
+                         metrics["ap_3d"]):
+        if math.isclose(value, threshold):
+            return ap
+    return None
 
 
 def _json_numbers(node):
@@ -122,8 +137,10 @@ def run(checkout, command, workload, seed):
                 "stream": None, "artifacts": {}}
     record = json.loads(lines[-2][len("record: "):])
     result = json.loads(lines[-1])
+    accuracy = dict(record["accuracy"], ap_3d_07=ap_3d_at(
+        checkout / ".perfbench_out" / f"{workload}-{seed}" / "metrics.json"))
     return {"correct": result["correct"], "failed": result["failed"],
-            "accuracy": record["accuracy"], "error": record["faults"],
+            "accuracy": accuracy, "error": record["faults"],
             "stream": record["stream_sha256"],
             "artifacts": artifact_digests(checkout, workload, seed)}
 
@@ -157,6 +174,7 @@ def summary(runs):
     obj = _values(runs, "obj_err_pct")
     yaw = _values(runs, "obj_yaw_err_deg")
     rpe = _values(runs, "rpe_p50_mm")
+    ap = _values(runs, "ap_3d_07")
     ate = _values(runs, "ate_rmse_m")
     failed = [r["failed"] for r in runs if r["failed"] is not None]
     return {
@@ -166,8 +184,23 @@ def summary(runs):
         "obj_err_pct_mean": statistics.fmean(obj) if obj else None,
         "yaw_err_deg_mean": statistics.fmean(yaw) if yaw else None,
         "rpe_p50_mm_median": statistics.median(rpe) if rpe else None,
+        "ap_3d_07_median": statistics.median(ap) if ap else None,
         "ate_rmse_m_max": max(ate) if ate else None,
     }
+
+
+def identical_by_artifact(runs, other):
+    """For each artifact name, the runs (keys shared by ``runs`` and
+    ``other``) in which it is identical on both sides, and the runs in
+    which either side has it."""
+    counts = {}
+    for key, a in runs.items():
+        b = other[key]["artifacts"]
+        for name in set(a["artifacts"]) | set(b):
+            same, seen = counts.get(name, (0, 0))
+            counts[name] = (same + (a["artifacts"].get(name) == b.get(name)),
+                            seen + 1)
+    return dict(sorted(counts.items()))
 
 
 def largest_ate(results, workload, seeds, other=None, n=3):
@@ -254,6 +287,10 @@ def main(argv=None):
                                 ROOT / out / name,
                                 args.against.resolve() / out / name))
                     print(f"  {name}{size}")
+        print("== runs in which each artifact is identical")
+        for name, (same, seen) in identical_by_artifact(results,
+                                                        other).items():
+            print(f"{name}: {same} of {seen}")
         print(f"artifacts identical: {identical} of "
               f"{len(workloads) * len(args.seeds)}")
     return 1 if bad else 0
