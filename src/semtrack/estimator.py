@@ -5,9 +5,8 @@ background landmarks from static feature observations, then, with the
 camera poses held fixed, :func:`solve_objects` refines the object tracks
 of the window, fusing feature, semantic box, motion-model and
 dimension-prior residuals.  The tracks share nothing, so they are solved
-together in one batched LM, a block per track, in which each track takes
-the steps of a solve of that track alone (:func:`solve_object`), up to
-rounding.
+together in one batched LM, a block per track, each taking the steps of
+its solo solve (:func:`solve_object`) up to rounding.
 :func:`align_point_clouds` then snaps the converged boxes, by position
 only, to their window's anchored landmarks, again in one batched solve.
 :class:`WindowTracker` chains the stages over a measurement stream, one
@@ -423,14 +422,12 @@ class _ObjectProblem:
                 rows["left"], rows["right"], rows["rot"], rows["trans"],
                 lms[block, rows["lm"]], self.rig, motion[block, slot, :3],
                 motion[block, slot, 3], jacobians)
-            if not jacobians:
-                yield RowBatch(r * info, huber_delta=HUBER_SCALE,
-                               tag="feature", block=block)
-            else:
-                yield RowBatch(r * info, jac["object"] * info,
-                               huber_delta=HUBER_SCALE, tag="feature",
-                               lm_jac=jac["landmark"] * info, block=block,
-                               plan=rows["plan"])
+            jac_w = lm_jac = plan = None
+            if jacobians:
+                jac_w, lm_jac = jac["object"] * info, jac["landmark"] * info
+                plan = rows["plan"]
+            yield RowBatch(r * info, jac_w, plan, HUBER_SCALE, "feature",
+                           lm_jac, block)
         rows = families["semantic"]
         if len(rows["block"]):
             block, slot = rows["block"], rows["slot"]

@@ -11,9 +11,9 @@ lockstep: one evaluation serves all blocks still running, while damping,
 acceptance and the stopping tests stay per block.  A single problem is
 the case of one block.  The damping follows the gain ratio of each
 accepted step, its actual cost decrease over the decrease the
-Gauss-Newton model predicts (Madsen, Nielsen and Tingleff 2004), and by
-default a block stops once a step lowers its cost by less than 1e-6
-relative.
+Gauss-Newton model predicts (Madsen, Nielsen and Tingleff 2004), and a
+block stops once a step lowers its cost by less than :data:`COST_TOL`
+relative, a tolerance for windows that are solved again on every frame.
 
 Two normal-equation accumulators take the batches through one
 ``add_batch`` entry point: a plain dense one, and a Schur-complement
@@ -37,6 +37,9 @@ import numpy as np
 
 MAX_DAMPING = 1e8
 MIN_DAMPING = 1e-12  # floor of the damping after accepted steps
+COST_TOL = 1e-4  # the stopping tests of solve_nls
+GRADIENT_TOL = 1e-10
+STEP_TOL = 1e-12
 LM_DIM = 3  # landmarks are 3D points
 NUMERICAL_FAILURE = "numerical_failure"
 
@@ -439,8 +442,7 @@ def _linearize(problem, state, blocks):
     return eq
 
 
-def solve_nls(problem, state, max_iterations=50, cost_tol=1e-6,
-              gradient_tol=1e-10, step_tol=1e-12, initial_damping=1e-4):
+def solve_nls(problem, state, max_iterations=50, initial_damping=1e-4):
     """Levenberg-Marquardt with gain-ratio diagonal damping, run on every
     block of ``problem`` in lockstep.
 
@@ -456,15 +458,17 @@ def solve_nls(problem, state, max_iterations=50, cost_tol=1e-6,
     decrease) scales the damping by max(1/10, 1 - (2 rho - 1)^3), down to
     :data:`MIN_DAMPING`, and resets the growth factor nu to 2; a rejected
     step multiplies the damping by nu and doubles nu.  A block stops on
-    relative cost decrease below
-    ``cost_tol`` (1e-6, the Ceres default ``function_tolerance``),
-    gradient infinity norm below ``gradient_tol``, accepted step norm
-    below ``step_tol`` (the relative-decrease test is meaningless once
-    the cost sits at machine noise), or ``max_iterations``; a stopped
-    block's rows are not evaluated again.  A block whose damping passes
-    :data:`MAX_DAMPING` stops: as "stalled" if its normal equations are
-    still solvable, else unconverged with reason
-    :data:`NUMERICAL_FAILURE`.  Returns the state and the
+    an accepted step's relative cost decrease below :data:`COST_TOL`,
+    gradient infinity norm below :data:`GRADIENT_TOL`, accepted step norm
+    below :data:`STEP_TOL` (the relative-decrease test is meaningless
+    once the cost sits at machine noise), or ``max_iterations``; a
+    stopped block's rows are not evaluated again.  :data:`COST_TOL` is
+    100 times Ceres's default ``function_tolerance``: the next frame
+    solves each window again from where this solve stopped, and a far
+    car's tail of 1e-4 steps only walks its poorly seen range and dims.
+    A block whose damping passes :data:`MAX_DAMPING` stops: as "stalled"
+    if its normal equations are still solvable, else unconverged with
+    reason :data:`NUMERICAL_FAILURE`.  Returns the state and the
     :class:`SolveReports`.
     """
     n_blocks = problem.n_blocks
@@ -488,7 +492,7 @@ def solve_nls(problem, state, max_iterations=50, cost_tol=1e-6,
 
     while len(running):
         iterations[running] += 1
-        flat = lin.gradient_norm[running] < gradient_tol
+        flat = lin.gradient_norm[running] < GRADIENT_TOL
         stop(running[flat], "gradient", True)
         pending = running[~flat]
         accepted = np.zeros(n_blocks, dtype=bool)
@@ -540,12 +544,11 @@ def solve_nls(problem, state, max_iterations=50, cost_tol=1e-6,
         # the stopping tests come before the next linearization, which a
         # stopped block does not need
         running = np.nonzero(accepted)[0]
-        done = rel_drop[running] < cost_tol
-        stop(running[done], "cost", True)
-        running = running[~done]
-        done = step_norm[running] < step_tol
-        stop(running[done], "step", True)
-        running = running[~done]
+        for value, tol, why in ((rel_drop, COST_TOL, "cost"),
+                                (step_norm, STEP_TOL, "step")):
+            done = value[running] < tol
+            stop(running[done], why, True)
+            running = running[~done]
         running = running[iterations[running] < max_iterations]
         if len(running):
             lin = _linearize(problem, state, running)

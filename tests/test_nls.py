@@ -1,5 +1,7 @@
 """Tests for the Levenberg-Marquardt engine and normal-equation blocks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,24 @@ class Recorded(QuadraticProblem):
         return [batch]
 
 
+class Scripted(QuadraticProblem):
+    """One block that walks the costs ``costs`` in order: every step,
+    whatever its size, moves the state from index k to k + 1, and the
+    residual at index k is sqrt(2 costs[k]).  Past the last entry the
+    cost stays put, so no step is accepted there."""
+
+    def __init__(self, costs):
+        super().__init__(np.ones((1, 1)), np.zeros(1))
+        self.costs = costs
+
+    def residual(self, x):
+        k = min(int(round(x[0])), len(self.costs) - 1)
+        return np.array([math.sqrt(2.0 * self.costs[k])])
+
+    def retract(self, x, step, blocks):
+        return x + 1.0
+
+
 class TestSolveNls:
     def test_linear_problem_one_accepted_step(self):
         rng = np.random.default_rng(21)
@@ -202,6 +222,17 @@ class TestSolveNls:
         assert problem.dampings[:5] == pytest.approx(
             [1e-4, 2e-4, 8e-4, 8e-5, 1.6e-4], rel=1e-12)
         assert report.converged
+
+    def test_stops_on_first_step_below_cost_tolerance(self):
+        # relative drops of the accepted steps around the tolerance of
+        # 1e-4: above it, just above it, then the first one just below it
+        drops = [0.5, 1e-3, 1.5e-4, 1.01e-4, 0.99e-4, 5e-5, 5e-5]
+        costs = list(np.cumprod([100.0] + [1.0 - d for d in drops]))
+        x, (report,) = nls.solve_nls(Scripted(costs), np.zeros(1))
+        assert report.reason == "cost" and report.converged
+        assert report.iterations == 5
+        assert x[0] == 5.0
+        assert report.final_cost == pytest.approx(costs[5], rel=1e-12)
 
     def test_blocks_match_solo_solves(self):
         # each block of a batched solve takes the decisions of its solo

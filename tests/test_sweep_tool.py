@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _SPEC = importlib.util.spec_from_file_location(
     "sweep", Path(__file__).resolve().parent.parent / "tools" / "sweep.py")
 sweep = importlib.util.module_from_spec(_SPEC)
@@ -72,3 +74,26 @@ def test_identical_by_artifact():
               ("w", 3): {"artifacts": {"a.csv": "5", "c.csv": "6"}}}
     assert sweep.identical_by_artifact(mine, theirs) == {
         "a.csv": (2, 3), "b.csv": (1, 2), "c.csv": (0, 1)}
+
+
+def test_speed_error(tmp_path):
+    header = "t,x,y,z,yaw,dx,dy,dz,v,steer\n"
+
+    def table(name, rows):
+        (tmp_path / name).write_text(header + "".join(
+            f"{t},{x},0.0,{z},0.0,4.0,1.6,1.5,{v},0.0\n"
+            for t, x, z, v in rows))
+
+    # two true cars side by side; the estimates swap file ids with them
+    table("object_1_gt.csv", [(0.0, 0.0, 20.0, 10.0), (0.1, 0.0, 21.0, 10.0)])
+    table("object_2_gt.csv", [(0.0, 3.5, 20.0, 5.0), (0.1, 3.5, 20.5, 5.0),
+                              (0.2, 3.5, 21.0, 5.0)])
+    # near car 2 at t 0.0 (error 1.0) and near car 1 at t 0.1 (error 0.5)
+    table("object_1_est.csv", [(0.0, 3.0, 20.2, 6.0), (0.1, 0.4, 21.0, 9.5)])
+    # near car 1 (error 2.0); t 0.3 has no truth and is left out
+    table("object_7_est.csv", [(0.0, 0.5, 19.0, 12.0), (0.3, 3.5, 21.5, 0.0)])
+    table("object_8_est.csv", [])
+    assert sweep.speed_error(tmp_path) == pytest.approx(3.5 / 3)
+    (tmp_path / "object_2_gt.csv").unlink()
+    (tmp_path / "object_1_gt.csv").unlink()
+    assert sweep.speed_error(tmp_path) is None

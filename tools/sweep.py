@@ -12,18 +12,20 @@ S --trace 0 --seconds 1``, one subprocess per run with
 each workload the sweep prints the runs that are ``correct``, the failed
 frames, the median and mean object error (% of range), the mean object
 yaw error, the median of ``rpe_p50_mm``, the median AP_3d at IoU 0.7
-(read from each run's ``metrics.json``) and the largest ATE, and under
-it the 3 seeds of largest ATE.  ``--against DIR`` runs the same command
-in a second checkout, prints the same summary for it, the ATE of those
-seeds on both sides, the per-seed ``rpe_p50_mm`` differences (this
-checkout minus the other), and the runs whose measurement stream
-(``stream_sha256``) or artifacts (the sha256 of each file under
-``.perfbench_out/<workload>-<seed>/``) differ between the checkouts,
-with the largest absolute difference between the numbers of each CSV,
-JSON or JSON-lines artifact that differs, then the runs in which each
-artifact is identical (``camera_est.csv: k of n``), ending with a line
-``artifacts identical: k of n``.  The exit status is 1 if a run is not
-``correct`` or failed a frame.
+(read from each run's ``metrics.json``), the median of each run's mean
+object speed error (each row of an ``object_*_est.csv`` against the
+ground-truth object nearest in position at the same ``t``) and the
+largest ATE, and under it the 3 seeds of largest ATE.  ``--against DIR``
+runs the same command in a second checkout, prints the same summary for
+it, the ATE of those seeds on both sides, the per-seed ``rpe_p50_mm``
+differences (this checkout minus the other), and the runs whose
+measurement stream (``stream_sha256``) or artifacts (the sha256 of each
+file under ``.perfbench_out/<workload>-<seed>/``) differ between the
+checkouts, with the largest absolute difference between the numbers of
+each CSV, JSON or JSON-lines artifact that differs, then the runs in
+which each artifact is identical (``camera_est.csv: k of n``), ending
+with a line ``artifacts identical: k of n``.  The exit status is 1 if a
+run is not ``correct`` or failed a frame.
 """
 
 from __future__ import annotations
@@ -72,6 +74,32 @@ def ap_3d_at(path, threshold=0.7):
         if math.isclose(value, threshold):
             return ap
     return None
+
+
+def _table(path):
+    """The rows of an object CSV, as dicts of floats."""
+    with open(path, newline="") as fh:
+        return [{k: float(v) for k, v in row.items()}
+                for row in csv.DictReader(fh)]
+
+
+def speed_error(out):
+    """Mean |v_est - v_true| over the rows of the ``object_*_est.csv``
+    tables in ``out``, each against the ``object_*_gt.csv`` row nearest
+    in position at the same ``t``; None when no row has a match."""
+    truth = {}
+    for path in sorted(out.glob("object_*_gt.csv")):
+        for row in _table(path):
+            truth.setdefault(row["t"], []).append(row)
+    errors = []
+    for path in sorted(out.glob("object_*_est.csv")):
+        for row in _table(path):
+            if row["t"] not in truth:
+                continue
+            near = min(truth[row["t"]], key=lambda g: math.dist(
+                (g["x"], g["y"], g["z"]), (row["x"], row["y"], row["z"])))
+            errors.append(abs(row["v"] - near["v"]))
+    return statistics.fmean(errors) if errors else None
 
 
 def _json_numbers(node):
@@ -137,8 +165,10 @@ def run(checkout, command, workload, seed):
                 "stream": None, "artifacts": {}}
     record = json.loads(lines[-2][len("record: "):])
     result = json.loads(lines[-1])
-    accuracy = dict(record["accuracy"], ap_3d_07=ap_3d_at(
-        checkout / ".perfbench_out" / f"{workload}-{seed}" / "metrics.json"))
+    out = checkout / ".perfbench_out" / f"{workload}-{seed}"
+    accuracy = dict(record["accuracy"],
+                    ap_3d_07=ap_3d_at(out / "metrics.json"),
+                    speed_err_mps=speed_error(out))
     return {"correct": result["correct"], "failed": result["failed"],
             "accuracy": accuracy, "error": record["faults"],
             "stream": record["stream_sha256"],
@@ -175,6 +205,7 @@ def summary(runs):
     yaw = _values(runs, "obj_yaw_err_deg")
     rpe = _values(runs, "rpe_p50_mm")
     ap = _values(runs, "ap_3d_07")
+    speed = _values(runs, "speed_err_mps")
     ate = _values(runs, "ate_rmse_m")
     failed = [r["failed"] for r in runs if r["failed"] is not None]
     return {
@@ -185,6 +216,7 @@ def summary(runs):
         "yaw_err_deg_mean": statistics.fmean(yaw) if yaw else None,
         "rpe_p50_mm_median": statistics.median(rpe) if rpe else None,
         "ap_3d_07_median": statistics.median(ap) if ap else None,
+        "speed_err_mps_median": statistics.median(speed) if speed else None,
         "ate_rmse_m_max": max(ate) if ate else None,
     }
 
