@@ -1,6 +1,6 @@
 """Viewpoint taxonomy, edge-vertex selection matrices, and closed-form
-4-DoF object pose from a single 2D box, a viewpoint class and a dimension
-prior.
+4-DoF object pose from one 2D box, viewpoint class and dimension prior,
+fitted through the object solves' :func:`residuals.semantic_residual`.
 
 A viewpoint is one of 16 classes: 8 horizontal sectors of the observation
 azimuth (the direction of the camera as seen from the object, 45 deg wide,
@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geom
+from . import residuals as res
 from .errors import BehindCamera, DegenerateGeometry, NoConvergence
-from .geometry import Box3D, ObjectState, Pose, project, rot_y, drot_y, wrap_angle
+from .geometry import Box3D, ObjectState, Pose, project, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,7 @@ DEFAULT_PRIORS = {
 }
 
 SECTOR_WIDTH = np.pi / 4.0
+GRID_STEP_DEG = 1.0  # yaw grid of the candidate sweep
 REFINE_MAX_ITERATIONS = 50  # Gauss-Newton steps per candidate root
 
 
@@ -213,29 +215,6 @@ def selection_set(vp: Viewpoint) -> SelectionSet:
 # Closed-form pose inference
 
 
-def _edge_residual(p, theta, dims, sel: SelectionSet, box: BBox2D):
-    """Residual (4,) and Jacobian (4, 4) of the edge-vertex constraints
-    with respect to (p, theta)."""
-    offsets = sel.vertex_offsets(dims)  # object frame, (4, 3)
-    rot = rot_y(theta)
-    drot = drot_y(theta)
-    edges = box.as_array()[[0, 2, 1, 3]]  # (u_min, u_max, v_min, v_max)
-    res = np.empty(4)
-    jac = np.empty((4, 4))
-    for i in range(4):
-        vert = p + rot @ offsets[i]
-        if vert[2] <= geom.EPS_Z:
-            raise BehindCamera("selected vertex behind camera")
-        axis = 0 if i < 2 else 1  # u for the first two rows, v otherwise
-        res[i] = vert[axis] / vert[2] - edges[i]
-        grad = np.zeros(3)
-        grad[axis] = 1.0 / vert[2]
-        grad[2] = -vert[axis] / vert[2] ** 2
-        jac[i, :3] = grad
-        jac[i, 3] = grad @ (drot @ offsets[i])
-    return res, jac
-
-
 def _tightness_deviation(p, theta, dims, box: BBox2D):
     """How far the full 8-vertex reprojection's bounding rectangle strays
     from the measured box (max abs edge difference).  Zero for the true
@@ -248,20 +227,17 @@ def _tightness_deviation(p, theta, dims, box: BBox2D):
     return float(np.max(np.abs(tight.as_array() - box.as_array())))
 
 
-def _grid_candidates(box: BBox2D, vp: Viewpoint, dims, sel: SelectionSet,
-                     grid_step_deg):
-    """Vectorized yaw-grid sweep: for each grid yaw, the position solving
-    the four edge constraints in least squares, keeping yaws whose implied
-    viewpoint matches ``vp``.  Returns (thetas, positions, costs)."""
-    thetas = wrap_angle(np.deg2rad(np.arange(0.0, 360.0, grid_step_deg)))
+def _grid_candidates(box: BBox2D, vp: Viewpoint, dims, sel: SelectionSet):
+    """Vectorized yaw-grid sweep: for each yaw of a :data:`GRID_STEP_DEG`
+    grid, the position solving the four edge constraints in least squares,
+    keeping yaws whose implied viewpoint matches ``vp``.  Returns the
+    starts (p, theta) (n, 4) and their costs (n,)."""
+    thetas = wrap_angle(np.deg2rad(np.arange(0.0, 360.0, GRID_STEP_DEG)))
     n = len(thetas)
     c, s = np.cos(thetas), np.sin(thetas)
     rots = np.zeros((n, 3, 3))
-    rots[:, 0, 0] = c
-    rots[:, 0, 2] = s
-    rots[:, 1, 1] = 1.0
-    rots[:, 2, 0] = -s
-    rots[:, 2, 2] = c
+    rots[:, [0, 0, 1, 2, 2], [0, 2, 1, 0, 2]] = np.column_stack(
+        [c, s, np.ones(n), -s, c])
     # camera-frame vertex offsets a = R_theta (C_i d) for all yaws: (n, 4, 3)
     offsets = np.einsum("nij,kj->nki", rots, sel.vertex_offsets(dims))
 
@@ -283,15 +259,12 @@ def _grid_candidates(box: BBox2D, vp: Viewpoint, dims, sel: SelectionSet,
     horiz, vert = _viewpoint_classes(
         -np.einsum("nji,nj->ni", rots, np.nan_to_num(pos)), dims)
     ok &= (horiz == vp.horizontal) & (vert == vp.vertical)
-
-    verts = pos[:, None, :] + offsets  # (n, 4, 3)
-    ok &= np.all(verts[:, :, 2] > geom.EPS_Z, axis=1)
-    vo = verts[ok]
-    res = vo[:, np.arange(4), axes] / vo[:, :, 2] - edges
-    return thetas[ok], pos[ok], np.einsum("nk,nk->n", res, res)
+    starts = np.column_stack([pos[ok], thetas[ok]])
+    cost = _edge_rows(starts, box, sel.signs, dims)[2]
+    return starts[np.isfinite(cost)], cost[np.isfinite(cost)]
 
 
-def infer_pose_candidates(box: BBox2D, vp: Viewpoint, dims, grid_step_deg=1.0):
+def infer_pose_candidates(box: BBox2D, vp: Viewpoint, dims):
     """All distinct refined roots of the four edge-vertex constraints.
 
     Returns a list of (position, theta, residual_norm, tightness_deviation)
@@ -305,81 +278,99 @@ def infer_pose_candidates(box: BBox2D, vp: Viewpoint, dims, grid_step_deg=1.0):
         raise DegenerateGeometry("2D box has zero width or height")
     dims = np.asarray(dims, dtype=float)
     sel = selection_set(vp)
-
-    thetas, positions, costs = _grid_candidates(box, vp, dims, sel,
-                                                grid_step_deg)
-    if len(thetas) == 0:
+    starts, costs = _grid_candidates(box, vp, dims, sel)
+    if len(starts) == 0:
         raise DegenerateGeometry("no yaw candidate consistent with the viewpoint")
 
-    # refine every local minimum of the (circular) cost-vs-yaw profile
-    order = np.argsort(thetas)
-    thetas, positions, costs = thetas[order], positions[order], costs[order]
-    n = len(thetas)
-    if n > 2:
-        is_min = (costs <= np.roll(costs, 1)) & (costs <= np.roll(costs, -1))
-    else:
-        is_min = np.ones(n, dtype=bool)
+    # refine every local minimum of the (circular) cost-vs-yaw profile, or
+    # every start when there are only one or two
+    order = np.argsort(starts[:, 3])
+    starts, costs = starts[order], costs[order]
+    is_min = (costs <= np.roll(costs, 1)) & (costs <= np.roll(costs, -1))
+    x, cost, converged = _refine(starts[is_min | (len(costs) <= 2)], box,
+                                 sel.signs, dims)
     roots = []
-    for i in np.flatnonzero(is_min):
-        refined = _refine(np.append(positions[i], thetas[i]), dims, sel, box)
-        if refined is None:
-            continue
-        x, cost = refined
-        theta = wrap_angle(x[3])
-        if any(np.linalg.norm(x[:3] - r[0]) < 1e-6
+    for xi, ci in zip(x[converged], cost[converged]):
+        theta = wrap_angle(xi[3])
+        if any(np.linalg.norm(xi[:3] - r[0]) < 1e-6
                and abs(wrap_angle(theta - r[1])) < 1e-6 for r in roots):
             continue
-        deviation = _tightness_deviation(x[:3], theta, dims, box)
-        roots.append((x[:3].copy(), theta, float(np.sqrt(cost)), deviation))
+        deviation = _tightness_deviation(xi[:3], theta, dims, box)
+        roots.append((xi[:3].copy(), theta, float(np.sqrt(ci)), deviation))
     if not roots:
         raise NoConvergence("pose refinement exceeded iteration budget")
     roots.sort(key=lambda r: (r[3], r[2]))
     return roots
 
 
-def infer_pose(box: BBox2D, vp: Viewpoint, dims, grid_step_deg=1.0):
+def infer_pose(box: BBox2D, vp: Viewpoint, dims):
     """Closed-form 4-DoF pose from one 2D box, viewpoint and dimensions.
 
     Returns (position, theta, residual_norm): the camera-frame box center
     and horizontal orientation minimizing the four edge-vertex constraint
-    residuals.  Yaw is searched on a coarse grid (keeping candidates whose
-    implied viewpoint matches ``vp``); every grid basin is refined by
-    Gauss-Newton on (p, theta) jointly, and the refined root whose full
-    8-vertex reprojection best fills the measured box wins.
+    residuals.  Yaw is searched on a :data:`GRID_STEP_DEG` grid (keeping
+    candidates whose implied viewpoint matches ``vp``); the basins of the
+    grid are refined together by Gauss-Newton on (p, theta), through the
+    box-edge residual of the object solves with the camera at the origin,
+    and the refined root whose full 8-vertex reprojection best fills the
+    measured box wins.
     """
-    p, theta, residual_norm, _ = infer_pose_candidates(
-        box, vp, dims, grid_step_deg)[0]
-    return p, theta, residual_norm
+    return infer_pose_candidates(box, vp, dims)[0][:3]
 
 
-def _refine(x, dims, sel, box):
-    """Damped Gauss-Newton on (p, theta), at most
-    :data:`REFINE_MAX_ITERATIONS` steps; returns (x, cost) or None."""
-    lam = 0.0
-    res, jac = _edge_residual(x[:3], x[3], dims, sel, box)
-    cost = float(res @ res)
+def _edge_rows(x, box: BBox2D, signs, dims):
+    """Edge residuals (k, 4), Jacobians (k, 4, 4) by (p, theta) and costs
+    (k,) of the camera-frame boxes ``x`` = (p, theta) (k, 4).  A box with
+    a selected vertex behind the camera, whose rows
+    :func:`residuals.semantic_residual` drops, costs infinity."""
+    k = len(x)
+    r, jac, mask = res.semantic_residual(
+        np.broadcast_to(box.as_array(), (k, 4)), np.ones((k, 4), dtype=bool),
+        np.broadcast_to(signs, (k, 4, 3)),
+        np.broadcast_to(np.eye(3), (k, 3, 3)), np.zeros((k, 3)),
+        x[:, :3], x[:, 3], dims)
+    front = mask[:, 0]  # every edge is valid: a box keeps all rows or none
+    rows, jacs = np.zeros((k, 4)), np.zeros((k, 4, 4))
+    rows[front] = r.reshape(-1, 4)
+    jacs[front] = jac["object"].reshape(-1, 4, 4)
+    return rows, jacs, np.where(front, np.einsum("ki,ki->k", rows, rows),
+                                np.inf)
+
+
+def _refine(x, box: BBox2D, signs, dims):
+    """Damped Gauss-Newton on k starts ``x`` = (p, theta) (k, 4) at once,
+    each row by its own rules.  A row starts undamped; its damping goes
+    x0.1 on an accepted step and x10 (floor 1e-8) on a cost rise, a
+    singular system or a selected vertex behind the camera.  It converges
+    on an accepted step below 1e-9, or on a cost rise once its damping
+    passes 1e10, and fails if still running after
+    :data:`REFINE_MAX_ITERATIONS` steps.  Only the rows still running are
+    evaluated.  Returns (x (k, 4), cost (k,), converged (k,))."""
+    x = np.array(x, dtype=float)
+    r, jac, cost = _edge_rows(x, box, signs, dims)
+    lam = np.zeros(len(x))
+    running = np.ones(len(x), dtype=bool)
     for _ in range(REFINE_MAX_ITERATIONS):
-        h = jac.T @ jac
-        g = jac.T @ res
-        try:
-            step = np.linalg.solve(h + lam * np.eye(4), -g)
-        except np.linalg.LinAlgError:
-            lam = max(lam * 10.0, 1e-8)
-            continue
-        x_new = x + step
-        try:
-            res_new, jac_new = _edge_residual(x_new[:3], x_new[3], dims, sel, box)
-        except BehindCamera:
-            lam = max(lam * 10.0, 1e-8)
-            continue
-        cost_new = float(res_new @ res_new)
-        if cost_new <= cost:
-            x, res, jac, cost = x_new, res_new, jac_new, cost_new
-            lam *= 0.1
-            if np.max(np.abs(step)) < 1e-9:
-                return x, cost
-        else:
-            lam = max(lam * 10.0, 1e-8)
-            if lam > 1e10:
-                return x, cost
-    return None
+        rows = np.flatnonzero(running)
+        jt = jac[rows].transpose(0, 2, 1)
+        h = jt @ jac[rows] + lam[rows, None, None] * np.eye(4)
+        solved = np.linalg.det(h) != 0.0  # exactly where solve would raise
+        trial = rows[solved]
+        g = jt[solved] @ r[trial, :, None]
+        step = np.linalg.solve(h[solved], -g)[..., 0]
+        x_new = x[trial] + step
+        r_new, jac_new, cost_new = _edge_rows(x_new, box, signs, dims)
+        front = np.isfinite(cost_new)
+        accept = front & (cost_new <= cost[trial])
+        take = trial[accept]
+        x[take], r[take], jac[take], cost[take] = (
+            x_new[accept], r_new[accept], jac_new[accept], cost_new[accept])
+        rejected = running.copy()
+        rejected[take] = False
+        lam[take] *= 0.1
+        lam[rejected] = np.maximum(lam[rejected] * 10.0, 1e-8)
+        running[take[np.max(np.abs(step[accept]), axis=1) < 1e-9]] = False
+        running[trial[front & ~accept & (lam[trial] > 1e10)]] = False
+        if not running.any():
+            break
+    return x, cost, ~running

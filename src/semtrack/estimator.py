@@ -916,8 +916,7 @@ class WindowTracker:
         if t > 0:
             rot_rel = (self.camera_trajectory[t].rotation.T
                        @ self.camera_trajectory[t - 1].rotation)
-        matches, _, new = associate_objects(self._prev_boxes, cur_boxes,
-                                            rot_rel)
+        matches = associate_objects(self._prev_boxes, cur_boxes, rot_rel)[0]
         det_to_track = {}
         for prev_det, cur_det in matches.items():
             if prev_det in self._detector_to_track:
@@ -925,16 +924,14 @@ class WindowTracker:
         # box association can miss across an abrupt shape change (e.g. a
         # box clipped at the image border); fall back on detector-id
         # continuity for tracks not claimed by any other detection
-        assigned = {tid for tid in det_to_track.values() if tid is not None}
+        assigned = set(det_to_track.values())
         for cur_det in cur_boxes:
-            if det_to_track.get(cur_det) is not None:
+            if cur_det in det_to_track:
                 continue
             tid = self._detector_to_track.get(cur_det)
             if tid is not None and tid in self.tracks and tid not in assigned:
                 det_to_track[cur_det] = tid
                 assigned.add(tid)
-        for cur_det in new | (set(cur_boxes) - set(det_to_track)):
-            det_to_track.setdefault(cur_det, None)
         self._prev_boxes = cur_boxes
         return det_to_track
 

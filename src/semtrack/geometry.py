@@ -25,6 +25,7 @@ import numpy as np
 from .errors import BehindCamera
 
 EPS_Z = 1e-6  # behind-camera cutoff (meters)
+CAR_WHEELBASE_RATIO = 0.6  # wheelbase as a fraction of box length
 
 # Vertex sign enumeration, fixed order: index i has bit pattern (sx, sy, sz)
 # with -1 for a 0 bit, +1 for a 1 bit, sx the most significant bit.
@@ -122,12 +123,6 @@ def rot_y(theta):
     """Rotation about the vertical (y) axis."""
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def drot_y(theta):
-    """Derivative of :func:`rot_y` with respect to theta."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[-s, 0.0, c], [0.0, 0.0, 0.0], [-c, 0.0, -s]])
 
 
 def heading(theta):

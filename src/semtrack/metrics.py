@@ -14,6 +14,8 @@ import numpy as np
 from .errors import LengthMismatch
 from .geometry import Box3D, rot_y
 
+N_THRESHOLDS = 40  # IoU thresholds of the detection curves, k / 40
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -218,16 +220,17 @@ def _greedy_match(dets, gts, iou_fn):
     return pairs
 
 
-def ap_and_error_curves(dets, gts, iou_kind="bev", n_thresholds=40):
+def ap_and_error_curves(dets, gts, iou_kind="bev"):
     """Detection quality swept over IoU thresholds.
 
     ``dets`` and ``gts`` are sequences of :class:`DetectionRecord` with
     camera-frame boxes; matching is greedy per frame.  For each of the
-    evenly spaced thresholds in [0, 1) the true-positive rate over all
-    labels, the mean matched-pair center error as a percentage of the
-    label's range from the camera, and the average precision are
-    reported.  Every detection has unit confidence, so there is one
-    operating point per threshold, and its AP reduces to the precision.
+    :data:`N_THRESHOLDS` evenly spaced thresholds in [0, 1) the
+    true-positive rate over all labels, the mean matched-pair center error
+    as a percentage of the label's range from the camera, and the average
+    precision are reported.  Every detection has unit confidence, so there
+    is one operating point per threshold, and its AP reduces to the
+    precision.
     """
     iou_fn = iou_bev if iou_kind == "bev" else iou_3d
     frames = sorted({r.frame for r in dets} | {r.frame for r in gts})
@@ -245,10 +248,10 @@ def ap_and_error_curves(dets, gts, iou_kind="bev", n_thresholds=40):
         rng = np.linalg.norm(gt.box.center)
         err = np.linalg.norm(det.box.center - gt.box.center)
         pair_err[i] = err / max(rng, 1e-12)
-    thresholds = np.arange(n_thresholds) / n_thresholds
-    ap = np.zeros(n_thresholds)
-    tp_rate = np.zeros(n_thresholds)
-    mean_err = np.zeros(n_thresholds)
+    thresholds = np.arange(N_THRESHOLDS) / N_THRESHOLDS
+    ap = np.zeros(N_THRESHOLDS)
+    tp_rate = np.zeros(N_THRESHOLDS)
+    mean_err = np.zeros(N_THRESHOLDS)
     matched_index = {}
     for i, (det, _, _) in enumerate(pairs):
         matched_index[(det.frame, det.object_id)] = i

@@ -284,16 +284,13 @@ def _detection_records(times, camera_poses, object_tracks):
     return records
 
 
-def evaluate_run(est_traj, gt_traj, est_objects, gt_objects, rpe_step=1,
-                 n_thresholds=40):
+def evaluate_run(est_traj, gt_traj, est_objects, gt_objects, rpe_step=1):
     """Metrics dict (JSON-ready) comparing estimate against ground truth."""
     rpe_trans, rpe_rot = rpe(est_traj, gt_traj, step=rpe_step)
     dets = _detection_records(est_traj.times, est_traj.poses, est_objects)
     gts = _detection_records(gt_traj.times, gt_traj.poses, gt_objects)
-    bev = ap_and_error_curves(dets, gts, iou_kind="bev",
-                              n_thresholds=n_thresholds)
-    vol = ap_and_error_curves(dets, gts, iou_kind="3d",
-                              n_thresholds=n_thresholds)
+    bev = ap_and_error_curves(dets, gts, iou_kind="bev")
+    vol = ap_and_error_curves(dets, gts, iou_kind="3d")
     metrics = {
         "ate_rmse_m": ate_rmse(est_traj, gt_traj),
         "rpe_trans": rpe_trans.tolist(),

@@ -26,8 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry as geom
-from .geometry import StereoRig, face_offsets, wrap_angle
-from .simulate import CAR_WHEELBASE_RATIO
+from .geometry import CAR_WHEELBASE_RATIO, StereoRig, face_offsets, wrap_angle
 
 # order mapping from selection rows (u_min, u_max, v_min, v_max) to the
 # BBox2D edge tuple (u_min, v_min, u_max, v_max)
@@ -100,7 +99,7 @@ def feature_residuals_batch(obs_left, obs_right, cam_rotation,
     if not anchored:
         jac["landmark"] = d_world
         return res, jac, valid
-    # drot_y(yaw) @ landmark, and d_world @ rot_y(yaw)
+    # d_world @ (d rot_y / d yaw) @ landmark, and d_world @ rot_y(yaw)
     d_yaw = (d_world[:, :, 0] * (c * z - s * x)[:, None]
              - d_world[:, :, 2] * (c * x + s * z)[:, None])
     jac["object"] = np.concatenate([d_world, d_yaw[:, :, None]], axis=2)
@@ -152,7 +151,7 @@ def semantic_residual(box_edges, valid_edges, signs, cam_rotation,
     # a contiguous transpose keeps matmul off its slow strided path
     d_world = grad @ cam_rotation.transpose(0, 2, 1).copy()
     w_x, w_z = d_world[:, :, 0], d_world[:, :, 2]
-    # d_world @ drot_y(yaw) @ offset, and d_world @ rot_y(yaw)
+    # d_world @ (d rot_y / d yaw) @ offset, and d_world @ rot_y(yaw)
     d_yaw = (-s * w_x - c * w_z) * o_x + (c * w_x - s * w_z) * o_z
     d_dims = np.stack([c * w_x - s * w_z, d_world[:, :, 1], s * w_x + c * w_z],
                       axis=2) * signs / 2.0

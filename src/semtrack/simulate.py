@@ -12,6 +12,7 @@ plane y = 0, cameras are level unless waypoints say otherwise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +21,8 @@ from . import geometry as geom
 from .boxinfer import (BBox2D, DEFAULT_PRIORS, DimensionPrior, Viewpoint,
                        classify_viewpoint_world)
 from .errors import ConfigError, IoError
-from .geometry import Box3D, ObjectState, Pose, StereoRig, heading, rot_y
-
-CAR_WHEELBASE_RATIO = 0.6  # wheelbase as a fraction of box length
+from .geometry import (CAR_WHEELBASE_RATIO, Box3D, ObjectState, Pose,
+                       StereoRig, heading, rot_y)
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,17 @@ def rollout(init: ObjectState, controls, dt, label="car"):
 # Scenario construction
 
 
+def _finite(value):
+    """Whether a config value is a finite number; a bool is not one."""
+    try:
+        return (isinstance(value, (int, float))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _cfg(node, path, key, expected=None, default=None, required=False):
+    """``node[key]``, of type ``expected``; a number must be finite."""
     full = f"{path}.{key}" if path else key
     if key not in node:
         if required:
@@ -173,17 +183,24 @@ def _cfg(node, path, key, expected=None, default=None, required=False):
     value = node[key]
     if expected is not None and not isinstance(value, expected):
         raise ConfigError(full, f"expected {expected}, got {type(value).__name__}")
+    if isinstance(value, (int, float)) and not _finite(value):
+        raise ConfigError(full, "expected a finite number")
     return value
+
+
+def _vector(value, full, length):
+    """``value`` as a float array, if it is ``length`` finite numbers."""
+    if not isinstance(value, (list, tuple)) or len(value) != length \
+            or not all(map(_finite, value)):
+        raise ConfigError(full, f"expected {length} finite numbers")
+    return np.asarray(value, dtype=float)
 
 
 def _parse_vec(node, path, key, length, default=None, required=False):
     value = _cfg(node, path, key, (list, tuple), default, required)
     if value is default and not required:
         return None if default is None else np.asarray(default, dtype=float)
-    if len(value) != length:
-        raise ConfigError(f"{path}.{key}" if path else key,
-                          f"expected {length} numbers")
-    return np.asarray(value, dtype=float)
+    return _vector(value, f"{path}.{key}" if path else key, length)
 
 
 def _camera_trajectory(config, n_frames, dt):
@@ -195,14 +212,7 @@ def _camera_trajectory(config, n_frames, dt):
                               f"expected {n_frames} entries (one per frame)")
         poses = []
         for i, wp in enumerate(waypoints):
-            try:
-                vec = np.asarray(wp, dtype=float)
-            except (TypeError, ValueError):
-                vec = None
-            if vec is None or vec.shape != (4,) or \
-                    not np.isfinite(vec).all():
-                raise ConfigError(f"camera.waypoints[{i}]",
-                                  "expected [x, y, z, yaw], finite numbers")
+            vec = _vector(wp, f"camera.waypoints[{i}]", 4)  # x, y, z, yaw
             poses.append(Pose.from_yaw(vec[3], vec[:3]))
         return tuple(poses)
     start = _parse_vec(cam, "camera", "start", 3, default=[0.0, -1.5, 0.0])
@@ -240,7 +250,9 @@ def _parse_noise(node, focal):
     sigma_b = float(_cfg(node, "noise", "box_sigma_px", (int, float), 1.0))
     vp_rate = float(_cfg(node, "noise", "viewpoint_error_rate", (int, float), 0.0))
     dropout = float(_cfg(node, "noise", "dropout_rate", (int, float), 0.0))
-    seed = int(_cfg(node, "noise", "seed", int, 0))
+    seed = _cfg(node, "noise", "seed", int, 0)
+    if seed < 0:
+        raise ConfigError("noise.seed", "must be a non-negative integer")
     try:
         return NoiseSpec(sigma_f / focal, sigma_b / focal, vp_rate, dropout,
                          seed)
@@ -328,7 +340,8 @@ def generate_scenario(config: dict, seed: int) -> Scenario:
             if len(controls_cfg) != n_frames - 1:
                 raise ConfigError(f"{path}.controls",
                                   f"expected {n_frames - 1} entries")
-            controls = [(float(c[0]), float(c[1])) for c in controls_cfg]
+            controls = [tuple(_vector(c, f"{path}.controls[{j}]", 2).tolist())
+                        for j, c in enumerate(controls_cfg)]
 
         states = tuple(rollout(init, controls, dt, label))
         landmarks = _sample_face_points(dims, per_object_n, rng)
@@ -465,9 +478,8 @@ def synthesize_frame(scenario: Scenario, t: int,
                              noise.box_sigma)
 
 
-def synthesize_all(scenario: Scenario, noise: NoiseSpec | None = None):
-    return [synthesize_frame(scenario, t, noise)
-            for t in range(scenario.n_frames)]
+def synthesize_all(scenario: Scenario):
+    return [synthesize_frame(scenario, t) for t in range(scenario.n_frames)]
 
 
 # ---------------------------------------------------------------------------

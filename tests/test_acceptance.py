@@ -94,7 +94,7 @@ def test_acceptance_1_selection_table_equivalence():
           f"10000 samples, all 16 viewpoints, {elapsed:.1f}s")
 
 
-def test_acceptance_2_box_inference_round_trip():
+def test_acceptance_2_box_inference_round_trip(monkeypatch):
     # a 2D box can admit two exact, tight 3D interpretations (a tangent
     # double root of the edge constraints); such samples count as
     # recovered when ground truth is among the exact candidates
@@ -111,10 +111,13 @@ def test_acceptance_2_box_inference_round_trip():
         yaw_err = abs(wrap_angle(theta_hat - box3.yaw))
         if pos_err > 1e-3 or yaw_err > 1e-3:
             assert residual < 1e-10
-            exact = [
-                (p, th) for p, th, r, dev in bi.infer_pose_candidates(
-                    bb, vp, box3.dims, grid_step_deg=0.25)
-                if r < 1e-8 and dev < 1e-6]
+            # the candidates of a finer yaw grid
+            with monkeypatch.context() as patch:
+                patch.setattr(bi, "GRID_STEP_DEG", 0.25)
+                exact = [
+                    (p, th) for p, th, r, dev in bi.infer_pose_candidates(
+                        bb, vp, box3.dims)
+                    if r < 1e-8 and dev < 1e-6]
             assert len(exact) > 1
             assert any(np.linalg.norm(p - box3.center) < 1e-3
                        and abs(wrap_angle(th - box3.yaw)) < 1e-3

@@ -58,12 +58,6 @@ class TestRotations:
             assert np.allclose(geom.heading(theta),
                                [np.cos(theta), 0.0, -np.sin(theta)], atol=1e-15)
 
-    def test_drot_y_finite_difference(self):
-        eps = 1e-7
-        for theta in (-2.0, 0.0, 0.9):
-            fd = (rot_y(theta + eps) - rot_y(theta - eps)) / (2 * eps)
-            assert np.allclose(geom.drot_y(theta), fd, atol=1e-7)
-
     @staticmethod
     def rotation_vectors(seed):
         """Random rotation vectors with angles from 1e-8 up to pi, the last

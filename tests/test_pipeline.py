@@ -274,6 +274,12 @@ class TestCli:
             assert status == 1
             assert err.startswith("error: estimator.window:"), window
 
+    def test_scenario_number_not_finite(self, tmp_path, capsys):
+        scenario = {**small_config(3)["scenario"], "dt_s": float("nan")}
+        status, err = self.run_eval(tmp_path, capsys, scenario=scenario)
+        assert status == 1
+        assert err.startswith("error: dt_s: expected a finite number"), err
+
     def test_measurement_entry_names_a_directory(self, tmp_path, capsys):
         folder = tmp_path / "logs"
         folder.mkdir()

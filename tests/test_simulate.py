@@ -155,6 +155,32 @@ class TestGenerateScenario:
             sim.generate_scenario({"objects": [{"class": "car"}]}, seed=0)
         with pytest.raises(ConfigError, match="rig.baseline_m"):
             sim.generate_scenario({"rig": {"baseline_m": 0.0}}, seed=0)
+        nan, inf = float("nan"), float("inf")
+        controls = [[5.0, 0.02]] * 19
+
+        def car(**entries):
+            return base_config(objects=[{"init": {}, **entries}])
+
+        for field, config in [
+                ("dt_s", base_config(dt_s=nan)),
+                ("camera.speed", base_config(camera={"speed": inf})),
+                ("camera.yaw_rate", base_config(camera={"yaw_rate": nan})),
+                ("camera.start", base_config(camera={"start": [0, "x", 0]})),
+                ("rig.baseline_m", base_config(rig={"baseline_m": nan})),
+                ("rig.focal_px", base_config(rig={"focal_px": inf})),
+                ("noise.seed", base_config(noise={"seed": -1})),
+                ("n_frames", base_config(n_frames=True)),
+                (r"objects\[0\]\.init\.x", base_config(
+                    objects=[{"init": {"x": False}}])),
+                (r"objects\[0\]\.dims", car(dims=[4.0, nan, 1.7])),
+                (r"objects\[0\]\.controls\[1\]",
+                 car(controls=controls[:1] + [[5.0]] + controls[2:])),
+                (r"objects\[0\]\.controls\[0\]",
+                 car(controls=[[1, "a"]] + controls[1:])),
+                (r"objects\[0\]\.controls\[2\]",
+                 car(controls=controls[:2] + [5.0] + controls[3:]))]:
+            with pytest.raises(ConfigError, match=field):
+                sim.generate_scenario(config, seed=0)
 
     def test_explicit_controls_length_checked(self):
         bad = base_config()

@@ -1,16 +1,27 @@
 """The size of a difference that ``tools/sweep.py --against`` reports for
-an artifact that differs between two checkouts."""
+an artifact that differs between two checkouts, and the placements that
+``tools/boxscan.py`` scans and compares."""
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "sweep", Path(__file__).resolve().parent.parent / "tools" / "sweep.py")
-sweep = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(sweep)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+sweep = _load("sweep")
+boxscan = _load("boxscan")
 
 
 def test_numbers_of_each_kind(tmp_path):
@@ -97,3 +108,26 @@ def test_speed_error(tmp_path):
     (tmp_path / "object_2_gt.csv").unlink()
     (tmp_path / "object_1_gt.csv").unlink()
     assert sweep.speed_error(tmp_path) is None
+
+
+def test_boxscan_two_placements():
+    # a car straight ahead seen from behind converges; one 3 m to the
+    # side does not (the viewpoint table's mismatch off the optical axis)
+    placements = [(0.0, 20.0, -math.pi / 2), (3.0, 20.0, -math.pi / 2)]
+    records = boxscan.run_scan(ROOT, placements)
+    assert [r["outcome"] for r in records] == ["converged", "NoConvergence"]
+    assert records[0]["truth"] == pytest.approx([0.0, 0.7, 20.0, -math.pi / 2])
+    assert boxscan.counts(records) == (2, 1, 1)
+    assert boxscan.differences(records, records) == [
+        "near the truth in the other checkout: 1 of 1 keep their root to "
+        "1e-09, largest move 0"]
+
+    root = records[0]["root"]
+    moved = [dict(records[0], root=root[:3] + [root[3] + 2 * math.pi + 1e-6]),
+             dict(records[1], outcome="DegenerateGeometry")]
+    assert boxscan.differences(moved, records) == [
+        "x +0.0 z 20 yaw -90: root moved by 1e-06",
+        "x +3.0 z 20 yaw -90: NoConvergence -> DegenerateGeometry "
+        "(near the truth: False -> False)",
+        "near the truth in the other checkout: 0 of 1 keep their root to "
+        "1e-09, largest move 1e-06"]
