@@ -7,7 +7,8 @@ the four edge-vertex constraints and compare against the truth.
 
 import numpy as np
 
-from semtrack import (DEFAULT_PRIORS, Box3D, classify_viewpoint, infer_pose,
+from semtrack import (DEFAULT_PRIORS, Box3D, ObjectState, Pose,
+                      classify_viewpoint_world, infer_pose,
                       infer_pose_candidates, selection_set, tight_bbox)
 
 # a camera-frame car inside the validity regime of the rear-left diagonal
@@ -21,7 +22,9 @@ print("ground truth")
 print(f"  center {truth.center}, yaw {truth.yaw:.3f}, dims {truth.dims}")
 
 bb = tight_bbox(truth)
-vp = classify_viewpoint(truth)
+# the camera is level at the origin, so its pose is the identity
+vp = classify_viewpoint_world(Pose.identity(),
+                              ObjectState(truth.center, truth.yaw, truth.dims))
 print("\nmeasurement")
 print(f"  2D box (u_min, v_min, u_max, v_max) = {np.round(bb.as_array(), 4)}")
 print(f"  viewpoint class: horizontal {vp.horizontal}, vertical {vp.vertical}")

@@ -10,9 +10,8 @@ pipeline without images.
 from .geometry import (Box3D, ObjectState, Pose, StereoRig, box_vertices,
                        face_offsets, project)
 from .boxinfer import (BBox2D, DEFAULT_PRIORS, DimensionPrior, SelectionSet,
-                       Viewpoint, classify_viewpoint, classify_viewpoint_world,
-                       infer_pose, infer_pose_candidates, selection_set,
-                       tight_bbox)
+                       Viewpoint, classify_viewpoint_world, infer_pose,
+                       infer_pose_candidates, selection_set, tight_bbox)
 from .simulate import (FrameMeasurements, NoiseSpec, Scenario,
                        generate_scenario, propagate_object, read_measurements,
                        synthesize_all, synthesize_frame, write_measurements)
@@ -29,8 +28,8 @@ __all__ = [
     "Box3D", "ObjectState", "Pose", "StereoRig", "box_vertices",
     "face_offsets", "project",
     "BBox2D", "DEFAULT_PRIORS", "DimensionPrior", "SelectionSet", "Viewpoint",
-    "classify_viewpoint", "classify_viewpoint_world", "infer_pose",
-    "infer_pose_candidates", "selection_set", "tight_bbox",
+    "classify_viewpoint_world", "infer_pose", "infer_pose_candidates",
+    "selection_set", "tight_bbox",
     "FrameMeasurements", "NoiseSpec", "Scenario", "generate_scenario",
     "propagate_object", "read_measurements", "synthesize_all",
     "synthesize_frame", "write_measurements",

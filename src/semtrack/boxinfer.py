@@ -89,11 +89,6 @@ class SelectionSet:
         object.__setattr__(self, "signs", signs)
         signs.setflags(write=False)
 
-    @property
-    def matrices(self):
-        """C1..C4 as 3x3 diagonal matrices."""
-        return tuple(np.diag(s / 2.0) for s in self.signs)
-
     def vertex_offsets(self, dims):
         """Object-frame offsets C_i @ dims of the four selected vertices, (4, 3)."""
         return self.signs * (np.asarray(dims) / 2.0)
@@ -143,14 +138,6 @@ def _viewpoint_classes(q, dims):
 def _classify_from_camera_position(q, dims):
     horizontal, vertical = _viewpoint_classes(q, dims)
     return Viewpoint(int(horizontal), int(vertical))
-
-
-def classify_viewpoint(box_cam: Box3D) -> Viewpoint:
-    """Viewpoint of a camera-frame box (camera at the origin, level)."""
-    if box_cam.center[2] <= geom.EPS_Z:
-        raise BehindCamera("object center behind camera")
-    q = box_cam.pose.apply_inverse(np.zeros(3))
-    return _classify_from_camera_position(q, box_cam.dims)
 
 
 def classify_viewpoint_world(x_cam: Pose, state: ObjectState) -> Viewpoint:

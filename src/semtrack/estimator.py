@@ -10,8 +10,9 @@ its solo solve (:func:`solve_object`) up to rounding.
 :func:`align_point_clouds` then snaps the converged boxes, by position
 only, to their window's anchored landmarks, again in one batched solve.
 :class:`WindowTracker` chains the stages over a measurement stream, one
-ego and one object solve per frame, handing the solvers the window's
-observations as arrays (:class:`FeatureRows`, :class:`SemanticRows`).
+ego and one object solve per frame; it holds the window's observations
+as arrays by absolute frame (:class:`FeatureRows`, :class:`SemanticRows`)
+and hands the object solve its own tracks (:class:`ObjectTrack`).
 Its ego solve takes the whole window only on a keyframe, chosen by
 VINS-Mono's rule (Qin, Li and Shen 2018): the first frame, a frame whose
 last keyframe has left the window, or one that sees again fewer than half
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -63,10 +65,21 @@ KEYFRAME_PARALLAX_PX = 10.0
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Sliding-window length (frames) and frame interval (s)."""
+    """Sliding-window length (frames), an integer of at least 2, and frame
+    interval (s), finite and positive; any other value raises
+    :class:`ValueError`, its message led by the field's name."""
 
     window: int = 10
     dt: float = 0.1
+
+    def __post_init__(self):
+        if not isinstance(self.window, numbers.Integral) or \
+                isinstance(self.window, bool) or self.window < 2:
+            raise ValueError(f"window: expected an integer of at least 2, "
+                             f"got {self.window!r}")
+        if not (isinstance(self.dt, numbers.Real) and 0 < self.dt < math.inf):
+            raise ValueError(f"dt: expected a finite positive number, got "
+                             f"{self.dt!r}")
 
 
 class FeatureRows(NamedTuple):
@@ -128,20 +141,44 @@ def _append_rows(rows, new):
 
 @dataclass
 class ObjectTrack:
-    """Window data of one tracked object.
+    """One tracked object's window, as :class:`WindowTracker` holds it and
+    :func:`solve_objects` takes it.
 
-    ``frames`` are the local window frames of ``states``, ascending; the
-    rows' frames index the camera poses of the window and must be among
-    them.  Motion terms join consecutive frames.
+    ``frames`` are the absolute frames of ``states``, ascending: the
+    window's, or the last alone once the track is seen no more, to predict
+    on when it is seen again.  Motion terms join consecutive frames.
+    ``features`` and ``semantic`` are its feature and box rows by absolute
+    frame, each among ``frames``; ``landmarks`` maps each row's landmark
+    id to its object-frame point.
     """
 
     label: str
-    frames: list
-    states: list
-    landmarks: dict
     prior: DimensionPrior
-    features: FeatureRows
-    semantic: SemanticRows
+    frames: list = field(default_factory=list)
+    states: list = field(default_factory=list)
+    landmarks: dict = field(default_factory=dict)
+    features: FeatureRows = field(default_factory=lambda: feature_rows(()))
+    semantic: SemanticRows = field(default_factory=lambda: semantic_rows(()))
+
+    @property
+    def feature_obs(self):
+        """The frames of the held feature rows, one per row (read-only)."""
+        return self.features.frame
+
+    @property
+    def semantic_obs(self):
+        """The frames of the held box rows, one per row (read-only)."""
+        return self.semantic.frame
+
+    def cut(self, start):
+        """Drop the rows before frame ``start`` and the landmarks left
+        without rows, and the states before it but the last."""
+        self.features = _take_rows(self.features, self.features.frame >= start)
+        self.semantic = _take_rows(self.semantic, self.semantic.frame >= start)
+        held = set(self.features.landmark.tolist())
+        self.landmarks = {k: v for k, v in self.landmarks.items() if k in held}
+        drop = min(bisect.bisect_left(self.frames, start), len(self.frames) - 1)
+        del self.frames[:drop], self.states[:drop]
 
 
 @dataclass(frozen=True)
@@ -319,7 +356,7 @@ class _ObjectProblem:
     columns and landmark it touches, built once per solve.
     """
 
-    def __init__(self, tracks, camera_poses, rig, dt, locked):
+    def __init__(self, tracks, camera_poses, rig, dt, locked, start=0):
         self.rig = rig
         self.feature_info = 1.0 / (FEATURE_SIGMA_PX / rig.focal_px)
         self.box_sigma = BOX_SIGMA_PX / rig.focal_px
@@ -349,21 +386,21 @@ class _ObjectProblem:
             rows = track.features
             keep = np.isin(rows.landmark, ids)
             slot = np.searchsorted(frames, rows.frame[keep])
+            cam = rows.frame[keep] - start
             # position and yaw: the first 4 columns of the state's slot
             feat.append({
                 "block": np.full(len(slot), b), "slot": slot,
                 "lm": np.searchsorted(ids, rows.landmark[keep]),
                 "left": rows.left[keep], "right": rows.right[keep],
-                "rot": cam_rot[rows.frame[keep]],
-                "trans": cam_trans[rows.frame[keep]],
+                "rot": cam_rot[cam], "trans": cam_trans[cam],
                 "cols": 6 * slot[:, None] + np.arange(4)})
             rows = track.semantic
             slot = np.searchsorted(frames, rows.frame)
+            cam = rows.frame - start
             sem.append({
                 "block": np.full(len(slot), b), "slot": slot,
-                "edges": rows.edges, "valid": rows.valid,
-                "signs": rows.signs, "rot": cam_rot[rows.frame],
-                "trans": cam_trans[rows.frame],
+                "edges": rows.edges, "valid": rows.valid, "signs": rows.signs,
+                "rot": cam_rot[cam], "trans": cam_trans[cam],
                 "cols": np.hstack([6 * slot[:, None] + np.arange(4),
                                    np.broadcast_to(own_dims,
                                                    (len(slot), 3))])})
@@ -459,8 +496,7 @@ class _ObjectProblem:
         rows = families["prior"]
         if len(rows["block"]):
             block = rows["block"]
-            r, _ = res.prior_residual(dims[block], rows["mean"],
-                                      jacobians=False)
+            r = res.prior_residual(dims[block], rows["mean"])
             yield RowBatch(r * rows["info"], rows["jac"], tag="prior",
                            block=block, plan=rows["plan"])
 
@@ -479,18 +515,20 @@ class _ObjectProblem:
 
 
 def solve_objects(tracks, camera_poses, rig: StereoRig,
-                  config: EstimatorConfig = EstimatorConfig()):
+                  config: EstimatorConfig = EstimatorConfig(), start=0):
     """Refine the object tracks of one window with the camera poses held
     fixed, in one LM solve with a block per track.
 
-    Each track fuses its feature and semantic rows, the motion model
-    between its consecutive frames and its dimension prior; tracks share
-    nothing, and each track takes the steps of a solve of that track
-    alone, up to rounding.  When a track covers a single frame with
-    semantic measurements only, the problem cannot constrain its dims:
-    they are locked to the prior mean and the ``under_constrained`` flag
-    is set.  Returns one :class:`ObjectResult` per track; a track whose
-    report is not ``converged`` keeps its input states and landmarks.
+    ``camera_poses[i]`` is the pose of absolute frame ``start + i``, and
+    every frame of a track must have a pose.  Each track fuses its feature
+    and semantic rows, the motion model between its consecutive frames
+    and its dimension prior; tracks share nothing, and each track takes
+    the steps of a solve of that track alone, up to rounding.  When a
+    track covers a single frame with semantic measurements only, the
+    problem cannot constrain its dims: they are locked to the prior mean
+    and the ``under_constrained`` flag is set.  Returns one
+    :class:`ObjectResult` per track; a track whose report is not
+    ``converged`` keeps its input states and landmarks.
     """
     if not tracks:
         return []
@@ -500,14 +538,15 @@ def solve_objects(tracks, camera_poses, rig: StereoRig,
         for rows in (track.features, track.semantic):
             if not np.isin(rows.frame, track.frames).all():
                 raise ValueError("row references a frame outside the track")
-        if max(track.frames) >= len(camera_poses):
-            raise ValueError("track references a missing camera pose")
+        if track.frames[0] < start or \
+                track.frames[-1] >= start + len(camera_poses):
+            raise ValueError("track frame outside the window's poses")
     under = [len(t.frames) == 1 and not len(t.features.frame)
              for t in tracks]
     tracks = [replace(t, states=[s.replace(dims=t.prior.mean)
                                  for s in t.states]) if lock else t
               for t, lock in zip(tracks, under)]
-    obj = _ObjectProblem(tracks, camera_poses, rig, config.dt, under)
+    obj = _ObjectProblem(tracks, camera_poses, rig, config.dt, under, start)
     (motion, dims, lms), reports = solve_nls(obj, obj.initial)
     results = []
     for b, (track, report) in enumerate(zip(tracks, reports)):
@@ -625,49 +664,6 @@ def align_point_cloud(state: ObjectState, local_points):
 
 # ---------------------------------------------------------------------------
 # sliding-window tracker
-
-
-@dataclass
-class _TrackData:
-    """Held state of one object track.
-
-    ``frames`` are the absolute frames of ``states``, ascending: those of
-    the window, or the last one alone once the track is seen no more, so
-    that it can be predicted on when it is seen again.  ``features`` and
-    ``semantic`` are the track's feature and box rows of the window by
-    absolute frame, appended as each detection arrives; ``landmarks``
-    maps each held row's landmark id to its object-frame point.
-    """
-
-    track_id: int
-    label: str
-    prior: DimensionPrior
-    frames: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    landmarks: dict = field(default_factory=dict)
-    features: FeatureRows = field(default_factory=lambda: feature_rows(()))
-    semantic: SemanticRows = field(default_factory=lambda: semantic_rows(()))
-    speed_initialized: bool = False
-
-    @property
-    def feature_obs(self):
-        """The frames of the held feature rows, one per row (read-only)."""
-        return self.features.frame
-
-    @property
-    def semantic_obs(self):
-        """The frames of the held box rows, one per row (read-only)."""
-        return self.semantic.frame
-
-    def cut(self, start):
-        """Drop the rows before frame ``start`` and the landmarks left
-        without rows, and the states before it but the last."""
-        self.features = _take_rows(self.features, self.features.frame >= start)
-        self.semantic = _take_rows(self.semantic, self.semantic.frame >= start)
-        held = set(self.features.landmark.tolist())
-        self.landmarks = {k: v for k, v in self.landmarks.items() if k in held}
-        drop = min(bisect.bisect_left(self.frames, start), len(self.frames) - 1)
-        del self.frames[:drop], self.states[:drop]
 
 
 class WindowTracker:
@@ -947,13 +943,12 @@ class WindowTracker:
         state = ObjectState(position=pose.apply(p_cam),
                             yaw=self._world_yaw(pose, yaw_cam),
                             dims=prior.mean.copy())
-        track = _TrackData(self._next_track_id, meas.label, prior)
+        track_id = self._next_track_id
         self._next_track_id += 1
-        self.tracks[track.track_id] = track
-        self.object_trajectories[track.track_id] = []
-        track.frames.append(self._frame)
-        track.states.append(state)
-        return track
+        self.tracks[track_id] = ObjectTrack(meas.label, prior, [self._frame],
+                                            [state])
+        self.object_trajectories[track_id] = []
+        return track_id
 
     def _predict_state(self, track):
         state = track.states[-1]
@@ -970,60 +965,31 @@ class WindowTracker:
         track, then solve the tracks seen."""
         t = self._frame
         det_to_track = self._associate_semantic(semantic)
-        seen_tracks = set()
+        seen = {}
         for meas in semantic:
             track_id = det_to_track.get(meas.object_id)
-            track = self.tracks.get(track_id) if track_id is not None else None
-            if track is None:
-                track = self._start_track(meas, pose)
-                if track is None:
+            if track_id not in self.tracks:
+                track_id = self._start_track(meas, pose)
+                if track_id is None:
                     continue
-            else:
-                if track.frames[-1] != t:
-                    track.states.append(self._predict_state(track))
-                    track.frames.append(t)
-            self._detector_to_track[meas.object_id] = track.track_id
-            track.semantic = _append_rows(track.semantic, SemanticRows(
-                np.array([t]), meas.box.as_array()[None],
-                np.array(meas.valid_edges, dtype=bool)[None],
-                selection_set(meas.viewpoint).signs[None]))
-            seen_tracks.add(track.track_id)
+            track = self.tracks[track_id]
+            if track.frames[-1] != t:
+                track.states.append(self._predict_state(track))
+                track.frames.append(t)
+            self._detector_to_track[meas.object_id] = track_id
+            track.semantic = _append_rows(track.semantic, semantic_rows([(
+                t, meas.box.as_array(), meas.valid_edges, meas.viewpoint)]))
+            seen[track_id] = track
             group = groups.get(meas.object_id)
             if group is not None:
                 track.features = _append_rows(track.features, self._new_rows(
                     track.landmarks, ids[group], left[group], right[group],
                     track.states[-1].pose.apply_inverse))
 
-        self._solve_tracks([self.tracks[i] for i in sorted(seen_tracks)])
-        for track_id in sorted(seen_tracks):
-            track = self.tracks[track_id]
-            self.object_trajectories[track_id].append(
-                (t, track.states[-1]))
-
-    def _maybe_init_speed(self, track):
-        if track.speed_initialized or len(track.frames) < 2:
-            return
-        delta = track.states[-1].position - track.states[0].position
-        span = (track.frames[-1] - track.frames[0]) * self.config.dt
-        if span <= 0:
-            return
-        velocity = delta / span
-        head = np.array([math.cos(track.states[-1].yaw), 0.0,
-                         -math.sin(track.states[-1].yaw)])
-        speed = float(velocity @ head)
-        track.states = [s.replace(speed=speed) for s in track.states]
-        track.speed_initialized = True
-
-    def _window_track(self, track, start):
-        """The :class:`ObjectTrack` of a track seen in this frame, whose
-        states and rows are cut to the window from frame ``start``: its
-        frames shifted to count from ``start``, the rest as held."""
-        features, semantic = track.features, track.semantic
-        return ObjectTrack(
-            track.label, [f - start for f in track.frames],
-            list(track.states), track.landmarks,
-            track.prior, features._replace(frame=features.frame - start),
-            semantic._replace(frame=semantic.frame - start))
+        tracks = sorted(seen.items())
+        self._solve_tracks([track for _, track in tracks])
+        for track_id, track in tracks:
+            self.object_trajectories[track_id].append((t, track.states[-1]))
 
     def _solve_tracks(self, tracks):
         """Cut every track to the window, then solve the windows of
@@ -1034,21 +1000,13 @@ class WindowTracker:
         predicted states."""
         t = self._frame
         start = max(0, t - self.config.window + 1)
-        # before the cut: a track's speed is initialized from its first
-        # state
-        for track in tracks:
-            self._maybe_init_speed(track)
         for track in self.tracks.values():
             track.cut(start)
-        windows = [(track, self._window_track(track, start))
-                   for track in tracks]
-        windows = [(track, window) for track, window in windows
-                   if _range_observed(window.semantic)]
-        results = solve_objects([window for _, window in windows],
-                                self.camera_trajectory[start:t + 1],
-                                self.rig, self.config)
+        tracks = [track for track in tracks if _range_observed(track.semantic)]
+        results = solve_objects(tracks, self.camera_trajectory[start:t + 1],
+                                self.rig, self.config, start)
         solved = []
-        for (track, _), result in zip(windows, results):
+        for track, result in zip(tracks, results):
             if not result.report.converged:
                 continue
             track.states = result.states

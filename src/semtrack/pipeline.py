@@ -192,12 +192,11 @@ def estimator_config_from(node, dt):
     unknown = set(node) - _ESTIMATOR_KEYS
     if unknown:
         raise ConfigError("estimator", f"unknown keys {sorted(unknown)}")
-    window = node.get("window", EstimatorConfig.window)
-    if not _is_int(window) or window < 2:
-        raise ConfigError("estimator.window",
-                          f"expected an integer of at least 2, got "
-                          f"{window!r}")
-    return EstimatorConfig(dt=dt, **node)
+    try:
+        return EstimatorConfig(dt=dt, **node)
+    except ValueError as exc:
+        name, _, message = str(exc).partition(": ")
+        raise ConfigError(f"estimator.{name}", message) from exc
 
 
 def config_seed(config):

@@ -209,12 +209,9 @@ def motion_residual(cur, prev, dt, dims, label="car", jacobians=True):
     return res, {"cur": jac_cur, "prev": jac_prev, "dims": jac_dims}
 
 
-def prior_residual(dims, mean, jacobians=True):
-    """Dimension-prior residual d - mean; Jacobian is the identity."""
-    res = np.asarray(dims, dtype=float) - mean
-    if not jacobians:
-        return res, {}
-    return res, {"dims": np.eye(3)}
+def prior_residual(dims, mean):
+    """Dimension-prior residual d - mean (its Jacobian is the identity)."""
+    return np.asarray(dims, dtype=float) - mean
 
 
 def point_surface_residual(world_points, position, yaw, dims, faces,

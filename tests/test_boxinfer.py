@@ -4,7 +4,8 @@ single-box pose inference."""
 import numpy as np
 import pytest
 
-from viewpoints import (REFERENCE_VIEWPOINT, sample_camera_frame_box,
+from viewpoints import (REFERENCE_VIEWPOINT, camera_viewpoint,
+                        sample_camera_frame_box,
                         sample_viewpoint_config)
 
 from semtrack import geometry as geom
@@ -47,7 +48,6 @@ class TestClassifyViewpoint:
             state = ObjectState(box.center, box.yaw, box.dims)
             # level camera at the origin, expressed as a world pose
             assert bi.classify_viewpoint_world(Pose.identity(), state) == vp
-            assert bi.classify_viewpoint(box) == vp
 
     def test_world_classification_ignores_camera_orientation(self):
         rng = np.random.default_rng(22)
@@ -86,11 +86,6 @@ class TestSelectionTable:
                 assert sel.signs[3, 1] == 1.0
                 # the two u rows use distinct horizontal corners
                 assert np.any(sel.signs[0, [0, 2]] != sel.signs[1, [0, 2]])
-
-    def test_matrices_are_half_sign_diagonals(self):
-        sel = bi.selection_set(bi.Viewpoint(1, 0))
-        for row, mat in zip(sel.signs, sel.matrices):
-            assert np.allclose(mat, np.diag(row / 2.0))
 
     def test_vertex_offsets(self):
         sel = bi.selection_set(bi.Viewpoint(5, 1))
@@ -145,7 +140,7 @@ class TestInferPose:
         theta = 0.3
         dims = np.array([4.0, 1.6, 1.8])
         box3 = Box3D(p, theta, dims)
-        vp = bi.classify_viewpoint(box3)
+        vp = camera_viewpoint(box3)
         sel = bi.selection_set(vp)
         verts = p + sel.vertex_offsets(dims) @ rot_y(theta).T
         uv = geom.project(verts)
@@ -171,7 +166,7 @@ class TestInferPose:
         # must sit on the box's horizontal midline
         dims = np.array([3.9, 1.6, 1.7])
         box3 = Box3D(np.array([0.0, 0.4, 20.0]), 0.0, dims)
-        vp = bi.classify_viewpoint(box3)
+        vp = camera_viewpoint(box3)
         bb = bi.tight_bbox(box3)
         p_hat, _, _ = bi.infer_pose(bb, vp, dims)
         assert abs(p_hat[0] / p_hat[2]
@@ -210,7 +205,7 @@ class TestRefine:
         # a box whose edges the selected vertices touch: an exact root
         dims = np.array([3.9, 1.6, 1.7])
         box3 = Box3D(np.array([2.0, 0.7, 18.0]), 0.4, dims)
-        sel = bi.selection_set(bi.classify_viewpoint(box3))
+        sel = bi.selection_set(camera_viewpoint(box3))
         uv = geom.project(box3.center
                           + sel.vertex_offsets(dims) @ rot_y(box3.yaw).T)
         box = bi.BBox2D(uv[0, 0], uv[2, 1], uv[1, 0], uv[3, 1])

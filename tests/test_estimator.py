@@ -112,10 +112,34 @@ def object_problem(scenario, frames, obj_index=0, rng=None,
                     continue
                 semantic.append((t, s.box.as_array(), s.valid_edges,
                                  s.viewpoint))
-    track = est.ObjectTrack(obj.label, list(range(n)), states, lm_init,
-                            obj.prior, est.feature_rows(features),
+    track = est.ObjectTrack(obj.label, obj.prior, list(range(n)), states,
+                            lm_init, est.feature_rows(features),
                             est.semantic_rows(semantic))
     return (track, list(scenario.camera[:n])), obj
+
+
+def shifted(track, by):
+    """A copy of ``track``, states and landmarks copied too, with its
+    frames and its rows' frames moved by ``by``.  ``shifted(track,
+    -start)`` counts a tracker's track from its window's first frame."""
+    features, semantic = track.features, track.semantic
+    return replace(track, frames=[f + by for f in track.frames],
+                   states=list(track.states), landmarks=dict(track.landmarks),
+                   features=features._replace(frame=features.frame + by),
+                   semantic=semantic._replace(frame=semantic.frame + by))
+
+
+class TestEstimatorConfig:
+    def test_refuses_bad_values_when_built(self):
+        # a window below 2 never solves the ego window, and a fractional
+        # one cannot slice it
+        for window in (1, 0, -3, 2.5, 4.0, True, "10", None):
+            with pytest.raises(ValueError, match="^window: "):
+                est.EstimatorConfig(window=window)
+        for dt in (0.0, -0.1, float("inf"), float("nan"), "0.1", None):
+            with pytest.raises(ValueError, match="^dt: "):
+                est.EstimatorConfig(dt=dt)
+        assert est.EstimatorConfig(window=np.int64(2), dt=1).window == 2
 
 
 class TestSolveEgo:
@@ -275,11 +299,29 @@ class TestSolveObject:
                 assert sx.yaw == sy.yaw
 
     def test_empty_track_rejected(self):
-        track = est.ObjectTrack("car", [], [], {}, DEFAULT_PRIORS["car"],
-                                est.feature_rows([]), est.semantic_rows([]))
+        track = est.ObjectTrack("car", DEFAULT_PRIORS["car"])
         with pytest.raises(ValueError):
             est.solve_object(track, [Pose.identity()],
                              StereoRig.horizontal(0.54))
+
+    def test_frames_count_from_the_window_start(self):
+        # camera_poses[i] is the pose of frame start + i: the same window
+        # at frames 2..4 solves as at frames 0..2, and a frame before the
+        # start or past the last pose is refused
+        scenario = make_scenario(3, [car(-10.0, 18.0)])
+        frames = [sim.synthesize_frame(scenario, t) for t in range(3)]
+        rng = np.random.default_rng(9)
+        (track, cams), _ = object_problem(scenario, frames, rng=rng,
+                                          state_noise=(0.1, 0.01))
+        later = shifted(track, 2)
+        (at_zero,) = est.solve_objects([track], cams, scenario.rig)
+        (at_two,) = est.solve_objects([later], cams, scenario.rig, start=2)
+        assert at_two.report == at_zero.report
+        for a, b in zip(at_two.states, at_zero.states):
+            assert np.array_equal(a.position, b.position)
+        for start in (1, 3):
+            with pytest.raises(ValueError, match="outside the window"):
+                est.solve_objects([later], cams, scenario.rig, start=start)
 
 
 def assert_same_solve(got, solo):
@@ -627,9 +669,12 @@ class TestOnePassProblems:
             ego_calls.append((*args, pose_only))
             return solve_ego(*args, pose_only=pose_only)
 
-        def capture_objects(tracks, *args):
-            object_calls.extend((track, *args) for track in tracks)
-            return solve_objects(tracks, *args)
+        def capture_objects(tracks, poses, rig, config, start):
+            # the tracker's own tracks move on: keep each as it was, with
+            # its frames counted from the window's start
+            object_calls.extend((shifted(track, -start), poses, rig, config)
+                                for track in tracks)
+            return solve_objects(tracks, poses, rig, config, start)
 
         tracker = est.WindowTracker(scenario.rig, config,
                                     initial_pose=scenario.camera[0])
@@ -1328,15 +1373,20 @@ class TestWindowTracker:
         config = est.EstimatorConfig(dt=scenario.dt)
         calls = []
 
-        def record(name, solve):
+        def record(name, solve, snapshot=lambda *args: args):
             def recorded(*args, **kwargs):
-                calls.append((name, args))
+                calls.append((name, snapshot(*args)))
                 return solve(*args, **kwargs)
             return recorded
 
+        def snapshot(tracks, poses, rig, config, start):
+            # each track as it was, with its frames counted from the
+            # window's start: the tracker's own tracks move on
+            return [shifted(track, -start) for track in tracks], poses
+
         monkeypatch.setattr(est, "solve_ego", record("ego", est.solve_ego))
         monkeypatch.setattr(est, "solve_objects",
-                            record("objects", est.solve_objects))
+                            record("objects", est.solve_objects, snapshot))
         tracker = est.WindowTracker(scenario.rig, config,
                                     initial_pose=scenario.camera[0])
         got = []

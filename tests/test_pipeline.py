@@ -268,7 +268,7 @@ class TestCli:
         return status, capsys.readouterr().err
 
     def test_window_not_an_integer(self, tmp_path, capsys):
-        for window in ("ten", 1, True, 4.0):
+        for window in ("ten", 1, 0, -3, True, 4.0, 2.5):
             status, err = self.run_eval(tmp_path, capsys,
                                         estimator={"window": window})
             assert status == 1

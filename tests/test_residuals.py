@@ -386,12 +386,10 @@ class TestMotionResidual:
 
 
 class TestPriorResidual:
-    def test_value_and_jacobian(self):
+    def test_value(self):
         prior = DEFAULT_PRIORS["car"]
-        r0, jac = res.prior_residual(prior.mean + [0.1, -0.2, 0.05],
-                                     prior.mean)
+        r0 = res.prior_residual(prior.mean + [0.1, -0.2, 0.05], prior.mean)
         assert np.allclose(r0, [0.1, -0.2, 0.05])
-        assert np.array_equal(jac["dims"], np.eye(3))
 
 
 def surface_one(world, obj, face, jacobians=True):

@@ -7,7 +7,7 @@ import numpy as np
 from semtrack import geometry as geom
 from semtrack.boxinfer import (SECTOR_WIDTH, Viewpoint,
                                brute_force_extremes_camera,
-                               classify_viewpoint, classify_viewpoint_world,
+                               classify_viewpoint_world,
                                infer_pose_candidates, selection_set,
                                tight_bbox)
 from semtrack.errors import DegenerateGeometry, NoConvergence
@@ -16,6 +16,13 @@ from semtrack.geometry import Box3D, ObjectState, Pose, rot_y, wrap_angle
 # The viewpoint whose selection set matches the published edge-vertex
 # matrices: camera rear-left of the object, slightly above it.
 REFERENCE_VIEWPOINT = Viewpoint(horizontal=3, vertical=1)
+
+
+def camera_viewpoint(box: Box3D) -> Viewpoint:
+    """Viewpoint of a camera-frame box, seen by a level camera at the
+    origin."""
+    return classify_viewpoint_world(
+        Pose.identity(), ObjectState(box.center, box.yaw, box.dims))
 
 
 def _sample_camera_position(vp: Viewpoint, rng, half, range_m, max_pitch_deg):
@@ -145,7 +152,7 @@ def sample_camera_frame_box(vp: Viewpoint, rng, dims=None, range_m=(5.0, 60.0),
         theta0, beta = _off_axis_bound(q, dims)
         theta = wrap_angle(theta0 + rng.uniform(-beta, beta))
         box = Box3D(-(rot_y(theta) @ q), theta, dims)
-        assert classify_viewpoint(box) == vp
+        assert camera_viewpoint(box) == vp
         if not verify:
             return box
         signs = geom.VERTEX_SIGNS[list(brute_force_extremes_camera(box))].copy()
