@@ -118,12 +118,6 @@ def _eight_point_batch(prev, cur):
     return _fundamental(_design_rows(p_n, c_n), t_p, t_c)
 
 
-def _eight_point(prev, cur):
-    """Normalized 8-point fundamental matrix; None if rank-deficient."""
-    f_mat, deficient = _eight_point_batch(prev, cur)
-    return None if deficient else f_mat
-
-
 def _homogeneous(pts):
     return np.hstack([pts, np.ones((len(pts), 1))])
 

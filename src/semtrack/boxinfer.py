@@ -29,6 +29,8 @@ from . import geometry as geom
 from . import residuals as res
 from .errors import BehindCamera, DegenerateGeometry, NoConvergence
 from .geometry import Box3D, ObjectState, Pose, project, wrap_angle
+from .nls import (DenseNormalEquations, RowBatch, batch_cost, scatter_plan,
+                  solve_nls)
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ DEFAULT_PRIORS = {
 
 SECTOR_WIDTH = np.pi / 4.0
 GRID_STEP_DEG = 1.0  # yaw grid of the candidate sweep
-REFINE_MAX_ITERATIONS = 50  # Gauss-Newton steps per candidate root
+FIT_TOL = 0.05  # residual norm, in box heights, of a candidate root
 
 
 def _viewpoint_classes(q, dims):
@@ -247,7 +249,9 @@ def _grid_candidates(box: BBox2D, vp: Viewpoint, dims, sel: SelectionSet):
         -np.einsum("nji,nj->ni", rots, np.nan_to_num(pos)), dims)
     ok &= (horiz == vp.horizontal) & (vert == vp.vertical)
     starts = np.column_stack([pos[ok], thetas[ok]])
-    cost = _edge_rows(starts, box, sel.signs, dims)[2]
+    k = len(starts)
+    cost = batch_cost(_BoxProblem(starts, box, sel.signs, dims).batches(
+        starts, np.arange(k), False), k).cost
     return starts[np.isfinite(cost)], cost[np.isfinite(cost)]
 
 
@@ -259,7 +263,9 @@ def infer_pose_candidates(box: BBox2D, vp: Viewpoint, dims):
     admit several exact roots (the vertical edges pin only the depth and
     height of one vertex; its lateral offset and the yaw solve a 2x2
     system with multiple solutions), so callers that need a unique answer
-    should check for a single near-exact, near-tight entry.
+    should check for a single near-exact, near-tight entry.  A root is a
+    candidate only if its solve converged within :data:`FIT_TOL` box
+    heights; :class:`NoConvergence` means that none did.
     """
     if box.width < 1e-9 or box.height < 1e-9:
         raise DegenerateGeometry("2D box has zero width or height")
@@ -274,18 +280,22 @@ def infer_pose_candidates(box: BBox2D, vp: Viewpoint, dims):
     order = np.argsort(starts[:, 3])
     starts, costs = starts[order], costs[order]
     is_min = (costs <= np.roll(costs, 1)) & (costs <= np.roll(costs, -1))
-    x, cost, converged = _refine(starts[is_min | (len(costs) <= 2)], box,
-                                 sel.signs, dims)
+    problem = _BoxProblem(starts[is_min | (len(costs) <= 2)], box, sel.signs,
+                          dims)
+    x, reports = solve_nls(problem, problem.initial)
     roots = []
-    for xi, ci in zip(x[converged], cost[converged]):
+    for xi, report in zip(x, reports):
+        fit = (2.0 * report.final_cost) ** 0.5  # in box heights
+        if not (report.converged and fit <= FIT_TOL):
+            continue
         theta = wrap_angle(xi[3])
         if any(np.linalg.norm(xi[:3] - r[0]) < 1e-6
                and abs(wrap_angle(theta - r[1])) < 1e-6 for r in roots):
             continue
         deviation = _tightness_deviation(xi[:3], theta, dims, box)
-        roots.append((xi[:3].copy(), theta, float(np.sqrt(ci)), deviation))
+        roots.append((xi[:3].copy(), theta, fit * box.height, deviation))
     if not roots:
-        raise NoConvergence("pose refinement exceeded iteration budget")
+        raise NoConvergence("no refined pose fits the box within FIT_TOL")
     roots.sort(key=lambda r: (r[3], r[2]))
     return roots
 
@@ -297,67 +307,51 @@ def infer_pose(box: BBox2D, vp: Viewpoint, dims):
     and horizontal orientation minimizing the four edge-vertex constraint
     residuals.  Yaw is searched on a :data:`GRID_STEP_DEG` grid (keeping
     candidates whose implied viewpoint matches ``vp``); the basins of the
-    grid are refined together by Gauss-Newton on (p, theta), through the
-    box-edge residual of the object solves with the camera at the origin,
-    and the refined root whose full 8-vertex reprojection best fills the
-    measured box wins.
+    grid are refined on (p, theta) by :func:`nls.solve_nls`, one block per
+    basin (:class:`_BoxProblem`, the box-edge residual of the object
+    solves with the camera at the origin), and of the roots that fit the
+    box within :data:`FIT_TOL` box heights (else :class:`NoConvergence`),
+    the one whose full 8-vertex reprojection best fills the box wins.
     """
     return infer_pose_candidates(box, vp, dims)[0][:3]
 
 
-def _edge_rows(x, box: BBox2D, signs, dims):
-    """Edge residuals (k, 4), Jacobians (k, 4, 4) by (p, theta) and costs
-    (k,) of the camera-frame boxes ``x`` = (p, theta) (k, 4).  A box with
-    a selected vertex behind the camera, whose rows
-    :func:`residuals.semantic_residual` drops, costs infinity."""
-    k = len(x)
-    r, jac, mask = res.semantic_residual(
-        np.broadcast_to(box.as_array(), (k, 4)), np.ones((k, 4), dtype=bool),
-        np.broadcast_to(signs, (k, 4, 3)),
-        np.broadcast_to(np.eye(3), (k, 3, 3)), np.zeros((k, 3)),
-        x[:, :3], x[:, 3], dims)
-    front = mask[:, 0]  # every edge is valid: a box keeps all rows or none
-    rows, jacs = np.zeros((k, 4)), np.zeros((k, 4, 4))
-    rows[front] = r.reshape(-1, 4)
-    jacs[front] = jac["object"].reshape(-1, 4, 4)
-    return rows, jacs, np.where(front, np.einsum("ki,ki->k", rows, rows),
-                                np.inf)
+class _BoxProblem:
+    """Camera-frame boxes (p, theta) (k, 4) from k starts fitted to one 2D
+    box, a block each, whose one row is the four edge residuals of
+    :func:`residuals.semantic_residual` with the camera at the origin, in
+    box heights: so the absolute tests of :func:`nls.solve_nls` reach
+    exact roots.  A box with a selected vertex behind the camera, whose
+    rows that function drops, costs infinity."""
 
+    def __init__(self, starts, box: BBox2D, signs, dims):
+        self.n_blocks = k = len(starts)
+        self.initial = np.asarray(starts, dtype=float)
+        self.edges = box.as_array()
+        self.info = 1.0 / box.height
+        self.signs, self.dims = signs, dims
+        self.plan = scatter_plan(np.arange(k), np.arange(4), k, 4)
 
-def _refine(x, box: BBox2D, signs, dims):
-    """Damped Gauss-Newton on k starts ``x`` = (p, theta) (k, 4) at once,
-    each row by its own rules.  A row starts undamped; its damping goes
-    x0.1 on an accepted step and x10 (floor 1e-8) on a cost rise, a
-    singular system or a selected vertex behind the camera.  It converges
-    on an accepted step below 1e-9, or on a cost rise once its damping
-    passes 1e10, and fails if still running after
-    :data:`REFINE_MAX_ITERATIONS` steps.  Only the rows still running are
-    evaluated.  Returns (x (k, 4), cost (k,), converged (k,))."""
-    x = np.array(x, dtype=float)
-    r, jac, cost = _edge_rows(x, box, signs, dims)
-    lam = np.zeros(len(x))
-    running = np.ones(len(x), dtype=bool)
-    for _ in range(REFINE_MAX_ITERATIONS):
-        rows = np.flatnonzero(running)
-        jt = jac[rows].transpose(0, 2, 1)
-        h = jt @ jac[rows] + lam[rows, None, None] * np.eye(4)
-        solved = np.linalg.det(h) != 0.0  # exactly where solve would raise
-        trial = rows[solved]
-        g = jt[solved] @ r[trial, :, None]
-        step = np.linalg.solve(h[solved], -g)[..., 0]
-        x_new = x[trial] + step
-        r_new, jac_new, cost_new = _edge_rows(x_new, box, signs, dims)
-        front = np.isfinite(cost_new)
-        accept = front & (cost_new <= cost[trial])
-        take = trial[accept]
-        x[take], r[take], jac[take], cost[take] = (
-            x_new[accept], r_new[accept], jac_new[accept], cost_new[accept])
-        rejected = running.copy()
-        rejected[take] = False
-        lam[take] *= 0.1
-        lam[rejected] = np.maximum(lam[rejected] * 10.0, 1e-8)
-        running[take[np.max(np.abs(step[accept]), axis=1) < 1e-9]] = False
-        running[trial[front & ~accept & (lam[trial] > 1e10)]] = False
-        if not running.any():
-            break
-    return x, cost, ~running
+    def equations(self):
+        return DenseNormalEquations(4, self.n_blocks)
+
+    def batches(self, x, blocks, jacobians):
+        m = len(blocks)
+        r, jac, mask = res.semantic_residual(
+            np.broadcast_to(self.edges, (m, 4)), np.ones((m, 4), dtype=bool),
+            np.broadcast_to(self.signs, (m, 4, 3)),
+            np.broadcast_to(np.eye(3), (m, 3, 3)), np.zeros((m, 3)),
+            x[blocks, :3], x[blocks, 3], self.dims, jacobians=jacobians)
+        front = mask[:, 0]  # every edge is valid: a box keeps all rows or none
+        rows = np.full((m, 4), np.inf)
+        rows[front] = r.reshape(-1, 4) * self.info
+        jac_w = np.zeros((m, 4, 4)) if jacobians else None
+        if jacobians:
+            jac_w[front] = jac["object"].reshape(-1, 4, 4) * self.info
+        return [RowBatch(rows, jac_w, self.plan[blocks], block=blocks)]
+
+    def retract(self, x, step, blocks):
+        (dense,) = step
+        x = x.copy()
+        x[blocks] += dense
+        return x

@@ -783,9 +783,10 @@ class WindowTracker:
     def _frame_points(self, frame_measurements):
         """Feature ids, anchor ids (n,) and left and right image points
         (n, 2) of the next frame.  Raises :class:`ConfigError` naming the
-        frame when an id is not an integer or a point is not a 2-vector,
-        and naming the feature or detection as well when a detection does
-        not have 4 edge flags or a point or a box edge is not finite."""
+        frame when an id is not an integer, a label has no prior or a
+        point is not a 2-vector, and naming the feature or detection as
+        well when a detection does not have 4 edge flags or a point or a
+        box edge is not finite."""
         where = f"frame {self._frame + 1}"
         features = frame_measurements.features
         semantic = frame_measurements.semantic
@@ -807,6 +808,13 @@ class WindowTracker:
             raise ConfigError(where,
                               f"feature {fid} has a non-finite image point")
         for s in semantic:
+            if not isinstance(s.object_id, numbers.Integral) or \
+                    isinstance(s.object_id, bool):
+                raise ConfigError(where, f"detection id {s.object_id!r} is "
+                                  "not an integer")
+            if not (isinstance(s.label, str) and s.label in DEFAULT_PRIORS):
+                raise ConfigError(where, f"detection {s.object_id} has "
+                                  f"unknown label {s.label!r}")
             if np.shape(s.valid_edges) != (4,):
                 raise ConfigError(where, f"detection {s.object_id} does not "
                                   "have 4 edge flags")
@@ -819,9 +827,8 @@ class WindowTracker:
         return ids, anchors, points[:, 0], points[:, 1]
 
     def process(self, frame_measurements):
-        """Track one frame.  A frame with a malformed or non-finite feature
-        point, box edge or set of edge flags raises :class:`ConfigError`
-        and changes nothing."""
+        """Track one frame.  A frame that :meth:`_frame_points` refuses
+        raises :class:`ConfigError` and changes nothing."""
         ids, anchors, left, right = self._frame_points(frame_measurements)
         self._frame += 1
         t = self._frame
@@ -934,7 +941,7 @@ class WindowTracker:
     def _start_track(self, meas, pose):
         if not all(meas.valid_edges):
             return None
-        prior = DEFAULT_PRIORS.get(meas.label, DEFAULT_PRIORS["car"])
+        prior = DEFAULT_PRIORS[meas.label]
         try:
             p_cam, yaw_cam, _ = infer_pose(meas.box, meas.viewpoint,
                                            prior.mean)

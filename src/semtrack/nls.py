@@ -9,11 +9,13 @@ blocks, with Jacobians or cost-only) and ``retract(state, step,
 blocks)``.  :func:`solve_nls` runs Levenberg-Marquardt on every block in
 lockstep: one evaluation serves all blocks still running, while damping,
 acceptance and the stopping tests stay per block.  A single problem is
-the case of one block.  The damping follows the gain ratio of each
-accepted step, its actual cost decrease over the decrease the
+the case of one block; the roots of :func:`boxinfer.infer_pose` are k
+blocks, one per yaw-grid start.  The damping follows the gain ratio of
+each accepted step, its actual cost decrease over the decrease the
 Gauss-Newton model predicts (Madsen, Nielsen and Tingleff 2004), and a
 block stops once a step lowers its cost by less than :data:`COST_TOL`
-relative, a tolerance for windows that are solved again on every frame.
+relative, a tolerance for windows that are solved again on every frame,
+or after :data:`MAX_ITERATIONS`, the package's one iteration budget.
 
 Two normal-equation accumulators take the batches through one
 ``add_batch`` entry point: a plain dense one, and a Schur-complement
@@ -38,6 +40,7 @@ import numpy as np
 MAX_DAMPING = 1e8
 MIN_DAMPING = 1e-12  # floor of the damping after accepted steps
 COST_TOL = 1e-4  # the stopping tests of solve_nls
+MAX_ITERATIONS = 50
 GRADIENT_TOL = 1e-10
 STEP_TOL = 1e-12
 LM_DIM = 3  # landmarks are 3D points
@@ -442,7 +445,7 @@ def _linearize(problem, state, blocks):
     return eq
 
 
-def solve_nls(problem, state, max_iterations=50, initial_damping=1e-4):
+def solve_nls(problem, state, initial_damping=1e-4):
     """Levenberg-Marquardt with gain-ratio diagonal damping, run on every
     block of ``problem`` in lockstep.
 
@@ -461,7 +464,7 @@ def solve_nls(problem, state, max_iterations=50, initial_damping=1e-4):
     an accepted step's relative cost decrease below :data:`COST_TOL`,
     gradient infinity norm below :data:`GRADIENT_TOL`, accepted step norm
     below :data:`STEP_TOL` (the relative-decrease test is meaningless
-    once the cost sits at machine noise), or ``max_iterations``; a
+    once the cost sits at machine noise), or :data:`MAX_ITERATIONS`; a
     stopped block's rows are not evaluated again.  :data:`COST_TOL` is
     100 times Ceres's default ``function_tolerance``: the next frame
     solves each window again from where this solve stopped, and a far
@@ -474,8 +477,6 @@ def solve_nls(problem, state, max_iterations=50, initial_damping=1e-4):
     n_blocks = problem.n_blocks
     running = np.arange(n_blocks)
     lin = _linearize(problem, state, running)
-    if max_iterations < 1:
-        running = running[:0]
     initial_cost = lin.cost.copy()
     cost = lin.cost.copy()
     by_tag = {tag: c.copy() for tag, c in lin.cost_by_tag.items()}
@@ -549,7 +550,7 @@ def solve_nls(problem, state, max_iterations=50, initial_damping=1e-4):
             done = value[running] < tol
             stop(running[done], why, True)
             running = running[~done]
-        running = running[iterations[running] < max_iterations]
+        running = running[iterations[running] < MAX_ITERATIONS]
         if len(running):
             lin = _linearize(problem, state, running)
     reports = SolveReports(

@@ -271,11 +271,12 @@ class TestEightPoint:
         # null vector, so the minimal sample must keep the full form
         rng = np.random.default_rng(n)
         uv0, uv1 = TestRejectOutliers().rigid_pairs(n, 1e-3, rng)
-        f_mat = assoc._eight_point(uv0, uv1)
+        # one stacked sample
+        f_mat, deficient = assoc._eight_point_batch(uv0[None], uv1[None])
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
                             lambda a, full_matrices=True: svd(a))
-        f_ref = assoc._eight_point(uv0, uv1)
-        assert f_mat is not None and f_ref is not None
-        assert np.allclose(f_mat, f_ref, rtol=0.0,
+        f_ref, ref_deficient = assoc._eight_point_batch(uv0[None], uv1[None])
+        assert deficient.tolist() == ref_deficient.tolist() == [False]
+        assert np.allclose(f_mat[0], f_ref[0], rtol=0.0,
                            atol=1e-12 * np.abs(f_ref).max())

@@ -10,7 +10,7 @@ from viewpoints import (REFERENCE_VIEWPOINT, camera_viewpoint,
 
 from semtrack import geometry as geom
 from semtrack import boxinfer as bi
-from semtrack.errors import DegenerateGeometry
+from semtrack.errors import DegenerateGeometry, NoConvergence
 from semtrack.geometry import Box3D, ObjectState, Pose, rot_y, wrap_angle
 
 
@@ -199,43 +199,36 @@ class TestInferPose:
 
 
 class TestRefine:
-    """The batched Gauss-Newton behind :func:`boxinfer.infer_pose`."""
+    """The refinement behind :func:`boxinfer.infer_pose`: one
+    :func:`nls.solve_nls` block per start."""
 
     def problem(self):
         # a box whose edges the selected vertices touch: an exact root
         dims = np.array([3.9, 1.6, 1.7])
         box3 = Box3D(np.array([2.0, 0.7, 18.0]), 0.4, dims)
-        sel = bi.selection_set(camera_viewpoint(box3))
+        vp = camera_viewpoint(box3)
+        sel = bi.selection_set(vp)
         uv = geom.project(box3.center
                           + sel.vertex_offsets(dims) @ rot_y(box3.yaw).T)
         box = bi.BBox2D(uv[0, 0], uv[2, 1], uv[1, 0], uv[3, 1])
-        return box, sel.signs, dims, box3
+        return box, vp, dims, box3
 
-    def test_start_behind_camera_stays_unconverged(self):
-        box, signs, dims, box3 = self.problem()
+    def test_start_behind_camera_is_never_a_candidate(self, monkeypatch):
+        box, vp, dims, box3 = self.problem()
         starts = np.array([[*box3.center, box3.yaw],
                            [0.0, 0.7, 0.5, 0.4]])  # the box around the camera
-        x, cost, converged = bi._refine(starts, box, signs, dims)
-        assert converged.tolist() == [True, False]
-        assert cost[1] == np.inf
-        assert cost[0] < 1e-20
-        assert np.allclose(x[0], starts[0], atol=1e-9)
-
-    def test_rows_refine_as_they_would_alone(self):
-        box, signs, dims, box3 = self.problem()
-        rng = np.random.default_rng(28)
-        truth = np.array([*box3.center, box3.yaw])
-        starts = np.vstack([
-            truth + rng.normal(0.0, [1.0, 0.3, 3.0, 0.5], (6, 4)),
-            [0.0, 0.7, 0.5, 0.4],  # behind the camera
-            truth + [0.0, 0.0, 0.0, np.pi]])
-        x, cost, converged = bi._refine(starts, box, signs, dims)
-        assert converged.any() and not converged.all()
-        for i, start in enumerate(starts):
-            xi, ci, conv_i = bi._refine(start[None], box, signs, dims)
-            assert conv_i[0] == converged[i]
-            assert np.allclose(xi[0], x[i], rtol=0.0, atol=1e-12)
-            assert ci[0] == cost[i] or abs(ci[0] - cost[i]) <= 1e-12
+        monkeypatch.setattr(bi, "_grid_candidates",
+                            lambda *args: (starts, np.zeros(2)))
+        roots = bi.infer_pose_candidates(box, vp, dims)
+        assert len(roots) == 1
+        p, theta, residual, _ = roots[0]
+        assert np.allclose([*p, theta], starts[0], rtol=0.0, atol=1e-9)
+        assert residual < 1e-10
+        # alone, it leaves no candidate at all
+        monkeypatch.setattr(bi, "_grid_candidates",
+                            lambda *args: (starts[1:], np.zeros(1)))
+        with pytest.raises(NoConvergence):
+            bi.infer_pose_candidates(box, vp, dims)
 
 
 class TestPriors:

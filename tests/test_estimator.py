@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dataclasses import replace
-from functools import partial
 
 from semtrack import estimator as est
 from semtrack import nls
@@ -378,8 +377,7 @@ class TestBatchedObjectSolve:
 
     def test_batch_matches_solo_solves(self, windows, monkeypatch):
         scenario, cars, cases, cams = windows
-        monkeypatch.setattr(est, "solve_nls",
-                            partial(est.solve_nls, max_iterations=CAP))
+        monkeypatch.setattr(nls, "MAX_ITERATIONS", CAP)
         tracks = cars + list(cases.values())
         batch = est.solve_objects(tracks, cams, scenario.rig)
         results = dict(zip(cases, batch[len(cars):]))

@@ -175,12 +175,13 @@ class TestSolveNls:
         assert np.allclose(x, [1.0, 1.0], atol=1e-6)
         assert report.converged
 
-    def test_never_worse_than_start(self):
+    def test_never_worse_than_start(self, monkeypatch):
         rng = np.random.default_rng(22)
         problem = RosenbrockProblem()
+        monkeypatch.setattr(nls, "MAX_ITERATIONS", 12)
         for _ in range(25):
             x0 = rng.uniform(-3.0, 3.0, 2)
-            x, (report,) = nls.solve_nls(problem, x0, max_iterations=12)
+            x, (report,) = nls.solve_nls(problem, x0)
             assert problem.cost(x) <= problem.cost(x0) + 1e-15
             assert report.final_cost == pytest.approx(problem.cost(x))
 
@@ -234,17 +235,17 @@ class TestSolveNls:
         assert x[0] == 5.0
         assert report.final_cost == pytest.approx(costs[5], rel=1e-12)
 
-    def test_blocks_match_solo_solves(self):
+    def test_blocks_match_solo_solves(self, monkeypatch):
         # each block of a batched solve takes the decisions of its solo
         # solve: the same states, iterations and stop reasons
         rng = np.random.default_rng(29)
         starts = rng.uniform(-3.0, 3.0, (6, 2))
         for cap in (4, 50):
-            x, reports = nls.solve_nls(RosenbrockProblem(6), starts,
-                                       max_iterations=cap)
+            monkeypatch.setattr(nls, "MAX_ITERATIONS", cap)
+            x, reports = nls.solve_nls(RosenbrockProblem(6), starts)
             for start, got, report in zip(starts, x, reports):
-                solo, (solo_report,) = nls.solve_nls(
-                    RosenbrockProblem(), start, max_iterations=cap)
+                solo, (solo_report,) = nls.solve_nls(RosenbrockProblem(),
+                                                     start)
                 assert np.array_equal(got, solo[0])
                 assert report == solo_report
             assert reports.iterations == sum(r.iterations for r in reports)

@@ -1,6 +1,7 @@
 """Tests for the scenario runner, artifact I/O and the CLI."""
 
 import json
+import pickle
 import subprocess
 import sys
 
@@ -9,9 +10,10 @@ import pytest
 
 from semtrack import cli, pipeline
 from semtrack.errors import ConfigError, IoError
-from semtrack.estimator import EstimatorConfig
+from semtrack.estimator import EstimatorConfig, WindowTracker
 from semtrack.geometry import ObjectState, Pose, so3_exp
 from semtrack.metrics import Trajectory
+from semtrack.simulate import read_measurements
 
 FORWARD = -np.pi / 2
 
@@ -228,6 +230,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert f"{log}:2" in err and "semantic" in err
+
+    def test_bad_detection_refused(self, tmp_path, capsys):
+        # a replayed detection whose id is not an integer or whose label
+        # has no prior ends in an error, and the tracker refuses its frame
+        # before changing any state
+        config = small_config(3)
+        direct = pipeline.run_pipeline(config, tmp_path / "direct")
+        lines = direct["measurements"].read_text().splitlines()
+        scenario, frames = pipeline.simulate_stage(config, 3)
+        log = tmp_path / "measurements.jsonl"
+        config["measurements"] = str(log)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        for key, value in (("object_id", None), ("object_id", "a"),
+                           ("object_id", [1]), ("object_id", True),
+                           ("label", ["car"]), ("label", "truck")):
+            record = json.loads(lines[1])
+            record["semantic"][0][key] = value
+            log.write_text("\n".join([lines[0], json.dumps(record),
+                                      *lines[2:]]) + "\n")
+            assert cli.main(["eval", "--config", str(path),
+                             "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: frame 1: detection"), (key, value)
+            tracker = WindowTracker(scenario.rig,
+                                    EstimatorConfig(dt=scenario.dt),
+                                    initial_pose=scenario.camera[0])
+            tracker.process(frames[0])
+            before = pickle.dumps(tracker.__dict__)
+            with pytest.raises(ConfigError, match="frame 1"):
+                tracker.process(read_measurements(log)[1])
+            assert pickle.dumps(tracker.__dict__) == before
 
     def test_config_not_a_mapping(self, tmp_path, capsys):
         path = tmp_path / "list.json"

@@ -131,3 +131,12 @@ def test_boxscan_two_placements():
         "(near the truth: False -> False)",
         "near the truth in the other checkout: 0 of 1 keep their root to "
         "1e-09, largest move 1e-06"]
+
+
+def test_boxscan_exact_roots():
+    records = [{"outcome": "converged", "fit": fit}
+               for fit in (0.0, 1e-12, 0.02)]
+    records.append({"outcome": "NoConvergence"})
+    assert boxscan.describe_fits(records) == (
+        "  2 of 3 converged are exact roots (fit at most 1e-09 box "
+        "heights), largest fit 0.02")

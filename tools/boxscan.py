@@ -11,8 +11,11 @@ placed at each x in -12..12 m (steps of 1.5 m), z in 8, 12, 16, 20, 25,
 camera (1.5 m above the ground, looking along +z).  Its noise-free
 detection, when the image border does not truncate it, goes through
 ``infer_pose`` with the true size.  The scan prints how many of those
-placements converge, and how many of their roots lie within 0.1 m and
-1 degree of the truth.
+placements converge (``infer_pose`` accepts only fits within
+``boxinfer.FIT_TOL`` box heights), how many of their roots lie within
+0.1 m and 1 degree of the truth, and how many are exact roots: fits
+whose residual norm, kept in each record as ``fit`` in box heights, is
+at most 1e-9.
 
 Each checkout is scanned in a subprocess that imports the ``semtrack`` of
 its own ``src``.  ``--against DIR`` scans a second checkout too, prints
@@ -39,11 +42,13 @@ PLACEMENTS = [(x, z, yaw) for yaw in YAWS for z in ZS for x in XS]
 NEAR_M = 0.1
 NEAR_RAD = math.radians(1.0)
 SAME_ROOT = 1e-9
+EXACT_FIT = 1e-9  # box heights
 
 
 def scan_placement(x, z, yaw):
     """The outcome of one placement: "converged" with the root and the
-    truth, each (x, y, z, yaw) in the camera frame, the name of the error
+    truth, each (x, y, z, yaw) in the camera frame, and the residual norm
+    of the fit in box heights, the name of the error
     ``infer_pose`` raised, or "unseen" / "truncated" for a detection that
     is missing or cut by the image border."""
     from semtrack import simulate as sim
@@ -67,11 +72,12 @@ def scan_placement(x, z, yaw):
     truth = [*camera.apply_inverse(state.position).tolist(),
              math.atan2(rot[0, 2], rot[0, 0])]
     try:
-        p, theta, _ = infer_pose(det.box, det.viewpoint, state.dims)
+        p, theta, residual = infer_pose(det.box, det.viewpoint, state.dims)
     except SemtrackError as exc:
         return dict(record, outcome=type(exc).__name__, truth=truth)
     return dict(record, outcome="converged", truth=truth,
-                root=[*p.tolist(), float(theta)])
+                root=[*p.tolist(), float(theta)],
+                fit=residual / det.box.height)
 
 
 def run_scan(checkout, placements):
@@ -118,6 +124,16 @@ def describe(label, records):
             f"{near} within {NEAR_M} m and 1 deg of the truth")
 
 
+def describe_fits(records):
+    """How many converged placements are exact roots, and the largest
+    fit."""
+    fits = [r["fit"] for r in records if r["outcome"] == "converged"]
+    exact = sum(fit <= EXACT_FIT for fit in fits)
+    return (f"  {exact} of {len(fits)} converged are exact roots (fit at "
+            f"most {EXACT_FIT:g} box heights), largest fit "
+            f"{max(fits, default=0.0):.3g}")
+
+
 def _where(r):
     return f"x {r['x']:+.1f} z {r['z']:.0f} yaw {math.degrees(r['yaw']):+.0f}"
 
@@ -161,9 +177,11 @@ def main(argv=None):
         return 0
     mine = run_scan(ROOT, PLACEMENTS)
     print(describe(str(ROOT), mine))
+    print(describe_fits(mine))
     if args.against:
         theirs = run_scan(args.against.resolve(), PLACEMENTS)
         print(describe(str(args.against), theirs))
+        print(describe_fits(theirs))
         print("== placements that differ (other -> this checkout)")
         for line in differences(mine, theirs):
             print(line)
