@@ -6,13 +6,18 @@ camera poses held fixed, :func:`solve_objects` refines the object tracks
 of the window, fusing feature, semantic box, motion-model and
 dimension-prior residuals.  The tracks share nothing, so they are solved
 together in one batched LM, a block per track, each taking the steps of
-its solo solve (:func:`solve_object`) up to rounding.
+its solo solve (:func:`solve_object`) up to rounding.  At each converged
+track's optimum, the feature rows that fail a chi-square gate
+(:data:`FEATURE_CHI2_GATE`) are flagged as outliers.
 :func:`align_point_clouds` then snaps the converged boxes, by position
 only, to their window's anchored landmarks, again in one batched solve.
 :class:`WindowTracker` chains the stages over a measurement stream, one
 ego and one object solve per frame; it holds the window's observations
 as arrays by absolute frame (:class:`FeatureRows`, :class:`SemanticRows`)
-and hands the object solve its own tracks (:class:`ObjectTrack`).
+and hands the object solve its own tracks (:class:`ObjectTrack`), which
+drop the rows that the solve flags.  Only the background features pass
+an F-matrix RANSAC against the last frame before the ego solve; it cannot
+see a stereo mismatch, and the gate sees both kinds.
 Its ego solve takes the whole window only on a keyframe, chosen by
 VINS-Mono's rule (Qin, Li and Shen 2018): the first frame, a frame whose
 last keyframe has left the window, or one that sees again fewer than half
@@ -61,6 +66,10 @@ HUBER_SCALE = 3.0
 # mean left-image motion (px) of the background since the last keyframe
 # past which a frame solves the whole ego window, not its pose alone
 KEYFRAME_PARALLAX_PX = 10.0
+# 99% bound of chi-square with 4 dof: an object feature row whose whitened
+# stereo residual has a larger squared norm at a solve's optimum is an
+# outlier
+FEATURE_CHI2_GATE = 13.28
 
 
 @dataclass(frozen=True)
@@ -173,12 +182,17 @@ class ObjectTrack:
     def cut(self, start):
         """Drop the rows before frame ``start`` and the landmarks left
         without rows, and the states before it but the last."""
-        self.features = _take_rows(self.features, self.features.frame >= start)
+        self.keep_features(self.features.frame >= start)
         self.semantic = _take_rows(self.semantic, self.semantic.frame >= start)
-        held = set(self.features.landmark.tolist())
-        self.landmarks = {k: v for k, v in self.landmarks.items() if k in held}
         drop = min(bisect.bisect_left(self.frames, start), len(self.frames) - 1)
         del self.frames[:drop], self.states[:drop]
+
+    def keep_features(self, keep):
+        """Keep the feature rows where ``keep`` is true, and the landmarks
+        that still have rows."""
+        self.features = _take_rows(self.features, keep)
+        held = set(self.features.landmark.tolist())
+        self.landmarks = {k: v for k, v in self.landmarks.items() if k in held}
 
 
 @dataclass(frozen=True)
@@ -191,11 +205,15 @@ class EgoResult:
 
 @dataclass(frozen=True)
 class ObjectResult:
+    """One track's solve.  ``outliers`` (n,) flags the track's feature
+    rows that the solve gated out (see :func:`solve_objects`)."""
+
     states: list
     dims: np.ndarray
     landmarks: dict
     report: SolveReport
     under_constrained: bool
+    outliers: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +408,7 @@ class _ObjectProblem:
             # position and yaw: the first 4 columns of the state's slot
             feat.append({
                 "block": np.full(len(slot), b), "slot": slot,
+                "row": np.flatnonzero(keep),
                 "lm": np.searchsorted(ids, rows.landmark[keep]),
                 "left": rows.left[keep], "right": rows.right[keep],
                 "rot": cam_rot[cam], "trans": cam_trans[cam],
@@ -526,9 +545,14 @@ def solve_objects(tracks, camera_poses, rig: StereoRig,
     the steps of a solve of that track alone, up to rounding.  When a
     track covers a single frame with semantic measurements only, the
     problem cannot constrain its dims: they are locked to the prior mean
-    and the ``under_constrained`` flag is set.  Returns one
-    :class:`ObjectResult` per track; a track whose report is not
-    ``converged`` keeps its input states and landmarks.
+    and the ``under_constrained`` flag is set.  After the solve, the
+    feature rows of each converged track are costed once at its optimum,
+    and a row whose whitened 4-component stereo residual has a squared
+    norm above :data:`FEATURE_CHI2_GATE` is flagged in ``outliers``, as
+    ORB-SLAM2 gates the rows of its bundle adjustments (Mur-Artal and
+    Tardos 2017).  Returns one :class:`ObjectResult` per track; a track
+    whose report is not ``converged`` keeps its input states and
+    landmarks, and flags no row.
     """
     if not tracks:
         return []
@@ -547,13 +571,24 @@ def solve_objects(tracks, camera_poses, rig: StereoRig,
                                  for s in t.states]) if lock else t
               for t, lock in zip(tracks, under)]
     obj = _ObjectProblem(tracks, camera_poses, rig, config.dt, under, start)
-    (motion, dims, lms), reports = solve_nls(obj, obj.initial)
+    state, reports = solve_nls(obj, obj.initial)
+    motion, dims, lms = state
+    outliers = [np.zeros(len(t.features.frame), dtype=bool) for t in tracks]
+    rows = obj.rows["feature"]
+    if len(rows["block"]):
+        # the feature batch comes first
+        batch = next(obj.batches(state, np.arange(len(tracks)), False))
+        chi2 = np.einsum("ij,ij->i", batch.residuals, batch.residuals)
+        gated = (chi2 > FEATURE_CHI2_GATE) & np.array(
+            [r.converged for r in reports])[rows["block"]]
+        for b, row in zip(rows["block"][gated], rows["row"][gated]):
+            outliers[b][row] = True
     results = []
     for b, (track, report) in enumerate(zip(tracks, reports)):
         if not report.converged:
             results.append(ObjectResult(
                 list(track.states), np.asarray(track.states[0].dims),
-                dict(track.landmarks), report, under[b]))
+                dict(track.landmarks), report, under[b], outliers[b]))
             continue
         states = [ObjectState(position=m[:3].copy(), yaw=m[3],
                               dims=dims[b], steer=m[4], speed=m[5])
@@ -561,7 +596,7 @@ def solve_objects(tracks, camera_poses, rig: StereoRig,
         ids = obj.lm_ids[b]
         results.append(ObjectResult(
             states, dims[b].copy(), dict(zip(ids.tolist(), lms[b, :len(ids)])),
-            report, under[b]))
+            report, under[b], outliers[b]))
     return results
 
 
@@ -689,7 +724,7 @@ class WindowTracker:
         self.object_trajectories = {}
         self._detector_to_track = {}
         self._next_track_id = 0
-        # feature ids and left points of the last frame
+        # background feature ids and left points of the last frame
         self._prev_ids = np.zeros(0, dtype=int)
         self._prev_left = np.zeros((0, 2))
         self._frame = -1
@@ -745,16 +780,18 @@ class WindowTracker:
         rel = prev2.inverse().compose(prev)
         return prev.compose(rel)
 
-    def _filter_group(self, group, ids, left, prev):
-        """The features of one rigid group, as indices into the frame,
-        without the temporal mismatches that RANSAC finds.  ``prev`` is
-        each feature's index in the last frame, or -1."""
-        paired = group[prev[group] >= 0]
+    def _filter_group(self, group, ids, left):
+        """The background features ``group``, as indices into the frame,
+        without the temporal mismatches that an F-matrix RANSAC against
+        the last frame's background finds.  Object features do not come
+        here: :func:`solve_objects` gates their rows."""
+        prev = self._previous_index(ids[group])
+        paired = group[prev >= 0]
         if len(paired) < 8:
             return group
         try:
             mask, passthrough = reject_outliers(
-                self._prev_left[prev[paired]], left[paired],
+                self._prev_left[prev[prev >= 0]], left[paired],
                 feature_sigma=FEATURE_SIGMA_PX / self.rig.focal_px,
                 seed=self._frame)
         except DegenerateGroup:
@@ -764,8 +801,8 @@ class WindowTracker:
         return group[~np.isin(ids[group], ids[paired[~mask]])]
 
     def _previous_index(self, ids):
-        """Index of each of ``ids`` in the last frame (its last feature of
-        that id), or -1."""
+        """Index of each of ``ids`` among the last frame's background
+        features, or -1."""
         prev = self._prev_ids
         if not len(prev):
             return np.full(len(ids), -1)
@@ -827,8 +864,11 @@ class WindowTracker:
         return ids, anchors, points[:, 0], points[:, 1]
 
     def process(self, frame_measurements):
-        """Track one frame.  A frame that :meth:`_frame_points` refuses
-        raises :class:`ConfigError` and changes nothing."""
+        """Track one frame.  The background features lose the temporal
+        mismatches that RANSAC finds (:meth:`_filter_group`) and feed the
+        ego solve; each object's features go to its track whole, and the
+        object solve gates their rows.  A frame that :meth:`_frame_points`
+        refuses raises :class:`ConfigError` and changes nothing."""
         ids, anchors, left, right = self._frame_points(frame_measurements)
         self._frame += 1
         t = self._frame
@@ -836,11 +876,9 @@ class WindowTracker:
         # static background in the measurement stream
         order = np.argsort(anchors, kind="stable")
         keys, first = np.unique(anchors[order], return_index=True)
-        prev = self._previous_index(ids)
-        groups = {key: self._filter_group(group, ids, left, prev)
-                  for key, group in zip(keys.tolist(),
-                                        np.split(order, first[1:]))}
-        background = groups.pop(0, order[:0])
+        groups = dict(zip(keys.tolist(), np.split(order, first[1:])))
+        seen = groups.pop(0, order[:0])
+        background = self._filter_group(seen, ids, left)
 
         pose = self._init_pose()
         self.camera_trajectory.append(pose)
@@ -850,7 +888,7 @@ class WindowTracker:
 
         self._update_object_tracks(frame_measurements.semantic, groups, ids,
                                    left, right, pose)
-        self._prev_ids, self._prev_left = ids, left
+        self._prev_ids, self._prev_left = ids[seen], left[seen]
 
     def _solve_ego_window(self, ids, left, right):
         """Append this frame's background rows, drop the rows and landmarks
@@ -1001,10 +1039,12 @@ class WindowTracker:
     def _solve_tracks(self, tracks):
         """Cut every track to the window, then solve the windows of
         ``tracks`` together and align the box positions of the converged
-        ones onto their window's landmarks.  A track whose window no box
-        sizes (:func:`_range_observed`) is not solved, and neither it nor
-        a track whose solve does not converge moves: both keep their
-        predicted states."""
+        ones onto their window's landmarks.  A converged track first drops
+        the feature rows that its solve gated out, and the landmarks left
+        without rows.  A track whose window no box sizes
+        (:func:`_range_observed`) is not solved, and neither it nor a
+        track whose solve does not converge moves: both keep their
+        predicted states and rows."""
         t = self._frame
         start = max(0, t - self.config.window + 1)
         for track in self.tracks.values():
@@ -1018,6 +1058,7 @@ class WindowTracker:
                 continue
             track.states = result.states
             track.landmarks.update(result.landmarks)
+            track.keep_features(~result.outliers)
             if track.landmarks:
                 solved.append(track)
         aligned = align_point_clouds(

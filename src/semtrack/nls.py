@@ -471,8 +471,10 @@ def solve_nls(problem, state, initial_damping=1e-4):
     car's tail of 1e-4 steps only walks its poorly seen range and dims.
     A block whose damping passes :data:`MAX_DAMPING` stops: as "stalled"
     if its normal equations are still solvable, else unconverged with
-    reason :data:`NUMERICAL_FAILURE`.  Returns the state and the
-    :class:`SolveReports`.
+    reason :data:`NUMERICAL_FAILURE`.  A block whose starting cost is not
+    finite stops at once, unconverged with reason
+    :data:`NUMERICAL_FAILURE` and no iterations.  Returns the state and
+    the :class:`SolveReports`.
     """
     n_blocks = problem.n_blocks
     running = np.arange(n_blocks)
@@ -491,6 +493,9 @@ def solve_nls(problem, state, initial_damping=1e-4):
             reason[b] = why
         converged[blocks] = done
 
+    # no trial can lower a cost that is not finite
+    stop(running[~np.isfinite(cost)], NUMERICAL_FAILURE, False)
+    running = running[np.isfinite(cost)]
     while len(running):
         iterations[running] += 1
         flat = lin.gradient_norm[running] < GRADIENT_TOL

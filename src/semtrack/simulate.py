@@ -27,18 +27,28 @@ from .geometry import (CAR_WHEELBASE_RATIO, Box3D, ObjectState, Pose,
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Measurement corruption model; sigmas in normalized image units."""
+    """Measurement corruption model; sigmas in normalized image units.
+
+    From frame 1 on, a feature takes, with ``temporal_mismatch_rate``,
+    both image points of its nearest other feature in the left image, as
+    a tracker that matched the wrong point across frames would; with
+    ``stereo_mismatch_rate`` it takes that feature's right point alone,
+    a wrong stereo match.
+    """
 
     feature_sigma: float = 0.5 / 700.0
     box_sigma: float = 1.0 / 700.0
     viewpoint_error_rate: float = 0.0
     dropout_rate: float = 0.0
     seed: int = 0
+    temporal_mismatch_rate: float = 0.0
+    stereo_mismatch_rate: float = 0.0
 
     def __post_init__(self):
         if self.feature_sigma < 0 or self.box_sigma < 0:
             raise ValueError("noise sigmas must be non-negative")
-        for name in ("viewpoint_error_rate", "dropout_rate"):
+        for name in ("viewpoint_error_rate", "dropout_rate",
+                     "temporal_mismatch_rate", "stereo_mismatch_rate"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -253,9 +263,12 @@ def _parse_noise(node, focal):
     seed = _cfg(node, "noise", "seed", int, 0)
     if seed < 0:
         raise ConfigError("noise.seed", "must be a non-negative integer")
+    mismatch = [float(_cfg(node, "noise", f"{kind}_mismatch_rate",
+                           (int, float), 0.0))
+                for kind in ("temporal", "stereo")]
     try:
         return NoiseSpec(sigma_f / focal, sigma_b / focal, vp_rate, dropout,
-                         seed)
+                         seed, *mismatch)
     except ValueError as exc:
         raise ConfigError("noise", str(exc)) from exc
 
@@ -392,6 +405,19 @@ def _hidden(points, origin, boxes, skip):
     return hidden
 
 
+def _mismatch(left, right, rates, rng):
+    """Let each feature take, in place, with the temporal and stereo
+    ``rates``, both image points (n, 2) or the right point alone of its
+    nearest other feature in the left image."""
+    temporal, stereo = rng.uniform(size=(2, len(left))) < rates[:, None]
+    gap = np.sum((left[:, None] - left[None]) ** 2, axis=2)
+    np.fill_diagonal(gap, np.inf)
+    near = np.argmin(gap, axis=1)
+    left[temporal] = left[near[temporal]]
+    stereo |= temporal
+    right[stereo] = right[near[stereo]]
+
+
 def synthesize_frame(scenario: Scenario, t: int,
                      noise: NoiseSpec | None = None) -> FrameMeasurements:
     """Noisy measurements for frame ``t``; deterministic per (seed, t)."""
@@ -470,6 +496,10 @@ def synthesize_frame(scenario: Scenario, t: int,
     jitter = rng.normal(0.0, noise.feature_sigma, (len(ids), 2, 2))
     left = np.concatenate(left) + jitter[:, 0]
     right = np.concatenate(right) + jitter[:, 1]
+    rates = np.array([noise.temporal_mismatch_rate,
+                      noise.stereo_mismatch_rate])
+    if t > 0 and rates.any() and len(ids) > 1:
+        _mismatch(left, right, rates, rng)
     features = tuple(FeatureObs(*obs)
                      for obs in zip(ids, anchors, left, right))
 

@@ -10,6 +10,7 @@ from viewpoints import (REFERENCE_VIEWPOINT, camera_viewpoint,
 
 from semtrack import geometry as geom
 from semtrack import boxinfer as bi
+from semtrack import nls
 from semtrack.errors import DegenerateGeometry, NoConvergence
 from semtrack.geometry import Box3D, ObjectState, Pose, rot_y, wrap_angle
 
@@ -229,6 +230,22 @@ class TestRefine:
                             lambda *args: (starts[1:], np.zeros(1)))
         with pytest.raises(NoConvergence):
             bi.infer_pose_candidates(box, vp, dims)
+
+
+    def test_start_behind_camera_stops_at_once(self):
+        # the box around the camera costs infinity: its block stops
+        # unconverged without a trial, and the root beside it converges
+        box, vp, dims, box3 = self.problem()
+        starts = np.array([[*box3.center, box3.yaw], [0.0, 0.7, 0.5, 0.4]])
+        problem = bi._BoxProblem(starts, box, bi.selection_set(vp).signs,
+                                 dims)
+        x, (root, behind) = nls.solve_nls(problem, problem.initial)
+        assert root.converged and root.final_cost < 1e-18
+        assert not behind.converged
+        assert behind.reason == nls.NUMERICAL_FAILURE
+        assert behind.iterations == 0
+        assert behind.initial_cost == behind.final_cost == np.inf
+        assert np.array_equal(x[1], starts[1])
 
 
 class TestPriors:

@@ -437,6 +437,80 @@ class TestBatchedObjectSolve:
         assert batched <= max(solo) < sum(solo)
 
 
+class TestFeatureGate:
+    """Object feature rows that fail the chi-square gate at a solve's
+    optimum are flagged, and the tracker drops them."""
+
+    @pytest.fixture(scope="class")
+    def window(self):
+        # a car ahead over four noise-free frames; one feature row of
+        # frame 2 is moved 10 px along u in both images
+        scenario = make_scenario(4, [car(0.4, 25.0)], seed=3)
+        frames = [sim.synthesize_frame(scenario, t, sim.NoiseSpec.zero())
+                  for t in range(4)]
+        (track, cams), _ = object_problem(scenario, frames)
+        rows = track.features
+        bad = int(np.flatnonzero(rows.frame == 2)[0])
+        left, right = rows.left.copy(), rows.right.copy()
+        left[bad, 0] += 10.0 / scenario.rig.focal_px
+        right[bad, 0] += 10.0 / scenario.rig.focal_px
+        track = replace(track, features=rows._replace(left=left, right=right))
+        return scenario, track, cams, bad
+
+    def test_flags_exactly_the_displaced_row(self, window):
+        scenario, track, cams, bad = window
+        (result,) = est.solve_objects([track], cams, scenario.rig)
+        assert result.report.converged
+        assert len(result.outliers) == len(track.features.frame)
+        assert np.flatnonzero(result.outliers).tolist() == [bad]
+
+    def test_unconverged_block_flags_no_row(self, window, monkeypatch):
+        # one iteration from states half a metre off: many rows are
+        # still far off when the block stops, and none is flagged
+        scenario, track, cams, _ = window
+        monkeypatch.setattr(nls, "MAX_ITERATIONS", 1)
+        off = replace(track, states=[s.replace(position=s.position + 0.5)
+                                     for s in track.states])
+        (result,) = est.solve_objects([off], cams, scenario.rig)
+        assert not result.report.converged
+        assert len(result.outliers) == len(track.features.frame)
+        assert not result.outliers.any()
+
+    def test_tracker_drops_gated_rows_and_bare_landmarks(self, monkeypatch):
+        # the frame-3 solve flags every row of one landmark and one row of
+        # another: the first landmark goes, the second keeps its other rows
+        scenario = make_scenario(4, [car(0.4, 25.0)])
+        frames = [sim.synthesize_frame(scenario, t) for t in range(4)]
+        tracker = track_frames(scenario, frames[:3])
+        (track,) = tracker.tracks.values()
+        solve_objects = est.solve_objects
+        seen = {}
+
+        def gating(tracks, *args):
+            results = solve_objects(tracks, *args)
+            rows = tracks[0].features
+            ids, counts = np.unique(rows.landmark, return_counts=True)
+            kept = ids[np.argmax(counts)]
+            gone = ids[ids != kept][0]
+            outliers = rows.landmark == gone
+            outliers[np.flatnonzero(rows.landmark == kept)[0]] = True
+            seen.update(gone=gone, kept=kept, rows=len(rows.frame),
+                        flagged=int(outliers.sum()),
+                        kept_rows=int(counts.max()))
+            return [replace(results[0], outliers=outliers)]
+
+        monkeypatch.setattr(est, "solve_objects", gating)
+        tracker.process(frames[3])
+        assert seen["kept_rows"] >= 2
+        landmark = track.features.landmark
+        assert len(landmark) == seen["rows"] - seen["flagged"]
+        assert seen["gone"] not in landmark
+        assert seen["gone"] not in track.landmarks
+        assert (landmark == seen["kept"]).sum() == seen["kept_rows"] - 1
+        assert seen["kept"] in track.landmarks
+        assert set(track.landmarks) == set(landmark.tolist())
+
+
 class TestPoseOnlyEgo:
     """The ego solve of the newest pose alone, against held landmarks."""
 
@@ -975,9 +1049,10 @@ def object_blind(frame):
 
 def reference_window_rows(scenario, frames, config, born):
     """The window rows of a drive as per-observation tuples, built the way
-    the tracker built them: per frame, each rigid group loses the features
+    the tracker built them: per frame, the background loses the features
     that RANSAC rejects against the last frame, and a feature gets a row
-    when its landmark is held or it triangulates.  Background landmarks
+    when its landmark is held or it triangulates.  Object rows are not
+    gated.  Background landmarks
     are held while they have rows in the window, anchored ones for good;
     an object has no rows before ``born`` (object id to the frame its
     track starts).  Returns, per frame, the ego window's (frame, id, left,
@@ -1008,7 +1083,7 @@ def reference_window_rows(scenario, frames, config, born):
             if anchor and anchor not in detected:
                 continue
             paired = [f for f in group if f.feature_id in prev]
-            if len(paired) >= 8:
+            if anchor == 0 and len(paired) >= 8:
                 try:
                     mask, passthrough = reject_outliers(
                         np.array([prev[f.feature_id] for f in paired]),
@@ -1359,7 +1434,9 @@ class TestWindowTracker:
         # a 20-frame drive past two cars: the rows that the solvers get
         # equal those built from the stream's observations one at a time.
         # Each frame's features come shuffled, so that the rows' order is
-        # the tracker's doing
+        # the tracker's doing.  The reference models association and
+        # triangulation, not the object solve's gate, so the gate is off
+        monkeypatch.setattr(est, "FEATURE_CHI2_GATE", np.inf)
         scenario = make_scenario(20, [car(-10.0, 18.0), car(0.4, 25.0)])
         rng = np.random.default_rng(0)
         frames = []

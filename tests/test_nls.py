@@ -252,6 +252,31 @@ class TestSolveNls:
             assert any(r.reason == "max_iterations" for r in reports) == \
                 (cap == 4)
 
+    def test_start_not_finite_stops_at_once(self):
+        # a block whose start costs NaN is never stepped: it stops
+        # unconverged with no iterations, and the others finish as alone
+        trials = []
+
+        class Counted(RosenbrockProblem):
+            def batches(self, x, blocks, jacobians):
+                if not jacobians:
+                    trials.append(blocks.tolist())
+                return super().batches(x, blocks, jacobians)
+
+        starts = np.array([[-1.2, 1.0], [np.nan, 0.5], [2.0, -1.0]])
+        x, reports = nls.solve_nls(Counted(3), starts)
+        assert not reports[1].converged
+        assert reports[1].reason == nls.NUMERICAL_FAILURE
+        assert reports[1].iterations == 0
+        assert np.isnan(reports[1].final_cost)
+        assert np.array_equal(x[1], starts[1], equal_nan=True)
+        assert trials and not any(1 in blocks for blocks in trials)
+        for b in (0, 2):
+            solo, (solo_report,) = nls.solve_nls(RosenbrockProblem(),
+                                                 starts[b])
+            assert np.array_equal(x[b], solo[0])
+            assert reports[b] == solo_report
+
     def test_failed_block_leaves_the_others(self):
         # one block fails numerically; the others finish as they would
         # alone

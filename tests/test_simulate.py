@@ -1,5 +1,9 @@
 """Tests for the synthetic scene simulator."""
 
+import hashlib
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -287,6 +291,89 @@ class TestSynthesizeFrame:
         scenario = sim.generate_scenario(base_config(), seed=10)
         with pytest.raises(ValueError):
             sim.synthesize_frame(scenario, scenario.n_frames)
+
+
+class TestMismatch:
+    """From frame 1 on, features take the points of their nearest other
+    feature in the left image: both (temporal) or the right one alone
+    (stereo)."""
+
+    @staticmethod
+    def scenario(**noise):
+        config = base_config(
+            n_frames=6, landmarks={"background_n": 60, "per_object_n": 20},
+            noise={"seed": 5, "viewpoint_error_rate": 0.3,
+                   "dropout_rate": 0.2, **noise})
+        return sim.generate_scenario(config, seed=4)
+
+    def test_zero_rates_leave_the_stream_unchanged(self, monkeypatch):
+        # the sha256 of this stream before the rates existed: at rate 0
+        # the generator draws nothing more
+        def drawn(*args):
+            raise AssertionError("mismatches drawn at rate 0")
+
+        monkeypatch.setattr(sim, "_mismatch", drawn)
+        frames = sim.synthesize_all(self.scenario(
+            temporal_mismatch_rate=0, stereo_mismatch_rate=0.0))
+        text = json.dumps([sim.frame_to_dict(f) for f in frames],
+                          sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "7a96040f29a66bf5416226406a1ef7f993b08a1a638a3eb7441bf36aa0fad0b2"
+
+    def test_config_sets_the_rates(self):
+        noise = self.scenario(temporal_mismatch_rate=0.1,
+                              stereo_mismatch_rate=1).noise
+        assert (noise.temporal_mismatch_rate,
+                noise.stereo_mismatch_rate) == (0.1, 1.0)
+        assert self.scenario().noise == replace(
+            noise, temporal_mismatch_rate=0.0, stereo_mismatch_rate=0.0)
+
+    def test_rates_outside_the_unit_interval_refused(self):
+        for name in ("temporal_mismatch_rate", "stereo_mismatch_rate"):
+            for rate in (-0.1, 1.5, float("nan")):
+                with pytest.raises(ValueError, match=name):
+                    sim.NoiseSpec(**{name: rate})
+            with pytest.raises(ConfigError, match="noise"):
+                self.scenario(**{name: 2.0})
+        assert sim.NoiseSpec.zero(3) == sim.NoiseSpec(0.0, 0.0, 0.0, 0.0, 3)
+
+    @pytest.mark.parametrize("kind", ["temporal", "stereo"])
+    def test_every_feature_takes_its_nearest_neighbour(self, kind):
+        scenario = self.scenario()
+        mixed = replace(scenario.noise, **{f"{kind}_mismatch_rate": 1.0})
+        for t in range(3):
+            clean = sim.synthesize_frame(scenario, t)
+            got = sim.synthesize_frame(scenario, t, mixed)
+            assert [f.feature_id for f in got.features] == \
+                [f.feature_id for f in clean.features]
+            assert got.semantic == clean.semantic
+            left = np.array([f.left for f in clean.features])
+            right = np.array([f.right for f in clean.features])
+            if t == 0:
+                near = np.arange(len(left))
+            else:
+                gap = np.linalg.norm(left[:, None] - left[None], axis=2)
+                np.fill_diagonal(gap, np.inf)
+                near = np.argmin(gap, axis=1)
+                assert (near != np.arange(len(left))).all()
+            taken = near if kind == "temporal" else np.arange(len(left))
+            assert np.array_equal([f.left for f in got.features],
+                                  left[taken])
+            assert np.array_equal([f.right for f in got.features],
+                                  right[near])
+
+    def test_rate_draws_per_feature(self):
+        scenario = self.scenario(stereo_mismatch_rate=0.25)
+        clean = replace(scenario.noise, stereo_mismatch_rate=0.0)
+        moved = total = 0
+        for t in range(1, 6):
+            a = sim.synthesize_frame(scenario, t, clean).features
+            b = sim.synthesize_frame(scenario, t).features
+            assert all(np.array_equal(f.left, g.left) for f, g in zip(a, b))
+            moved += sum(not np.array_equal(f.right, g.right)
+                         for f, g in zip(a, b))
+            total += len(a)
+        assert 0.15 < moved / total < 0.35
 
 
 # ---------------------------------------------------------------------------

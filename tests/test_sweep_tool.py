@@ -1,6 +1,7 @@
 """The size of a difference that ``tools/sweep.py --against`` reports for
-an artifact that differs between two checkouts, and the placements that
-``tools/boxscan.py`` scans and compares."""
+an artifact that differs between two checkouts, the placements that
+``tools/boxscan.py`` scans and compares, and the drives with mismatched
+features of ``tools/mismatch.py``."""
 
 import importlib.util
 import json
@@ -22,6 +23,7 @@ def _load(name):
 
 sweep = _load("sweep")
 boxscan = _load("boxscan")
+mismatch = _load("mismatch")
 
 
 def test_numbers_of_each_kind(tmp_path):
@@ -140,3 +142,18 @@ def test_boxscan_exact_roots():
     assert boxscan.describe_fits(records) == (
         "  2 of 3 converged are exact roots (fit at most 1e-09 box "
         "heights), largest fit 0.02")
+
+
+def test_mismatch_two_seeds(capsys):
+    assert mismatch.main(["--workload", "dense_traffic", "--seeds", "1-2",
+                          "--temporal", "0.1", "--stereo", "0.1",
+                          "--frames", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "dense_traffic: temporal 0.1, stereo 0.1, 4 frames"
+    assert [line.split(":")[0] for line in lines[1:]] == \
+        ["seed 1", "seed 2", "mean"]
+    for line in lines[1:]:
+        assert "object error" in line and "yaw error" in line
+        assert "ATE" in line and "failed" not in line
+    with pytest.raises(SystemExit):
+        mismatch.main(["--seeds", "1", "--stereo", "1.5", "--frames", "2"])
